@@ -52,8 +52,9 @@ class ToleranceConfig:
     fd_step: float = 1e-5
 
     def __post_init__(self):
-        if min(self.tol_exact, self.tol_deriv, self.fd_tol, self.fd_step) <= 0:
-            raise ValueError("tolerances must be positive")
+        values = (self.tol_exact, self.tol_deriv, self.fd_tol, self.fd_step)
+        if not all(0 < v < np.inf for v in values):
+            raise ValueError("tolerances must be positive and finite")
 
 
 @dataclass
@@ -169,19 +170,28 @@ def check_killing(model: GroupModel, points, tol: ToleranceConfig) -> CheckResul
     return CheckResult("killing", model.name, len(points), resid, tol.tol_deriv)
 
 
+def _frame_metric_jet(g, dg, dual, ddual):
+    """G^{ab} = xi^a_i xi^b_j g^{ij} (n, a, b) and d_l G^{ab} (n, l, a, b).
+
+    Pairwise batched matmuls; the two dual-derivative terms of the gradient
+    are one product and its (a, b) transpose, since g is symmetric.
+    """
+    dual_t = dual.transpose(0, 2, 1)
+    gd = g @ dual  # g^{ij} xi^b_j
+    half = ddual.transpose(0, 1, 3, 2) @ gd[:, None]  # d_l xi^a_i g^{ij} xi^b_j
+    dG = half + half.transpose(0, 1, 3, 2) + dual_t[:, None] @ dg @ dual[:, None]
+    return dual_t @ gd, dG
+
+
 def check_frame_killing(model: GroupModel, points, tol: ToleranceConfig) -> CheckResult:
     """Frame form of the Killing equations,
     G^{ab}_{|g} = s (G^{at} C^b_{tg} + G^{bt} C^a_{tg})."""
     g, _, dg = geometry.metric_batch(model, points)
     dualv, ddual = eval_table_jet(model.dual, points)  # (n,i,a), (n,l,i,a)
     xi = eval_table(model.xi, points)
-    G = np.einsum("nia,njb,nij->nab", dualv, dualv, g)
-    dG = (
-        np.einsum("nlia,njb,nij->nlab", ddual, dualv, g)
-        + np.einsum("nia,nljb,nij->nlab", dualv, ddual, g)
-        + np.einsum("nia,njb,nlij->nlab", dualv, dualv, dg)
-    )
-    lhs = np.einsum("ngl,nlab->ngab", xi, dG)
+    G, dG = _frame_metric_jet(g, dg, dualv, ddual)
+    n = len(xi)
+    lhs = (xi @ dG.reshape(n, 4, 16)).reshape(n, 4, 4, 4)  # xi_g^l d_l G^{ab}
     C = model.structure_constants
     half = np.einsum("nat,btg->ngab", G, C)
     rhs = model.bracket_sign() * (half + half.transpose(0, 1, 3, 2))

@@ -87,6 +87,13 @@ def render_json(value, indent: int = 0) -> str:
 # --------------------------------------------------------------------------
 
 
+def _finite(key: str, raw: str) -> float:
+    value = float(raw)
+    if not np.isfinite(value):
+        raise InvalidParams(f"parameter {key!r} must be finite, got {raw!r}")
+    return value
+
+
 def _parse_params(pairs: list[str]) -> GroupParams:
     kwargs = {}
     alphas = list(GroupParams().em_alphas)
@@ -95,20 +102,16 @@ def _parse_params(pairs: list[str]) -> GroupParams:
             raise InvalidParams(f"--param expects key=value, got {pair!r}")
         key, _, raw = pair.partition("=")
         key = key.strip().lower().replace("-", "_")
-        if key == "c":
-            kwargs["c"] = float(raw)
-        elif key == "alpha_angle":
-            kwargs["alpha_angle"] = float(raw)
-        elif key in ("k", "l"):
-            kwargs[key] = float(raw)
+        if key in ("c", "alpha_angle", "k", "l"):
+            kwargs[key] = _finite(key, raw)
         elif key == "eps01":
             kwargs["eps01"] = int(raw)
         elif key in ("alpha1", "alpha2", "alpha3", "alpha4"):
-            alphas[int(key[-1]) - 1] = float(raw)
+            alphas[int(key[-1]) - 1] = _finite(key, raw)
         elif key == "eta":
             if not raw.startswith("diag:"):
                 raise InvalidParams("eta must be given as diag:a,b,c,d")
-            diag = [float(x) for x in raw[len("diag:") :].split(",")]
+            diag = [_finite(key, x) for x in raw[len("diag:") :].split(",")]
             if len(diag) != 4:
                 raise InvalidParams("eta diagonal needs four entries")
             kwargs["eta"] = tuple(
@@ -368,10 +371,15 @@ def cmd_verify(config: RunConfig) -> int:
 def cmd_simulate(config: RunConfig, u0, p0, T: float, h: float) -> int:
     if len(config.groups) != 1:
         raise InvalidParams("simulate expects a single --group id")
-    if h <= 0 or T <= 0:
-        raise InvalidParams("simulate requires positive --T and --h")
+    if not (0 < h < np.inf and 0 < T < np.inf):
+        raise InvalidParams("simulate requires positive finite --T and --h")
     model = catalog.get_group(config.groups[0], config.params)
     state0 = mechanics.PhasePoint(u=u0, p=p0)
+    if not model.domain.contains(state0.u):
+        lo, hi = model.domain.bounds()
+        box = " x ".join(f"[{a:.6g}, {b:.6g}]" for a, b in zip(lo, hi))
+        start = ",".join(f"{x:g}" for x in state0.u)
+        raise InvalidParams(f"--u0 {start} lies outside the sampling box of {model.name}: {box}")
     traj = mechanics.integrate_trajectory(model, state0, T=T, h=h)
     stats = mechanics.drift_report(traj)
 
@@ -398,21 +406,26 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _config_from_args(args)
-        if args.command == "list":
-            return cmd_list(config)
-        if args.command == "verify":
-            return cmd_verify(config)
-        if args.command == "simulate":
-            u0 = [float(x) for x in args.u0.split(",")]
-            p0 = [float(x) for x in args.p0.split(",")]
-            return cmd_simulate(config, u0, p0, args.T, args.h)
-        parser.error(f"unknown command {args.command}")
-    except InvalidParams as exc:
+        # ufunc overflow and invalid operations raise FloatingPointError
+        # (exit 2 below) instead of printing warnings and carrying on
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            config = _config_from_args(args)
+            if args.command == "list":
+                return cmd_list(config)
+            if args.command == "verify":
+                return cmd_verify(config)
+            if args.command == "simulate":
+                u0 = [float(x) for x in args.u0.split(",")]
+                p0 = [float(x) for x in args.p0.split(",")]
+                return cmd_simulate(config, u0, p0, args.T, args.h)
+            parser.error(f"unknown command {args.command}")
+    except ValueError as exc:  # InvalidParams included
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ArithmeticError, np.linalg.LinAlgError) as exc:
+        # SingularMetric, FloatingPointError, the compiled kernel's math
+        # errors and failed factorizations: a numerically degenerate setup
+        print(f"error: {exc} ({type(exc).__name__})", file=sys.stderr)
         return 2
     return 0
 

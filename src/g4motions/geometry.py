@@ -64,12 +64,13 @@ def metric_batch(model: GroupModel, points) -> tuple[np.ndarray, np.ndarray, np.
     g_con is assembled from the contravariant tetrad, g^{ij} =
     eta^{ab} e_a^i e_b^j (for the flat-fourth-direction entries eta is the
     embedded 3x3 block completed by 1); g_cov by matrix inversion.  dg_con
-    has shape (n, 4, 4, 4) with axis 1 the derivative direction.
+    has shape (n, 4, 4, 4) with axis 1 the derivative direction.  The
+    contractions are pairwise batched matmuls over the 4x4 index blocks.
     """
     econ, decon = eval_table_jet(model.e_con, points)  # (n,a,i), (n,l,a,i)
-    eta_con = model.eta_con()
-    g = np.einsum("ab,nai,nbj->nij", eta_con, econ, econ)
-    dg = np.einsum("ab,nlai,nbj->nlij", eta_con, decon, econ)
+    t = model.eta_con() @ econ  # eta^{ab} e_b^j, (n,a,j)
+    g = econ.transpose(0, 2, 1) @ t
+    dg = decon.transpose(0, 1, 3, 2) @ t[:, None]
     dg = dg + dg.transpose(0, 1, 3, 2)
     return g, _invert(g), dg
 
@@ -110,8 +111,8 @@ def frame_metric_batch(model: GroupModel, points) -> tuple[np.ndarray, np.ndarra
     g, ginv, _ = metric_batch(model, points)
     dualv = eval_table(model.dual, points)  # (n, i, alpha)
     xiv = eval_table(model.xi, points)  # (n, alpha, i)
-    G_con = np.einsum("nia,njb,nij->nab", dualv, dualv, g)
-    G_cov = np.einsum("nai,nbj,nij->nab", xiv, xiv, ginv)
+    G_con = dualv.transpose(0, 2, 1) @ g @ dualv  # xi^a_i g^{ij} xi^b_j
+    G_cov = xiv @ ginv @ xiv.transpose(0, 2, 1)  # xi_a^i g_{ij} xi_b^j
     return G_con, G_cov
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import adiff, catalog, geometry
-from .adiff import FieldExpr, Jet1
+from .adiff import FieldExpr
 from .catalog import GroupModel, eval_table, eval_table_jet
 from .checks import CheckResult, ToleranceConfig, scaled_max
 
@@ -112,10 +112,8 @@ class HamiltonianObservable(Observable):
 
     def du(self, state):
         g, dg, A, dA = self._fields(state)
-        P = state.p + A
-        return np.einsum("lij,i,j->l", dg, P, P) + 2.0 * np.einsum(
-            "ij,li,j->l", g, dA, P
-        )
+        dH, _ = _hamiltonian_grads(g[None], dg[None], dA[None], (state.p + A)[None])
+        return dH[0]
 
     def dp(self, state):
         g, _, A, _ = self._fields(state)
@@ -166,22 +164,6 @@ class MomentumObservable(Observable):
 
     def dp(self, state):
         return np.eye(4)[self.axis]
-
-
-class ExprObservable(Observable):
-    """Observable from a chart-only FieldExpr (handy for bracket fixtures)."""
-
-    def __init__(self, expr: FieldExpr):
-        self.expr = expr
-
-    def value(self, state):
-        return float(self.expr(state.u))
-
-    def du(self, state):
-        return adiff.eval_jet(self.expr, state.u).grad
-
-    def dp(self, state):
-        return np.zeros(4)
 
 
 def poisson_bracket(f: Observable, g: Observable, state: PhasePoint) -> float:
@@ -237,6 +219,16 @@ def check_integral_algebra(
     )
 
 
+def _hamiltonian_grads(g, dg, dA, P):
+    """dH/du (n, l) and dH/dp (n, i) of H = g^{ij} P_i P_j with P = p + A.
+
+    The potential term is contracted pairwise as d_l A_i (g^{ij} P_j).
+    """
+    gP = np.einsum("nij,nj->ni", g, P)
+    dH = np.einsum("nlij,ni,nj->nl", dg, P, P) + 2.0 * np.einsum("nli,ni->nl", dA, gP)
+    return dH, 2.0 * gP
+
+
 def check_hamiltonian_commutes(
     model: GroupModel, points, momenta, tol: ToleranceConfig, alphas=None
 ) -> CheckResult:
@@ -249,11 +241,7 @@ def check_hamiltonian_commutes(
     g, _, dg = geometry.metric_batch(model, points)
     A, dA = geometry.potential_batch(model, points, alphas=alphas)
     xi, dxi = eval_table_jet(model.xi, points)
-    P = momenta + A
-    dH = np.einsum("nlij,ni,nj->nl", dg, P, P) + 2.0 * np.einsum(
-        "nij,nli,nj->nl", g, dA, P
-    )
-    dHdp = 2.0 * np.einsum("nij,nj->ni", g, P)
+    dH, dHdp = _hamiltonian_grads(g, dg, dA, momenta + A)
     dYdu = np.einsum("nial,nl->nia", dxi, momenta)  # d_i (xi_a^l p_l)
     pb = np.einsum("nl,nal->na", dH, xi) - np.einsum("ni,nia->na", dHdp, dYdu)
     resid = scaled_max(pb, np.zeros_like(pb))

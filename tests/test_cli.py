@@ -1,5 +1,9 @@
 """Command-line interface: listing, verification runs, simulation, exit codes."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -167,3 +171,43 @@ def test_report_summary_counts_match_results(capsys):
         assert counts["failed"] == sum((not r["passed"]) and r["asserted"] for r in rows)
         assert counts["flagged"] == sum(not r["asserted"] for r in rows)
         assert counts["passed"] + counts["failed"] + counts["flagged"] == len(rows)
+
+
+# --------------------------------------------------------------------------
+# Failure surface: degenerate inputs end in a one-line reason, never a
+# traceback.  Each row runs the real entry point in a fresh interpreter, so
+# output written by compiled libraries is caught too.
+# --------------------------------------------------------------------------
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+FAILURE_SURFACE = [
+    # argv, expected exit, fragment of the reason
+    (["verify", "--group", "g4-ii", "--points", "20", "--param", "c=nan"], 2, "finite"),
+    (["verify", "--group", "g4-i-cne1", "--points", "20", "--param", "c=inf"], 2, "finite"),
+    (["verify", "--group", "g4-vi-1", "--points", "20", "--param", "k=1e300"], 2, "overflow"),
+    (["verify", "--group", "g4-ii", "--points", "20", "--tol-deriv", "nan"], 2, "finite"),
+    (["simulate", "--group", "g4-i-ceq1", "--u0", "50,0,0,0"], 2, "outside the sampling box"),
+    (["simulate", "--group", "g4-viii-a"], 2, "[0.2, 2.94159]"),
+    (["simulate", "--group", "g4-ii", "--u0", "100,100,100,100"], 2, "outside the sampling box"),
+    (["simulate", "--group", "g4-ii", "--T", "inf"], 2, "finite"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, reason", FAILURE_SURFACE, ids=[" ".join(row[0]) for row in FAILURE_SURFACE]
+)
+def test_degenerate_input_fails_cleanly(argv, code, reason, tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    out = ["--out", str(tmp_path / "out")]
+    proc = subprocess.run(
+        [sys.executable, "-m", "g4motions", *argv, *out],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+    )
+    assert proc.returncode in (0, 1, 2)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr + proc.stdout
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+    assert reason in lines[0]
