@@ -10,8 +10,9 @@ expression graph is needed).
 
 A central finite-difference oracle is provided so that every gradient used
 downstream can be compared against an independent estimate, and a small
-source-level compiler turns expression trees into plain-``math`` functions
-for the trajectory integrator's hot loop.
+source-level compiler turns expression trees into straight-line
+plain-``math`` functions (one temporary per distinct subtree) for the
+trajectory integrator's hot loop.
 """
 from __future__ import annotations
 
@@ -42,6 +43,7 @@ __all__ = [
 ]
 
 _SINGULAR = 1e-14
+_SINGULAR_MSG = "division by a (near-)zero denominator"
 
 
 class DomainError(ValueError):
@@ -134,7 +136,7 @@ class Jet1:
 
 def _guard_denominator(value):
     if np.any(np.abs(value) < _SINGULAR):
-        raise DomainError("division by a (near-)zero denominator")
+        raise DomainError(_SINGULAR_MSG)
 
 
 def exp(x):
@@ -529,42 +531,90 @@ def gradient_exprs(f: FieldExpr) -> list[FieldExpr]:
 
 
 _COORD_NAMES = ("u1", "u2", "u3", "u4")
+_INFIX = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
+_CALLS = {Neg: "-", Exp: "exp", Sin: "sin", Cos: "cos"}
+_COMMUTATIVE = (Add, Mul)
 
 
-def _render(e: FieldExpr) -> str:
-    if isinstance(e, Const):
-        return repr(e.c) if e.c >= 0 else f"({e.c!r})"
-    if isinstance(e, Coord):
-        return _COORD_NAMES[e.axis]
-    if isinstance(e, Add):
-        return f"({_render(e.a)} + {_render(e.b)})"
-    if isinstance(e, Sub):
-        return f"({_render(e.a)} - {_render(e.b)})"
-    if isinstance(e, Mul):
-        return f"({_render(e.a)} * {_render(e.b)})"
-    if isinstance(e, Div):
-        return f"({_render(e.a)} / {_render(e.b)})"
-    if isinstance(e, Neg):
-        return f"(-{_render(e.a)})"
-    if isinstance(e, Exp):
-        return f"exp({_render(e.a)})"
-    if isinstance(e, Sin):
-        return f"sin({_render(e.a)})"
-    if isinstance(e, Cos):
-        return f"cos({_render(e.a)})"
-    raise TypeError(f"cannot render {type(e).__name__}")
+class _SSA:
+    """Hash-consing emitter: one temporary per distinct subtree.
 
-
-def compile_values(exprs: Sequence[FieldExpr]) -> Callable:
-    """Compile expressions into one function (u1,u2,u3,u4) -> tuple of floats.
-
-    The generated source uses ``math`` functions only; it exists purely so
-    the trajectory integrator does not pay tree-walking costs in its inner
-    loop.  Compiled output is cross-checked against ``eval``/``eval_jet`` in
-    the test suite.
+    Leaves render inline (coordinates by name, constants as literals).  A
+    node's key is its type plus the names of its operands, so structurally
+    equal subtrees built as separate objects still share one temporary.
     """
-    body = ", ".join(_render(e) for e in exprs)
-    src = f"def _compiled(u1, u2, u3, u4):\n    return ({body},)\n"
-    namespace = {"exp": math.exp, "sin": math.sin, "cos": math.cos}
+
+    def __init__(self):
+        self.lines: list[str] = []
+        self.temps: dict[tuple, str] = {}
+        self.by_id: dict[int, str] = {}  # shared node objects: skip the re-walk
+
+    def name(self, e: FieldExpr) -> str:
+        hit = self.by_id.get(id(e))
+        if hit is not None:
+            return hit
+        if isinstance(e, Const):
+            out = repr(e.c) if e.c >= 0 else f"({e.c!r})"
+        elif isinstance(e, Coord):
+            out = _COORD_NAMES[e.axis]
+        else:
+            kind = type(e)
+            if kind in _INFIX:
+                a, b = self.name(e.a), self.name(e.b)
+                key, src = (kind, a, b), f"{a} {_INFIX[kind]} {b}"
+                if kind in _COMMUTATIVE and b < a:
+                    key = (kind, b, a)  # IEEE a + b == b + a and a * b == b * a exactly
+            elif kind in _CALLS:
+                a = self.name(e.a)
+                key, src = (kind, a), f"{_CALLS[kind]}({a})"
+            else:
+                raise TypeError(f"cannot compile {kind.__name__}")
+            out = self.temps.get(key)
+            if out is None:
+                out = self.temps[key] = f"t{len(self.temps)}"
+                if kind is Div:
+                    self.lines.append(
+                        f"if {-_SINGULAR!r} < {b} < {_SINGULAR!r}: raise DomainError(_SINGULAR_MSG)"
+                    )
+                self.lines.append(f"{out} = {src}")
+        self.by_id[id(e)] = out
+        return out
+
+
+def compile_values(
+    exprs: Sequence[FieldExpr],
+    extra_args: Sequence[str] = (),
+    epilogue: Callable | None = None,
+) -> Callable:
+    """Compile expressions into one straight-line ``math`` function of
+    ``(u1, u2, u3, u4, *extra_args)`` returning a tuple of floats.
+
+    Every distinct subtree of the folded trees is evaluated once per call
+    (common-subexpression elimination into SSA temporaries), and every
+    denominator is guarded as in ``Div.eval``: a magnitude below 1e-14 raises
+    ``DomainError``.  Without ``epilogue`` the function returns the values
+    of ``exprs``.  Otherwise ``epilogue(names)`` receives, per expression,
+    the source of its value (a temporary or a literal), or ``None`` where
+    the expression folded to the constant 0, and returns ``(lines,
+    outputs)``: statements appended to the body, which may also read
+    ``extra_args``, and the source of each returned value.  Compiled output
+    is cross-checked against ``eval``/``eval_jet`` in the test suite.
+    """
+    ssa = _SSA()
+    names = [ssa.name(e) for e in exprs]
+    if epilogue is None:
+        lines, outputs = [], names
+    else:
+        lines, outputs = epilogue([None if _is_const(e, 0.0) else n for e, n in zip(exprs, names)])
+    args = ", ".join((*_COORD_NAMES, *extra_args))
+    body = "".join(f"    {line}\n" for line in (*ssa.lines, *lines))
+    src = f"def _kernel({args}):\n{body}    return ({', '.join(outputs)},)\n"
+    namespace = {
+        "exp": math.exp,
+        "sin": math.sin,
+        "cos": math.cos,
+        "DomainError": DomainError,
+        "_SINGULAR_MSG": _SINGULAR_MSG,
+    }
     exec(compile(src, "<g4motions-compiled>", "exec"), namespace)
-    return namespace["_compiled"]
+    return namespace.pop("_kernel")  # no function <-> globals cycle: freed by refcount

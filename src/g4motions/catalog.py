@@ -119,6 +119,12 @@ class GroupParams:
     em_alphas: tuple = (1.0, 1.0, 1.0, 1.0)
     eta: tuple = ((1, 0, 0, 0), (0, -1, 0, 0), (0, 0, -1, 0), (0, 0, 0, -1))
 
+    def __post_init__(self):
+        for name in ("c", "alpha_angle", "k", "l", "em_alphas", "eta"):
+            value = getattr(self, name)
+            if not np.all(np.isfinite(np.asarray(value, dtype=float))):
+                raise InvalidParams(f"parameter {name!r} must be finite, got {value!r}")
+
     def eta_matrix(self) -> np.ndarray:
         return np.asarray(self.eta, dtype=float)
 

@@ -9,6 +9,7 @@ never gate a verification run.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,11 +83,19 @@ class CheckResult:
 
 
 def scaled_max(lhs, rhs) -> float:
-    """max |lhs - rhs| / (1 + max(|lhs|, |rhs|)) over all entries."""
+    """max |lhs - rhs| / (1 + max(|lhs|, |rhs|)) over all entries.
+
+    Raises ``FloatingPointError`` if the residual is not finite.
+    """
     lhs = np.asarray(lhs, float)
     rhs = np.asarray(rhs, float)
     scale = 1.0 + np.maximum(np.abs(lhs), np.abs(rhs))
-    return float(np.max(np.abs(lhs - rhs) / scale)) if lhs.size else 0.0
+    resid = float(np.max(np.abs(lhs - rhs) / scale)) if lhs.size else 0.0
+    if not math.isfinite(resid):
+        # np.einsum ignores np.errstate, so an overflow inside a contraction
+        # surfaces here rather than where it happened
+        raise FloatingPointError(f"non-finite residual {resid}")
+    return resid
 
 
 # --------------------------------------------------------------------------

@@ -87,13 +87,6 @@ def render_json(value, indent: int = 0) -> str:
 # --------------------------------------------------------------------------
 
 
-def _finite(key: str, raw: str) -> float:
-    value = float(raw)
-    if not np.isfinite(value):
-        raise InvalidParams(f"parameter {key!r} must be finite, got {raw!r}")
-    return value
-
-
 def _parse_params(pairs: list[str]) -> GroupParams:
     kwargs = {}
     alphas = list(GroupParams().em_alphas)
@@ -103,15 +96,15 @@ def _parse_params(pairs: list[str]) -> GroupParams:
         key, _, raw = pair.partition("=")
         key = key.strip().lower().replace("-", "_")
         if key in ("c", "alpha_angle", "k", "l"):
-            kwargs[key] = _finite(key, raw)
+            kwargs[key] = float(raw)
         elif key == "eps01":
             kwargs["eps01"] = int(raw)
         elif key in ("alpha1", "alpha2", "alpha3", "alpha4"):
-            alphas[int(key[-1]) - 1] = _finite(key, raw)
+            alphas[int(key[-1]) - 1] = float(raw)
         elif key == "eta":
             if not raw.startswith("diag:"):
                 raise InvalidParams("eta must be given as diag:a,b,c,d")
-            diag = [_finite(key, x) for x in raw[len("diag:") :].split(",")]
+            diag = [float(x) for x in raw[len("diag:") :].split(",")]
             if len(diag) != 4:
                 raise InvalidParams("eta diagonal needs four entries")
             kwargs["eta"] = tuple(

@@ -55,6 +55,23 @@ def test_invalid_parameters_rejected(gid, params):
         get_group(gid, params)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("c", math.inf),
+        ("alpha_angle", math.nan),
+        ("k", -math.inf),
+        ("l", math.nan),
+        ("em_alphas", (1.0, math.inf, 1.0, 1.0)),
+        ("eta", ((1, 0, 0, 0), (0, -1, 0, 0), (0, 0, math.nan, 0), (0, 0, 0, -1))),
+    ],
+)
+def test_non_finite_parameters_rejected(field, value):
+    # get_group(G4_I_CNE1, GroupParams(c=inf)) does not return, so refuse at construction
+    with pytest.raises(InvalidParams, match=field):
+        GroupParams(**{field: value})
+
+
 def test_degenerate_eta_rejected():
     eta = tuple(tuple(0.0 for _ in range(4)) for _ in range(4))
     with pytest.raises(InvalidParams):

@@ -1,11 +1,14 @@
 """Hamiltonian, brackets, motion integrals, trajectory integration."""
+import csv
 import math
 
 import numpy as np
 import pytest
 
 from g4motions import catalog, mechanics
+from g4motions.adiff import DomainError, finite_diff_gradient
 from g4motions.catalog import ABELIAN_SUBGROUP_IDS, GroupId, GroupParams, get_group
+from g4motions.checks import admissible_alphas
 from g4motions.mechanics import (
     CoordinateObservable,
     HamiltonianObservable,
@@ -203,15 +206,47 @@ def test_compiled_dynamics_matches_jet_route(models):
             p = rng.uniform(-1, 1, 4)
             state = PhasePoint(u=u, p=p)
             H_obs = HamiltonianObservable(model)
-            du, dp = rhs(u, p)
+            du_dp = rhs(*u, *p)
+            du, dp = np.array(du_dp[:4]), np.array(du_dp[4:])
             assert np.allclose(du, H_obs.dp(state), atol=1e-12, rtol=1e-12), gid
             assert np.allclose(dp, -H_obs.du(state), atol=1e-11, rtol=1e-11), gid
-            H, Y = observables(u, p)
+            H, *Y = observables(*u, *p)
             assert H == pytest.approx(hamiltonian(model, state), rel=1e-12)
             for a in range(4):
                 assert Y[a] == pytest.approx(
                     motion_integral(model, a + 1, state), rel=1e-12, abs=1e-13
                 )
+
+
+def test_fused_kernel_agrees_with_oracle(models):
+    """Criterion 8's finite-difference budget on the integrator's own
+    gradients: du = dH/dp and dp = -dH/du of the compiled H."""
+    for gid, model in models.items():
+        rhs, observables = mechanics._compiled_dynamics(model, admissible_alphas(model))
+        lo, hi = model.domain.bounds()
+        pts = np.clip(catalog.sample_points(model.domain, 10, 19), lo + 1e-4, hi - 1e-4)
+        rng = np.random.default_rng(19)
+        for u in pts:
+            p = rng.uniform(-1, 1, 4)
+            du_dp = np.array(rhs(*u, *p))
+            fd_p = finite_diff_gradient(lambda q: observables(*u, *q)[0], p, h=1e-5)
+            fd_u = finite_diff_gradient(lambda x: observables(*x, *p)[0], u, h=1e-5)
+            for ad, fd in ((du_dp[:4], fd_p), (du_dp[4:], -fd_u)):
+                assert np.max(np.abs(ad - fd)) <= 1e-6 + 1e-6 * np.max(np.abs(ad)), (gid, u, p)
+
+
+@pytest.mark.parametrize("gid", [GroupId.G4_VIII_A, GroupId.G4_VIII_B])
+def test_integrate_singular_start_raises_domain_error(gid):
+    # u1 = 0 is where sin(u1) vanishes in these charts
+    state0 = PhasePoint(u=[0.0, 0.1, 0.1, 0.1], p=[0.1, 0.2, 0.3, 0.4])
+    with pytest.raises(DomainError):
+        integrate_trajectory(get_group(gid), state0, T=0.01, h=1e-3)
+
+
+def test_integrate_raises_on_overflow(models):
+    state0 = PhasePoint(u=np.zeros(4), p=[1e160, 1e160, 0.0, 0.0])
+    with pytest.raises(FloatingPointError):
+        integrate_trajectory(models[GroupId.G4_II], state0, T=0.01, h=1e-3)
 
 
 def test_integrate_rejects_bad_steps(models):
@@ -239,6 +274,26 @@ def test_drift_report_fixtures():
     assert stats.H.relative == pytest.approx(0.25)
     with pytest.raises(ValueError):
         drift_report(Trajectory(np.array([]), np.zeros((0, 4)), np.zeros((0, 4)), np.array([]), np.zeros((0, 4))))
+
+
+def _csv_writer_reference(traj, path):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(mechanics.TRAJECTORY_CSV_HEADER)
+        for k in range(len(traj)):
+            row = [traj.t[k], *traj.u[k], *traj.p[k], traj.H[k], *traj.Y[k]]
+            writer.writerow(format(x, ".17g") for x in row)
+
+
+def test_csv_export_matches_csv_writer_bytes(tmp_path, models):
+    model = models[GroupId.G4_I_CNE1]
+    state0 = PhasePoint(u=np.zeros(4), p=[0.1, 0.2, 0.3, 0.4])
+    traj = integrate_trajectory(model, state0, T=0.6, h=1e-3)  # more rows than one chunk
+    traj.u[0] = [-0.0, 5e-324, -1e308, 123456789012345678.0]
+    traj.H[1:3] = [np.inf, np.nan]
+    mechanics.export_csv(traj, tmp_path / "new.csv")
+    _csv_writer_reference(traj, tmp_path / "ref.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def test_csv_export_round_trip(tmp_path, models):
