@@ -1,6 +1,7 @@
 """Verifying the geometry: duality, bracket closure, Killing equations.
 
-Every identity becomes a residual over a cloud of seeded sample points.
+Every identity becomes a residual over a cloud of seeded sample points,
+evaluated once per entry and shared by all checks.
 The frame metric version of the Killing equations closes on the structure
 constants, with a single overall bracket sign resolved empirically per
 entry; swapping the frame-metric signature leaves every residual at the
@@ -9,7 +10,8 @@ rounding floor, because none of the identities care about signatures.
 import numpy as np
 
 from g4motions import catalog, checks, mechanics
-from g4motions.catalog import GroupId, GroupParams
+from g4motions.catalog import GroupId
+from g4motions.geometry import SampleCloud
 
 tol = checks.ToleranceConfig()
 EUCLIDEAN = tuple(tuple(float(i == j) for j in range(4)) for i in range(4))
@@ -19,12 +21,13 @@ print(f"{'entry':12s} {'closure':>10s} {'jacobi':>10s} {'killing':>10s} "
 for gid in GroupId:
     model = catalog.get_group(gid)
     pts, _ = mechanics.sample_phase_points(model, 200, seed=42)
-    closure = checks.check_lie_closure(model, pts, tol)
+    cloud = SampleCloud(model, pts)
+    closure = checks.check_lie_closure(cloud, tol)
     jacobi = checks.check_jacobi(model.structure_constants, tol, group=model.name)
-    killing = checks.check_killing(model, pts, tol)
-    frame = checks.check_frame_killing(model, pts, tol)
-    alt = catalog.get_group(gid, GroupParams(eta=EUCLIDEAN))
-    killing_pp = checks.check_killing(alt, pts, tol)
+    killing = checks.check_killing(cloud, tol)
+    frame = checks.check_frame_killing(cloud, tol)
+    # same points under eta = ++++: only the metric is recomputed
+    killing_pp = checks.check_killing(cloud.with_eta(EUCLIDEAN), tol)
     print(
         f"{model.name:12s} {closure.max_residual:10.2e} {jacobi.max_residual:10.2e} "
         f"{killing.max_residual:10.2e} {frame.max_residual:10.2e} "
@@ -42,5 +45,5 @@ bad_e_con = [list(r) for r in model.e_con]
 bad_e_con[1][1] = bad_e_con[1][1] + 0.01 * U1
 broken = dataclasses.replace(model, e_con=bad_e_con)
 pts, _ = mechanics.sample_phase_points(model, 200, seed=42)
-res = checks.check_killing(broken, pts, tol)
+res = checks.check_killing(SampleCloud(broken, pts), tol)
 print(f"perturbed killing residual: {res.max_residual:.3e}  (passed={res.passed})")

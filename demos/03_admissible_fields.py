@@ -16,6 +16,7 @@ import numpy as np
 
 from g4motions import catalog, checks, geometry, mechanics
 from g4motions.catalog import ABELIAN_SUBGROUP_IDS, GroupId
+from g4motions.geometry import SampleCloud
 
 tol = checks.ToleranceConfig()
 
@@ -24,7 +25,7 @@ print(f"{'entry':12s} {'alpha1':>10s} {'alpha2':>10s} {'alpha3':>10s} {'alpha4':
 for gid in GroupId:
     model = catalog.get_group(gid)
     pts, _ = mechanics.sample_phase_points(model, 200, seed=42)
-    row = checks.check_admissibility(model, pts, tol)
+    row = checks.check_admissibility(SampleCloud(model, pts), tol)
     marks = "".join(" " if r.asserted else "*" for r in row)
     print(
         f"{model.name:12s} "
@@ -44,7 +45,7 @@ for gid in sorted(ABELIAN_SUBGROUP_IDS, key=lambda g: g.value):
 print("\n...while the left-invariant (tetrad) potential carries a real field")
 model = catalog.get_group(GroupId.G4_VI_1)
 pts, _ = mechanics.sample_phase_points(model, 5, seed=42)
-F = geometry.faraday_batch(model, pts, basis=catalog.tetrad_basis_table(model))
+F = geometry.faraday_batch(model, pts, basis="tetrad_basis")
 print(f"  {model.name}: max |F| = {np.max(np.abs(F)):.3f} (tetrad route), and the")
-res = checks.check_admissibility(model, pts, tol, mode="tetrad")
+res = checks.check_admissibility(SampleCloud(model, pts), tol, mode="tetrad")
 print(f"  admissibility residual stays at {max(r.max_residual for r in res):.2e}")

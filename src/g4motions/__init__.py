@@ -30,6 +30,7 @@ from .geometry import (  # noqa: F401
     FaradayAt,
     FrameMetricAt,
     MetricAt,
+    SampleCloud,
     SingularMetric,
     faraday_at,
     frame_metric_at,
@@ -42,5 +43,4 @@ from .mechanics import (  # noqa: F401
     hamiltonian,
     integrate_trajectory,
     motion_integral,
-    poisson_bracket,
 )

@@ -23,7 +23,7 @@ can surface it; the uncorrected frame-potential tables are kept alongside
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -46,7 +46,8 @@ __all__ = [
     "sample_points",
     "potential",
     "potential_from_tetrad",
-    "frame_potential",
+    "potential_from_basis",
+    "frame_bracket",
     "orient_tetrad",
     "catalog_entry",
 ]
@@ -215,11 +216,31 @@ class GroupModel:
     def eta_con(self) -> np.ndarray:
         return np.linalg.inv(self.eta_eff)
 
+    @property
+    def tetrad_basis(self) -> list:
+        """Tetrad-constructed potential, basis-wise: entry [beta][i] = e^beta_i."""
+        return [[self.e_cov[i][beta] for i in range(4)] for beta in range(4)]
+
     def bracket_sign(self) -> int:
-        """Overall sign s with [xi_a, xi_b] = s C^g_ab xi_g, found empirically."""
+        """Overall sign s with [xi_a, xi_b] = s C^g_ab xi_g, found empirically
+        at 16 fixed sample points; raises ``ClosureFailed`` if neither sign
+        closes."""
         if self._bracket_sign is None:
-            self._bracket_sign = _resolve_bracket_sign(self)
+            xi, dxi = eval_table_jet(self.xi, sample_points(self.domain, 16, 1234))
+            _, s, res = frame_bracket(xi, dxi, self.structure_constants)
+            if res[s] > 1e-8:
+                raise ClosureFailed(
+                    f"{self.name}: no bracket sign closes on the stored structure "
+                    f"constants (residuals {res[1]:.2e} / {res[-1]:.2e})"
+                )
+            self._bracket_sign = s
         return self._bracket_sign
+
+    def with_eta(self, eta) -> "GroupModel":
+        """The same entry under another constant frame metric.  The expression
+        tables are shared, not rebuilt; only the frame metric changes."""
+        params = replace(self.params, eta=eta)
+        return replace(self, params=params, eta_eff=_effective_eta(self.group_id, params))
 
 
 # --------------------------------------------------------------------------
@@ -1042,21 +1063,23 @@ def all_groups(params: GroupParams | None = None) -> list[GroupModel]:
     return [get_group(gid, params) for gid in GroupId]
 
 
-def _resolve_bracket_sign(model: GroupModel, n_points: int = 16, seed: int = 1234) -> int:
-    pts = sample_points(model.domain, n_points, seed)
-    xi, dxi = eval_table_jet(model.xi, pts)  # dxi: (n, j, a, i) = d_j xi_a^i
+def frame_bracket(xi, dxi, C) -> tuple[np.ndarray, int, dict]:
+    """The frame Lie bracket and the overall sign it closes with.
+
+    ``xi`` is (n, a, i) and ``dxi`` (n, j, a, i) = d_j xi_a^i.  Returns
+    [xi_a, xi_b]^i = xi_a^j d_j xi_b^i - xi_b^j d_j xi_a^i as (n, a, b, i),
+    the sign s that fits [xi_a, xi_b] = s C^g_ab xi_g best (+1 on a tie), and
+    the scaled residual max |lhs - rhs| / (1 + max(|lhs|, |rhs|)) of each
+    sign.  Raises ``FloatingPointError`` if a residual is not finite.
+    """
     bracket = np.einsum("naj,njbi->nabi", xi, dxi)
     bracket = bracket - bracket.transpose(0, 2, 1, 3)
-    target = np.einsum("gab,ngi->nabi", model.structure_constants, xi)
+    target = np.einsum("gab,ngi->nabi", C, xi)
     scale = 1.0 + np.maximum(np.abs(bracket), np.abs(target))
-    res_plus = np.max(np.abs(bracket - target) / scale)
-    res_minus = np.max(np.abs(bracket + target) / scale)
-    if min(res_plus, res_minus) > 1e-8:
-        raise ClosureFailed(
-            f"{model.name}: no bracket sign closes on the stored structure "
-            f"constants (residuals {res_plus:.2e} / {res_minus:.2e})"
-        )
-    return 1 if res_plus <= res_minus else -1
+    res = {s: float(np.max(np.abs(bracket - s * target) / scale)) for s in (1, -1)}
+    if not all(map(math.isfinite, res.values())):
+        raise FloatingPointError(f"non-finite bracket residuals {res}")
+    return bracket, min(res, key=res.get), res
 
 
 # --------------------------------------------------------------------------
@@ -1064,40 +1087,28 @@ def _resolve_bracket_sign(model: GroupModel, n_points: int = 16, seed: int = 123
 # --------------------------------------------------------------------------
 
 
+def potential_from_basis(alphas, basis) -> np.ndarray:
+    """A_i = alpha_b T^b_i from a basis-wise potential table's values
+    (n, b, i), or d_l A_i from its gradients (n, l, b, i)."""
+    return np.einsum("b,...bi->...i", alphas, basis)
+
+
+def _potential_at(model: GroupModel, table, u, alphas) -> np.ndarray:
+    alphas = model.params.alphas() if alphas is None else np.asarray(alphas, float)
+    u = np.asarray(u, float)
+    A = potential_from_basis(alphas, eval_table(table, np.atleast_2d(u)))
+    return A[0] if u.ndim == 1 else A
+
+
 def potential(model: GroupModel, u, alphas=None) -> np.ndarray:
     """Holonomic potential A_i at chart point(s) u with the model's (or the
     given) potential constants."""
-    alphas = model.params.alphas() if alphas is None else np.asarray(alphas, float)
-    u = np.asarray(u, float)
-    pts = u[None, :] if u.ndim == 1 else u
-    table = eval_table(model.holo_basis, pts)  # (n, beta, i)
-    out = np.einsum("b,nbi->ni", alphas, table)
-    return out[0] if u.ndim == 1 else out
-
-
-def frame_potential(model: GroupModel, u, alphas=None) -> np.ndarray:
-    """Frame potential components A_alpha = xi_alpha^i A_i."""
-    alphas = model.params.alphas() if alphas is None else np.asarray(alphas, float)
-    u = np.asarray(u, float)
-    pts = u[None, :] if u.ndim == 1 else u
-    table = eval_table(model.frame_basis, pts)
-    out = np.einsum("b,nba->na", alphas, table)
-    return out[0] if u.ndim == 1 else out
+    return _potential_at(model, model.holo_basis, u, alphas)
 
 
 def potential_from_tetrad(model: GroupModel, u, alphas=None) -> np.ndarray:
     """Left-invariant potential A_i = alpha_beta e^beta_i."""
-    alphas = model.params.alphas() if alphas is None else np.asarray(alphas, float)
-    u = np.asarray(u, float)
-    pts = u[None, :] if u.ndim == 1 else u
-    ecov = eval_table(model.e_cov, pts)  # (n, i, beta)
-    out = np.einsum("b,nib->ni", alphas, ecov)
-    return out[0] if u.ndim == 1 else out
-
-
-def tetrad_basis_table(model: GroupModel) -> list:
-    """Tetrad-constructed potential, basis-wise: entry [beta][i] = e^beta_i."""
-    return [[model.e_cov[i][beta] for i in range(4)] for beta in range(4)]
+    return _potential_at(model, model.tetrad_basis, u, alphas)
 
 
 # --------------------------------------------------------------------------

@@ -1,6 +1,9 @@
 """The verification suite: every identity the catalog asserts, as a residual
 computation with pass/fail against tolerances.
 
+Every check is a pure function of a ``geometry.SampleCloud`` (one entry's
+sample points, evaluated once) and the tolerances.
+
 Residuals are max-norms over all free indices and sample points, scaled
 relatively by (1 + magnitude of the compared terms) since the exponential
 tables vary over orders of magnitude across the sampling box.  Results carry
@@ -14,14 +17,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import catalog, geometry
-from .catalog import (
+from .catalog import (  # noqa: F401  eval_table_jet: read by bench/selftest.py
     ABELIAN_SUBGROUP_IDS,
     GroupId,
     GroupModel,
     eval_table,
     eval_table_jet,
+    potential_from_basis,
 )
+from .geometry import SampleCloud
 
 __all__ = [
     "ToleranceConfig",
@@ -89,8 +93,14 @@ def scaled_max(lhs, rhs) -> float:
     """
     lhs = np.asarray(lhs, float)
     rhs = np.asarray(rhs, float)
-    scale = 1.0 + np.maximum(np.abs(lhs), np.abs(rhs))
-    resid = float(np.max(np.abs(lhs - rhs) / scale)) if lhs.size else 0.0
+    # in place: the residual arrays are the largest arrays of a check
+    scale = np.abs(lhs)
+    np.maximum(scale, np.abs(rhs), out=scale)
+    scale += 1.0
+    err = lhs - rhs
+    np.abs(err, out=err)
+    err /= scale
+    resid = float(np.max(err)) if lhs.size else 0.0
     if not math.isfinite(resid):
         # np.einsum ignores np.errstate, so an overflow inside a contraction
         # surfaces here rather than where it happened
@@ -103,42 +113,35 @@ def scaled_max(lhs, rhs) -> float:
 # --------------------------------------------------------------------------
 
 
-def check_duality(model: GroupModel, points, tol: ToleranceConfig) -> CheckResult:
-    xi = eval_table(model.xi, points)
-    dual = eval_table(model.dual, points)
-    prod = np.einsum("nai,nib->nab", xi, dual)
+def check_duality(cloud: SampleCloud, tol: ToleranceConfig) -> CheckResult:
+    prod = np.einsum("nai,nib->nab", cloud.values("xi"), cloud.values("dual"))
     resid = scaled_max(prod, np.eye(4)[None])
-    return CheckResult("frame_duality", model.name, len(points), resid, tol.tol_exact)
+    return CheckResult("frame_duality", cloud.model.name, len(cloud), resid, tol.tol_exact)
 
 
-def check_tetrad_duality(model: GroupModel, points, tol: ToleranceConfig) -> CheckResult:
-    cov = eval_table(model.e_cov, points)  # (n, i, alpha)
-    con = eval_table(model.e_con, points)  # (n, alpha, i)
+def check_tetrad_duality(cloud: SampleCloud, tol: ToleranceConfig) -> CheckResult:
+    cov = eval_table(cloud.model.e_cov, cloud.points)  # (n, i, alpha); no other check reads it
+    con = cloud.values("e_con")  # (n, alpha, i)
     prod = np.einsum("nai,nib->nab", con, cov)
     resid = scaled_max(prod, np.eye(4)[None])
     notes = ()
-    if model.orientation is not None:
-        o = model.orientation
+    if cloud.model.orientation is not None:
+        o = cloud.model.orientation
         notes = (
             f"orientation {o.status}; rows_are_coordinates={o.rows_are_coordinates}; "
             f"potential fit residual {o.potential_residual:.2e}",
         )
     return CheckResult(
-        "tetrad_duality", model.name, len(points), resid, tol.tol_exact, notes=notes
+        "tetrad_duality", cloud.model.name, len(cloud), resid, tol.tol_exact, notes=notes
     )
 
 
-def check_lie_closure(model: GroupModel, points, tol: ToleranceConfig) -> CheckResult:
-    xi, dxi = eval_table_jet(model.xi, points)  # (n,a,i), (n,j,a,i)
-    bracket = np.einsum("naj,njbi->nabi", xi, dxi)
-    bracket = bracket - bracket.transpose(0, 2, 1, 3)
-    target = np.einsum("gab,ngi->nabi", model.structure_constants, xi)
-    res = {s: scaled_max(bracket, s * target) for s in (1, -1)}
-    s = min(res, key=res.get)
+def check_lie_closure(cloud: SampleCloud, tol: ToleranceConfig) -> CheckResult:
+    _, s, res = cloud.bracket
     return CheckResult(
         "lie_closure",
-        model.name,
-        len(points),
+        cloud.model.name,
+        len(cloud),
         res[s],
         tol.tol_deriv,
         notes=(f"bracket sign s={s:+d}",),
@@ -168,50 +171,36 @@ def check_jacobi(C: np.ndarray, tol: ToleranceConfig, group: str = "-") -> Check
 # --------------------------------------------------------------------------
 
 
-def check_killing(model: GroupModel, points, tol: ToleranceConfig) -> CheckResult:
+def check_killing(cloud: SampleCloud, tol: ToleranceConfig) -> CheckResult:
     """g^{il} d_l xi_a^j + g^{jl} d_l xi_a^i - d_l g^{ij} xi_a^l = 0."""
-    g, _, dg = geometry.metric_batch(model, points)
-    xi, dxi = eval_table_jet(model.xi, points)
-    term = np.einsum("nil,nlaj->naij", g, dxi)
-    lhs = term + term.transpose(0, 1, 3, 2)
+    g, _, dg = cloud.metric
+    xi, dxi = cloud.jet("xi")
+    lhs = np.einsum("nil,nlaj->naij", g, dxi)
+    lhs = lhs + lhs.transpose(0, 1, 3, 2)
     rhs = np.einsum("nlij,nal->naij", dg, xi)
     resid = scaled_max(lhs, rhs)
-    return CheckResult("killing", model.name, len(points), resid, tol.tol_deriv)
+    return CheckResult("killing", cloud.model.name, len(cloud), resid, tol.tol_deriv)
 
 
-def _frame_metric_jet(g, dg, dual, ddual):
-    """G^{ab} = xi^a_i xi^b_j g^{ij} (n, a, b) and d_l G^{ab} (n, l, a, b).
-
-    Pairwise batched matmuls; the two dual-derivative terms of the gradient
-    are one product and its (a, b) transpose, since g is symmetric.
-    """
-    dual_t = dual.transpose(0, 2, 1)
-    gd = g @ dual  # g^{ij} xi^b_j
-    half = ddual.transpose(0, 1, 3, 2) @ gd[:, None]  # d_l xi^a_i g^{ij} xi^b_j
-    dG = half + half.transpose(0, 1, 3, 2) + dual_t[:, None] @ dg @ dual[:, None]
-    return dual_t @ gd, dG
-
-
-def check_frame_killing(model: GroupModel, points, tol: ToleranceConfig) -> CheckResult:
+def check_frame_killing(cloud: SampleCloud, tol: ToleranceConfig) -> CheckResult:
     """Frame form of the Killing equations,
     G^{ab}_{|g} = s (G^{at} C^b_{tg} + G^{bt} C^a_{tg})."""
-    g, _, dg = geometry.metric_batch(model, points)
-    dualv, ddual = eval_table_jet(model.dual, points)  # (n,i,a), (n,l,i,a)
-    xi = eval_table(model.xi, points)
-    G, dG = _frame_metric_jet(g, dg, dualv, ddual)
-    n = len(xi)
-    lhs = (xi @ dG.reshape(n, 4, 16)).reshape(n, 4, 4, 4)  # xi_g^l d_l G^{ab}
-    C = model.structure_constants
-    half = np.einsum("nat,btg->ngab", G, C)
-    rhs = model.bracket_sign() * (half + half.transpose(0, 1, 3, 2))
+    G, dG = cloud.frame_metric()
+    _, s, _ = cloud.bracket
+    n = len(G)
+    lhs = (cloud.values("xi") @ dG.reshape(n, 4, 16)).reshape(n, 4, 4, 4)  # xi_g^l d_l G^{ab}
+    del dG  # the largest array here; the residual needs two more of its size
+    rhs = np.einsum("nat,btg->ngab", G, cloud.model.structure_constants)
+    rhs = rhs + rhs.transpose(0, 1, 3, 2)
+    rhs *= s
     resid = scaled_max(lhs, rhs)
     return CheckResult(
         "frame_killing",
-        model.name,
-        len(points),
+        cloud.model.name,
+        len(cloud),
         resid,
         tol.tol_deriv,
-        notes=(f"bracket sign s={model.bracket_sign():+d}",),
+        notes=(f"bracket sign s={s:+d}",),
     )
 
 
@@ -236,8 +225,6 @@ ASSERTED_HOLO_ADMISSIBILITY = frozenset(
     }
 )
 
-_BASIS = np.eye(4)
-
 
 def admissible_alphas(model: GroupModel) -> np.ndarray:
     """The model's potential constants projected onto its verified-admissible
@@ -248,9 +235,8 @@ def admissible_alphas(model: GroupModel) -> np.ndarray:
     return alphas
 
 
-def _admissibility_residual(model, points, alphas, basis=None) -> float:
-    xi, dxi = eval_table_jet(model.xi, points)  # dxi: (n, i, a, j) = d_i xi_a^j
-    A, dA = geometry.potential_batch(model, points, alphas=alphas, basis=basis)
+def _admissibility_residual(xi, dxi, A, dA) -> float:
+    # dxi: (n, i, a, j) = d_i xi_a^j; A (n, j) and dA (n, i, j) of one basis potential
     F = dA - dA.transpose(0, 2, 1)
     # d_i (xi_a^j A_j) vs xi_a^j F_{ij}
     lhs = np.einsum("niaj,nj->nia", dxi, A) + np.einsum("naj,nij->nia", xi, dA)
@@ -259,26 +245,27 @@ def _admissibility_residual(model, points, alphas, basis=None) -> float:
 
 
 def check_admissibility(
-    model: GroupModel, points, tol: ToleranceConfig, mode: str = "holonomic"
+    cloud: SampleCloud, tol: ToleranceConfig, mode: str = "holonomic"
 ) -> list[CheckResult]:
     """Basis-wise residual of (xi_a^j A_j)_{,i} = xi_a^j F_{ij}.
 
     Every tabulated potential is linear in alpha1..alpha4, so checking the
     four basis vectors separately is complete and localizes defects to a
-    single constant.  ``mode`` selects the tabulated holonomic table or the
-    tetrad-constructed potential.
+    single constant: the potential of basis vector b is row b of the table.
+    ``mode`` selects the tabulated holonomic table or the tetrad-constructed
+    potential.
     """
-    if mode == "holonomic":
-        basis = None
-    elif mode == "tetrad":
-        basis = catalog.tetrad_basis_table(model)
-    else:
+    tables = {"holonomic": "holo_basis", "tetrad": "tetrad_basis"}
+    if mode not in tables:
         raise ValueError(f"unknown admissibility mode {mode!r}")
+    model = cloud.model
+    xi, dxi = cloud.jet("xi")
+    vals, grads = cloud.jet(tables[mode])  # (n,b,i), (n,l,b,i)
 
     abelian = model.group_id in ABELIAN_SUBGROUP_IDS
     results = []
     for b in range(4):
-        resid = _admissibility_residual(model, points, _BASIS[b], basis=basis)
+        resid = _admissibility_residual(xi, dxi, vals[:, b], grads[:, :, b])
         if mode == "tetrad":
             asserted = model.tetrad_printed
             notes = () if model.tetrad_printed else ("derived (untabulated) tetrad",)
@@ -298,7 +285,7 @@ def check_admissibility(
             CheckResult(
                 f"admissibility[{mode}:alpha{b + 1}]",
                 model.name,
-                len(points),
+                len(cloud),
                 resid,
                 tol.tol_deriv,
                 asserted=asserted,
@@ -308,14 +295,13 @@ def check_admissibility(
     return results
 
 
-def check_frame_defining(
-    model: GroupModel, points, tol: ToleranceConfig
-) -> list[CheckResult]:
+def check_frame_defining(cloud: SampleCloud, tol: ToleranceConfig) -> list[CheckResult]:
     """Basis-wise residual of the frame-form defining equations
     A_{a|b} = s C^g_{ba} A_g for the recomputed frame potential."""
-    xi = eval_table(model.xi, points)
-    vals, grads = eval_table_jet(model.frame_basis, points)  # (n,c,a), (n,l,c,a)
-    s = model.bracket_sign()
+    model = cloud.model
+    xi = cloud.values("xi")
+    vals, grads = cloud.jet("frame_basis")  # (n,c,a), (n,l,c,a)
+    _, s, _ = cloud.bracket
     C = model.structure_constants
     abelian = model.group_id in ABELIAN_SUBGROUP_IDS
     results = []
@@ -335,7 +321,7 @@ def check_frame_defining(
             CheckResult(
                 f"frame_defining[alpha{b + 1}]",
                 model.name,
-                len(points),
+                len(cloud),
                 resid,
                 tol.tol_deriv,
                 asserted=asserted,
@@ -345,29 +331,23 @@ def check_frame_defining(
     return results
 
 
-def check_potential_consistency(
-    model: GroupModel, points, tol: ToleranceConfig
-) -> CheckResult:
+def check_potential_consistency(cloud: SampleCloud, tol: ToleranceConfig) -> CheckResult:
     """A_i = xi^a_i A_a with the stored holonomic and frame tables."""
-    dual = eval_table(model.dual, points)  # (n, i, a)
-    holo = eval_table(model.holo_basis, points)  # (n, b, i)
-    frame = eval_table(model.frame_basis, points)  # (n, b, a)
+    dual = cloud.values("dual")  # (n, i, a)
+    frame = cloud.values("frame_basis")  # (n, b, a)
     recon = np.einsum("nia,nba->nbi", dual, frame)
-    resid = scaled_max(recon, holo)
-    return CheckResult(
-        "potential_consistency", model.name, len(points), resid, 1e-10
-    )
+    resid = scaled_max(recon, cloud.values("holo_basis"))  # (n, b, i)
+    return CheckResult("potential_consistency", cloud.model.name, len(cloud), resid, 1e-10)
 
 
-def check_frame_table_crosscheck(
-    model: GroupModel, points, tol: ToleranceConfig
-) -> CheckResult | None:
+def check_frame_table_crosscheck(cloud: SampleCloud, tol: ToleranceConfig) -> CheckResult | None:
     """Compare the source frame-potential table (where expressible) against
     the recomputed one; per-component disagreements are reported, not fatal."""
+    model = cloud.model
     if model.reference_frame is None:
         return None
-    ref = eval_table(model.reference_frame, points)
-    rec = eval_table(model.frame_basis, points)
+    ref = eval_table(model.reference_frame, cloud.points)
+    rec = cloud.values("frame_basis")
     resid = scaled_max(ref, rec)
     notes = []
     for b in range(4):
@@ -381,7 +361,7 @@ def check_frame_table_crosscheck(
     return CheckResult(
         "frame_table_crosscheck",
         model.name,
-        len(points),
+        len(cloud),
         resid,
         tol.tol_deriv,
         asserted=False,
@@ -389,18 +369,16 @@ def check_frame_table_crosscheck(
     )
 
 
-def check_abelian_zero_field(
-    model: GroupModel, points, tol: ToleranceConfig
-) -> CheckResult:
+def check_abelian_zero_field(cloud: SampleCloud, tol: ToleranceConfig) -> CheckResult:
     """For the Abelian-subgroup family the tabulated potential construction
     yields an identically vanishing field strength, for generic constants."""
+    model = cloud.model
     if model.group_id not in ABELIAN_SUBGROUP_IDS:
         raise ValueError("zero-field theorem applies to the g4-vi-* entries only")
-    F = geometry.faraday_batch(model, points, alphas=model.params.alphas())
+    dA = potential_from_basis(model.params.alphas(), cloud.jet("holo_basis")[1])
+    F = dA - dA.transpose(0, 2, 1)
     resid = scaled_max(F, np.zeros_like(F))
-    return CheckResult(
-        "abelian_zero_field", model.name, len(points), resid, tol.tol_exact
-    )
+    return CheckResult("abelian_zero_field", model.name, len(cloud), resid, tol.tol_exact)
 
 
 # --------------------------------------------------------------------------
@@ -408,40 +386,30 @@ def check_abelian_zero_field(
 # --------------------------------------------------------------------------
 
 
-def _fd_table_residual(table, points, tol: ToleranceConfig) -> float:
-    worst = 0.0
-    pts = np.asarray(points, float)
-    for row in table:
-        for expr in row:
-            jet_grad_all = expr.jet(pts.T).grad  # (4, n)
-            for idx, u in enumerate(pts):
-                fd = np.array(
-                    [
-                        (expr(u + h_vec) - expr(u - h_vec)) / (2 * tol.fd_step)
-                        for h_vec in np.eye(4) * tol.fd_step
-                    ]
-                )
-                ad = jet_grad_all[:, idx]
-                err = np.max(np.abs(ad - fd) / (tol.fd_tol + tol.fd_tol * np.abs(ad)))
-                worst = max(worst, err)
-    return worst
+_FD_TABLES = ("xi", "dual", "e_cov", "e_con", "holo_basis", "frame_basis")
 
 
-def check_fd_oracle(model: GroupModel, points, tol: ToleranceConfig) -> CheckResult:
+def _fd_table_residual(table, grads, points, tol: ToleranceConfig) -> float:
+    """Central differences of one table, from batched value evaluations at
+    points +- h e_k, against its jet gradients (n, 4, r, c); normalized to
+    the mixed absolute/relative tolerance."""
+    steps = np.eye(4) * tol.fd_step
+    fd = np.stack(
+        [(eval_table(table, points + h) - eval_table(table, points - h)) / (2 * tol.fd_step) for h in steps],
+        axis=1,
+    )
+    return float(np.max(np.abs(grads - fd) / (tol.fd_tol + tol.fd_tol * np.abs(grads))))
+
+
+def check_fd_oracle(cloud: SampleCloud, tol: ToleranceConfig) -> CheckResult:
     """Every expression table's forward-mode gradient against the central
     finite-difference oracle (mixed absolute/relative tolerance)."""
-    worst = 0.0
-    for table in (
-        model.xi,
-        model.dual,
-        model.e_cov,
-        model.e_con,
-        model.holo_basis,
-        model.frame_basis,
-    ):
-        worst = max(worst, _fd_table_residual(table, points, tol))
+    worst = max(
+        _fd_table_residual(getattr(cloud.model, name), cloud.jet(name)[1], cloud.points, tol)
+        for name in _FD_TABLES
+    )
     # residual is already normalized to the tolerance: pass iff <= 1
-    return CheckResult("fd_oracle", model.name, len(points), worst, 1.0)
+    return CheckResult("fd_oracle", cloud.model.name, len(cloud), worst, 1.0)
 
 
 # --------------------------------------------------------------------------
@@ -450,48 +418,42 @@ def check_fd_oracle(model: GroupModel, points, tol: ToleranceConfig) -> CheckRes
 
 
 def run_group_checks(
-    model: GroupModel,
-    points,
-    tol: ToleranceConfig | None = None,
-    phase_momenta=None,
-    eta_label: str = "",
+    cloud: SampleCloud, tol: ToleranceConfig | None = None, eta_label: str = ""
 ) -> list[CheckResult]:
-    """All checks for one entry at the given sample points.
+    """All checks for one entry on its sample cloud.
 
-    ``phase_momenta`` (same leading length as points, in [-1, 1]^4) enables
-    the motion-integral checks; ``eta_label`` tags metric-dependent results
-    when a run sweeps several frame metrics.
+    A cloud with momenta also runs the motion-integral checks; ``eta_label``
+    tags metric-dependent results when a run sweeps several frame metrics.
     """
     from . import mechanics  # deferred: mechanics imports this module's types
 
     tol = tol or ToleranceConfig()
+    model = cloud.model
     suffix = f"[eta={eta_label}]" if eta_label else ""
     results = [
-        check_duality(model, points, tol),
-        check_tetrad_duality(model, points, tol),
-        check_lie_closure(model, points, tol),
+        check_duality(cloud, tol),
+        check_tetrad_duality(cloud, tol),
+        check_lie_closure(cloud, tol),
         check_jacobi(model.structure_constants, tol, group=model.name),
-        check_potential_consistency(model, points, tol),
+        check_potential_consistency(cloud, tol),
     ]
     for res, name in (
-        (check_killing(model, points, tol), "killing"),
-        (check_frame_killing(model, points, tol), "frame_killing"),
+        (check_killing(cloud, tol), "killing"),
+        (check_frame_killing(cloud, tol), "frame_killing"),
     ):
         res.name = name + suffix
         results.append(res)
-    results.extend(check_admissibility(model, points, tol, mode="holonomic"))
-    results.extend(check_admissibility(model, points, tol, mode="tetrad"))
-    results.extend(check_frame_defining(model, points, tol))
-    cross = check_frame_table_crosscheck(model, points, tol)
+    results.extend(check_admissibility(cloud, tol, mode="holonomic"))
+    results.extend(check_admissibility(cloud, tol, mode="tetrad"))
+    results.extend(check_frame_defining(cloud, tol))
+    cross = check_frame_table_crosscheck(cloud, tol)
     if cross is not None:
         results.append(cross)
     if model.group_id in ABELIAN_SUBGROUP_IDS:
-        results.append(check_abelian_zero_field(model, points, tol))
-    if phase_momenta is not None:
-        results.append(
-            mechanics.check_integral_algebra(model, points, phase_momenta, tol)
-        )
-        res = mechanics.check_hamiltonian_commutes(model, points, phase_momenta, tol)
+        results.append(check_abelian_zero_field(cloud, tol))
+    if cloud.momenta is not None:
+        results.append(mechanics.check_integral_algebra(cloud, tol))
+        res = mechanics.check_hamiltonian_commutes(cloud, tol)
         res.name += suffix
         results.append(res)
     return results

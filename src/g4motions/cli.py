@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import __version__, catalog, checks, mechanics
+from . import __version__, catalog, checks, geometry, mechanics
 from .catalog import GroupId, GroupParams, InvalidParams
 
 __all__ = ["main", "build_report", "render_json", "RunConfig", "VerificationReport"]
@@ -229,6 +229,8 @@ def build_report(config: RunConfig) -> VerificationReport:
     Metric-dependent checks run under the configured frame metric and once
     more under the alternate signature (all-plus, or the default mixed one if
     all-plus was configured) to confirm the identities are signature-blind.
+    Each entry gets one sample cloud; the alternate-signature checks reuse
+    its eta-independent evaluations and recompute only the metric.
     """
     results: list[checks.CheckResult] = []
     inconsistencies: list[str] = []
@@ -240,27 +242,21 @@ def build_report(config: RunConfig) -> VerificationReport:
 
     for gid in config.groups:
         model = catalog.get_group(gid, config.params)
-        pts, momenta = mechanics.sample_phase_points(model, config.n_points, config.seed)
+        cloud = geometry.SampleCloud(
+            model, *mechanics.sample_phase_points(model, config.n_points, config.seed)
+        )
         group_results = checks.run_group_checks(
-            model, pts, config.tol, phase_momenta=momenta, eta_label=_eta_label(model.eta_eff)
+            cloud, config.tol, eta_label=_eta_label(model.eta_eff)
         )
 
-        alt_params = GroupParams(
-            c=config.params.c,
-            alpha_angle=config.params.alpha_angle,
-            k=config.params.k,
-            l=config.params.l,
-            eps01=config.params.eps01,
-            em_alphas=config.params.em_alphas,
-            eta=alt_eta,
-        )
-        alt_model = catalog.get_group(gid, alt_params)
+        # rebinding drops the main-signature metric before the alternate one is built
+        cloud = cloud.with_eta(alt_eta)
         for res in (
-            checks.check_killing(alt_model, pts, config.tol),
-            checks.check_frame_killing(alt_model, pts, config.tol),
-            mechanics.check_hamiltonian_commutes(alt_model, pts, momenta, config.tol),
+            checks.check_killing(cloud, config.tol),
+            checks.check_frame_killing(cloud, config.tol),
+            mechanics.check_hamiltonian_commutes(cloud, config.tol),
         ):
-            res.name += f"[eta={_eta_label(alt_model.eta_eff)}]"
+            res.name += f"[eta={_eta_label(cloud.model.eta_eff)}]"
             group_results.append(res)
 
         results.extend(group_results)
@@ -286,6 +282,11 @@ def build_report(config: RunConfig) -> VerificationReport:
             "points": config.n_points,
             "tol_exact": config.tol.tol_exact,
             "tol_deriv": config.tol.tol_deriv,
+            "c": config.params.c,
+            "alpha_angle": config.params.alpha_angle,
+            "k": config.params.k,
+            "l": config.params.l,
+            "eps01": config.params.eps01,
             "em_alphas": list(config.params.em_alphas),
             "eta": [list(row) for row in config.params.eta],
         },
@@ -373,7 +374,8 @@ def cmd_simulate(config: RunConfig, u0, p0, T: float, h: float) -> int:
         box = " x ".join(f"[{a:.6g}, {b:.6g}]" for a, b in zip(lo, hi))
         start = ",".join(f"{x:g}" for x in state0.u)
         raise InvalidParams(f"--u0 {start} lies outside the sampling box of {model.name}: {box}")
-    traj = mechanics.integrate_trajectory(model, state0, T=T, h=h)
+    alphas = model.params.alphas()
+    traj = mechanics.integrate_trajectory(model, state0, T=T, h=h, alphas=alphas)
     stats = mechanics.drift_report(traj)
 
     csv_path = config.out or f"trajectory-{model.name}.csv"
@@ -385,6 +387,9 @@ def cmd_simulate(config: RunConfig, u0, p0, T: float, h: float) -> int:
         "steps": len(traj) - 1,
         "T_requested": T,
         "h": h,
+        "alphas": alphas.tolist(),
+        # verify checks {H, Y_a} = 0 only for these projected constants
+        "alphas_admissible": bool(np.array_equal(alphas, checks.admissible_alphas(model))),
         "domain_exit": traj.domain_exit,
         "t_final": float(traj.t[-1]),
         "csv": csv_path,

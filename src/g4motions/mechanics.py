@@ -2,9 +2,10 @@
 
 The Hamiltonian is H = g^{ij} (p_i + A_i)(p_j + A_j); the linear motion
 integrals are the frame contractions Y_a = xi_a^i p_i (the gauge in which
-they carry no potential term).  Coordinate gradients of observables come
-from the forward-mode jets; momentum gradients are analytic (H is quadratic
-in p, Y linear).
+they carry no potential term).  The bracket checks read the batched
+gradients of H and Y from a ``geometry.SampleCloud``: coordinate gradients
+from the forward-mode jets, momentum gradients analytic (H is quadratic in
+p, Y linear).
 
 Trajectories are integrated with fixed-step classical RK4 — conservation
 drift is the measured quantity and fixed steps make convergence-order tests
@@ -25,9 +26,9 @@ from operator import gt
 import numpy as np
 
 from . import adiff, catalog, geometry
-from .adiff import FieldExpr
-from .catalog import GroupModel, eval_table, eval_table_jet
-from .checks import CheckResult, ToleranceConfig, scaled_max
+from .catalog import GroupModel, eval_table
+from .checks import CheckResult, ToleranceConfig, admissible_alphas, scaled_max
+from .geometry import SampleCloud
 
 __all__ = [
     "PhasePoint",
@@ -35,12 +36,6 @@ __all__ = [
     "DriftStats",
     "hamiltonian",
     "motion_integral",
-    "Observable",
-    "HamiltonianObservable",
-    "MotionIntegralObservable",
-    "CoordinateObservable",
-    "MomentumObservable",
-    "poisson_bracket",
     "check_integral_algebra",
     "check_hamiltonian_commutes",
     "sample_phase_points",
@@ -81,100 +76,6 @@ def motion_integral(model: GroupModel, alpha_index: int, state: PhasePoint) -> f
 
 
 # --------------------------------------------------------------------------
-# Observables and the canonical bracket
-# --------------------------------------------------------------------------
-
-
-class Observable:
-    """Phase-space scalar with value and both gradients at a state."""
-
-    def value(self, state: PhasePoint) -> float:
-        raise NotImplementedError
-
-    def du(self, state: PhasePoint) -> np.ndarray:
-        raise NotImplementedError
-
-    def dp(self, state: PhasePoint) -> np.ndarray:
-        raise NotImplementedError
-
-
-class HamiltonianObservable(Observable):
-    def __init__(self, model: GroupModel, alphas=None):
-        self.model = model
-        self.alphas = model.params.alphas() if alphas is None else np.asarray(alphas)
-
-    def _fields(self, state):
-        g, _, dg = geometry.metric_batch(self.model, state.u[None, :])
-        A, dA = geometry.potential_batch(self.model, state.u[None, :], alphas=self.alphas)
-        return g[0], dg[0], A[0], dA[0]
-
-    def value(self, state):
-        g, _, A, _ = self._fields(state)
-        P = state.p + A
-        return float(P @ g @ P)
-
-    def du(self, state):
-        g, dg, A, dA = self._fields(state)
-        dH, _ = _hamiltonian_grads(g[None], dg[None], dA[None], (state.p + A)[None])
-        return dH[0]
-
-    def dp(self, state):
-        g, _, A, _ = self._fields(state)
-        return 2.0 * g @ (state.p + A)
-
-
-class MotionIntegralObservable(Observable):
-    def __init__(self, model: GroupModel, alpha_index: int):
-        self.model = model
-        self.idx = alpha_index - 1
-
-    def value(self, state):
-        xi = eval_table(self.model.xi, state.u[None, :])[0]
-        return float(xi[self.idx] @ state.p)
-
-    def du(self, state):
-        _, dxi = eval_table_jet(self.model.xi, state.u[None, :])
-        return dxi[0, :, self.idx, :] @ state.p
-
-    def dp(self, state):
-        xi = eval_table(self.model.xi, state.u[None, :])[0]
-        return xi[self.idx]
-
-
-class CoordinateObservable(Observable):
-    def __init__(self, axis: int):
-        self.axis = axis
-
-    def value(self, state):
-        return float(state.u[self.axis])
-
-    def du(self, state):
-        return np.eye(4)[self.axis]
-
-    def dp(self, state):
-        return np.zeros(4)
-
-
-class MomentumObservable(Observable):
-    def __init__(self, axis: int):
-        self.axis = axis
-
-    def value(self, state):
-        return float(state.p[self.axis])
-
-    def du(self, state):
-        return np.zeros(4)
-
-    def dp(self, state):
-        return np.eye(4)[self.axis]
-
-
-def poisson_bracket(f: Observable, g: Observable, state: PhasePoint) -> float:
-    """Canonical bracket {f, g} = df/du . dg/dp - df/dp . dg/du."""
-    return float(f.du(state) @ g.dp(state) - f.dp(state) @ g.du(state))
-
-
-# --------------------------------------------------------------------------
 # Batched bracket checks
 # --------------------------------------------------------------------------
 
@@ -190,69 +91,41 @@ def sample_phase_points(
     return u, p
 
 
-def check_integral_algebra(
-    model: GroupModel, points, momenta, tol: ToleranceConfig
-) -> CheckResult:
+def check_integral_algebra(cloud: SampleCloud, tol: ToleranceConfig) -> CheckResult:
     """{Y_a, Y_b} closes on the structure constants.
 
     With the canonical bracket normalized by {u^i, p_i} = +1 the map
     p . xi is an antihomomorphism, so the closure sign here is the
     opposite of the vector-field bracket sign; both are recorded.
     """
-    points = np.asarray(points, float)
-    momenta = np.asarray(momenta, float)
-    xi, dxi = eval_table_jet(model.xi, points)
-    bracket_field = np.einsum("naj,njbi->nabi", xi, dxi)
-    bracket_field = bracket_field - bracket_field.transpose(0, 2, 1, 3)
-    pb = -np.einsum("nabi,ni->nab", bracket_field, momenta)  # {Y_a, Y_b}
-    Y = np.einsum("nai,ni->na", xi, momenta)
-    target = np.einsum("gab,ng->nab", model.structure_constants, Y)
-    res = {s: scaled_max(pb, s * target) for s in (1, -1)}
-    s = min(res, key=res.get)
+    bracket, s, _ = cloud.bracket
+    pb = -np.einsum("nabi,ni->nab", bracket, cloud.momenta)  # {Y_a, Y_b}
+    Y = np.einsum("nai,ni->na", cloud.values("xi"), cloud.momenta)
+    target = np.einsum("gab,ng->nab", cloud.model.structure_constants, Y)
     return CheckResult(
         "integral_algebra",
-        model.name,
-        len(points),
-        res[s],
+        cloud.model.name,
+        len(cloud),
+        scaled_max(pb, -s * target),
         tol.tol_deriv,
-        notes=(
-            f"poisson closure sign {s:+d} "
-            f"(vector-field bracket sign {model.bracket_sign():+d})",
-        ),
+        notes=(f"poisson closure sign {-s:+d} (vector-field bracket sign {s:+d})",),
     )
 
 
-def _hamiltonian_grads(g, dg, dA, P):
-    """dH/du (n, l) and dH/dp (n, i) of H = g^{ij} P_i P_j with P = p + A.
-
-    The potential term is contracted pairwise as d_l A_i (g^{ij} P_j).
-    """
-    gP = np.einsum("nij,nj->ni", g, P)
-    dH = np.einsum("nlij,ni,nj->nl", dg, P, P) + 2.0 * np.einsum("nli,ni->nl", dA, gP)
-    return dH, 2.0 * gP
-
-
-def check_hamiltonian_commutes(
-    model: GroupModel, points, momenta, tol: ToleranceConfig, alphas=None
-) -> CheckResult:
+def check_hamiltonian_commutes(cloud: SampleCloud, tol: ToleranceConfig, alphas=None) -> CheckResult:
     """{H, Y_a} = 0 for the verified-admissible potential configuration."""
-    from .checks import admissible_alphas
-
-    points = np.asarray(points, float)
-    momenta = np.asarray(momenta, float)
+    model = cloud.model
     alphas = admissible_alphas(model) if alphas is None else np.asarray(alphas, float)
-    g, _, dg = geometry.metric_batch(model, points)
-    A, dA = geometry.potential_batch(model, points, alphas=alphas)
-    xi, dxi = eval_table_jet(model.xi, points)
-    dH, dHdp = _hamiltonian_grads(g, dg, dA, momenta + A)
-    dYdu = np.einsum("nial,nl->nia", dxi, momenta)  # d_i (xi_a^l p_l)
+    xi, dxi = cloud.jet("xi")
+    dH, dHdp = cloud.hamiltonian_grads(alphas)
+    dYdu = np.einsum("nial,nl->nia", dxi, cloud.momenta)  # d_i (xi_a^l p_l)
     pb = np.einsum("nl,nal->na", dH, xi) - np.einsum("ni,nia->na", dHdp, dYdu)
     resid = scaled_max(pb, np.zeros_like(pb))
     note = ()
     if not np.array_equal(alphas, model.params.alphas()):
         note = (f"admissible configuration alphas={alphas.tolist()}",)
     return CheckResult(
-        "hamiltonian_commutes", model.name, len(points), resid, tol.tol_deriv, notes=note
+        "hamiltonian_commutes", model.name, len(cloud), resid, tol.tol_deriv, notes=note
     )
 
 

@@ -3,6 +3,7 @@ import pytest
 
 from g4motions import catalog, checks, mechanics
 from g4motions.catalog import GroupId
+from g4motions.geometry import SampleCloud
 
 N_POINTS = 200
 SEED = 42
@@ -21,6 +22,12 @@ def samples(models):
     for gid, model in models.items():
         out[gid] = mechanics.sample_phase_points(model, N_POINTS, SEED)
     return out
+
+
+@pytest.fixture(scope="session")
+def clouds(models, samples):
+    """One sample cloud per entry over the shared (points, momenta)."""
+    return {gid: SampleCloud(models[gid], *samples[gid]) for gid in GroupId}
 
 
 @pytest.fixture(scope="session")

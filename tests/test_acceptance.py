@@ -21,7 +21,8 @@ from g4motions.catalog import (
 )
 from g4motions.checks import ToleranceConfig
 from g4motions.cli import RunConfig, build_report, render_json, report_document
-from g4motions.mechanics import HamiltonianObservable, PhasePoint
+from g4motions.geometry import SampleCloud
+from g4motions.mechanics import PhasePoint, hamiltonian
 
 U1, U2, U3, U4 = coords()
 
@@ -35,13 +36,13 @@ def _report(num, ok, detail):
     assert ok, f"criterion {num}: {detail}"
 
 
-def test_criterion_01_catalog_algebra(models, samples, tol):
+def test_criterion_01_catalog_algebra(models, clouds, tol):
     start = time.perf_counter()
     worst_jac, worst_closure = 0.0, 0.0
     signs = {}
     for gid, model in models.items():
         jac = checks.check_jacobi(model.structure_constants, tol, group=model.name)
-        closure = checks.check_lie_closure(model, samples[gid][0], tol)
+        closure = checks.check_lie_closure(clouds[gid], tol)
         worst_jac = max(worst_jac, jac.max_residual)
         worst_closure = max(worst_closure, closure.max_residual)
         signs[gid.value] = closure.notes[0]
@@ -55,12 +56,11 @@ def test_criterion_01_catalog_algebra(models, samples, tol):
     )
 
 
-def test_criterion_02_frame_and_tetrad_duality(models, samples, tol):
+def test_criterion_02_frame_and_tetrad_duality(models, clouds, tol):
     worst = 0.0
     for gid, model in models.items():
-        pts = samples[gid][0]
-        worst = max(worst, checks.check_duality(model, pts, tol).max_residual)
-        worst = max(worst, checks.check_tetrad_duality(model, pts, tol).max_residual)
+        worst = max(worst, checks.check_duality(clouds[gid], tol).max_residual)
+        worst = max(worst, checks.check_tetrad_duality(clouds[gid], tol).max_residual)
         o = model.orientation
         assert o is not None and o.rows_are_coordinates is not None
         # deterministic: a rebuilt model resolves identically
@@ -77,28 +77,28 @@ def test_criterion_03_killing_both_signatures(models, samples, tol):
     for gid, model in models.items():
         pts = samples[gid][0]
         alt = get_group(gid, GroupParams(eta=ETA_PP))
-        for m in (model, alt):
-            worst = max(worst, checks.check_killing(m, pts, tol).max_residual)
-            worst = max(worst, checks.check_frame_killing(m, pts, tol).max_residual)
+        for cloud in (SampleCloud(model, pts), SampleCloud(alt, pts)):
+            worst = max(worst, checks.check_killing(cloud, tol).max_residual)
+            worst = max(worst, checks.check_frame_killing(cloud, tol).max_residual)
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-9 and elapsed <= 20.0
     _report(3, ok, f"killing residual {worst:.2e} <= 1e-9 under eta=+--- and "
                    f"eta=++++, {elapsed:.2f} s <= 20 s")
 
 
-def test_criterion_04_admissibility(models, samples, tol):
+def test_criterion_04_admissibility(models, clouds, tol):
     worst_tetrad, worst_holo = 0.0, 0.0
     flagged_reported = 0
     for gid, model in models.items():
-        pts = samples[gid][0]
+        cloud = clouds[gid]
         if model.tetrad_printed:  # (a) tetrad-constructed potentials
-            for res in checks.check_admissibility(model, pts, tol, mode="tetrad"):
+            for res in checks.check_admissibility(cloud, tol, mode="tetrad"):
                 worst_tetrad = max(worst_tetrad, res.max_residual)
         if gid in checks.ASSERTED_HOLO_ADMISSIBILITY:  # (b) tabulated tables
-            for res in checks.check_admissibility(model, pts, tol):
+            for res in checks.check_admissibility(cloud, tol):
                 worst_holo = max(worst_holo, res.max_residual)
         if gid in (GroupId.G4_III, GroupId.G4_IV):  # report mode, surfaced
-            for res in checks.check_admissibility(model, pts, tol):
+            for res in checks.check_admissibility(cloud, tol):
                 assert not res.asserted
                 flagged_reported += 1
     ok = worst_tetrad <= 1e-9 and worst_holo <= 1e-9 and flagged_reported == 8
@@ -107,22 +107,21 @@ def test_criterion_04_admissibility(models, samples, tol):
                    "report-mode results surfaced for the flagged entries")
 
 
-def test_criterion_05_abelian_zero_field(models, samples, tol):
+def test_criterion_05_abelian_zero_field(clouds, tol):
     worst = 0.0
     for gid in ABELIAN_SUBGROUP_IDS:
-        res = checks.check_abelian_zero_field(models[gid], samples[gid][0], tol)
+        res = checks.check_abelian_zero_field(clouds[gid], tol)
         worst = max(worst, res.max_residual)
     ok = worst <= 1e-12
     _report(5, ok, f"field strength residual {worst:.2e} <= 1e-12 for all five "
                    "Abelian-subgroup variants at generic constants")
 
 
-def test_criterion_06_motion_integral_algebra(models, samples, tol):
+def test_criterion_06_motion_integral_algebra(clouds, tol):
     worst_hy, worst_yy = 0.0, 0.0
-    for gid, model in models.items():
-        pts, momenta = samples[gid]
-        hy = mechanics.check_hamiltonian_commutes(model, pts, momenta, tol)
-        yy = mechanics.check_integral_algebra(model, pts, momenta, tol)
+    for cloud in clouds.values():
+        hy = mechanics.check_hamiltonian_commutes(cloud, tol)
+        yy = mechanics.check_integral_algebra(cloud, tol)
         worst_hy = max(worst_hy, hy.max_residual)
         worst_yy = max(worst_yy, yy.max_residual)
     ok = worst_hy <= 1e-9 and worst_yy <= 1e-9
@@ -155,14 +154,16 @@ def test_criterion_08_oracle_independence(models, tol):
         pts = sample_points(model.domain, 20, SEED + 1)
         lo, hi = model.domain.bounds()
         pts = np.clip(pts, lo + 1e-4, hi - 1e-4)
-        res = checks.check_fd_oracle(model, pts, tol)
+        res = checks.check_fd_oracle(SampleCloud(model, pts), tol)
         worst_norm = max(worst_norm, res.max_residual)
-        # composite gradient: dH/du against function-level central differences
-        H = HamiltonianObservable(model)
+        # composite gradient: the batched dH/du against function-level
+        # central differences of the value-path H
         p = np.array([0.3, -0.7, 0.4, 0.9])
-        for u in pts[:5]:
-            ad = H.du(PhasePoint(u=u, p=p))
-            fd = finite_diff_gradient(lambda x: H.value(PhasePoint(u=x, p=p)), u)
+        dHdu, _ = SampleCloud(model, pts[:5], np.tile(p, (5, 1))).hamiltonian_grads(
+            model.params.alphas()
+        )
+        for u, ad in zip(pts[:5], dHdu):
+            fd = finite_diff_gradient(lambda x: hamiltonian(model, PhasePoint(u=x, p=p)), u)
             err = np.max(np.abs(ad - fd) / (1e-6 + 1e-6 * np.abs(ad)))
             worst_h = max(worst_h, err)
     ok = worst_norm <= 1.0 and worst_h <= 1.0
@@ -180,13 +181,14 @@ def test_criterion_09_negative_controls(models, samples, tol):
         new[row][col] = new[row][col] + bump
         return new
 
+    def cloud(bad):
+        return SampleCloud(bad, pts, momenta)
+
     failures = []
     transposed = [[model.dual[j][i] for j in range(4)] for i in range(4)]
-    failures.append(
-        checks.check_duality(dataclasses.replace(model, dual=transposed), pts, tol)
-    )
+    failures.append(checks.check_duality(cloud(dataclasses.replace(model, dual=transposed)), tol))
     zero_c = dataclasses.replace(model, structure_constants=np.zeros((4, 4, 4)))
-    failures.append(checks.check_lie_closure(zero_c, pts, tol))
+    failures.append(checks.check_lie_closure(cloud(zero_c), tol))
     rng = np.random.default_rng(7)
     bad_c = np.zeros((4, 4, 4))
     for g in range(4):
@@ -196,20 +198,20 @@ def test_criterion_09_negative_controls(models, samples, tol):
                 bad_c[g, a, b], bad_c[g, b, a] = v, -v
     failures.append(checks.check_jacobi(bad_c, tol))
     bad_tetrad = dataclasses.replace(model, e_con=perturb(model.e_con, 1, 1, 0.01 * U1))
-    failures.append(checks.check_killing(bad_tetrad, pts, tol))
-    failures.append(checks.check_frame_killing(bad_tetrad, pts, tol))
+    failures.append(checks.check_killing(cloud(bad_tetrad), tol))
+    failures.append(checks.check_frame_killing(cloud(bad_tetrad), tol))
     bad_pot = dataclasses.replace(model, holo_basis=perturb(model.holo_basis, 0, 0, 0.01 * U2))
-    failures.append(checks.check_admissibility(bad_pot, pts, tol)[0])
+    failures.append(checks.check_admissibility(cloud(bad_pot), tol)[0])
     bad_frame = dataclasses.replace(model, frame_basis=perturb(model.frame_basis, 0, 2, 0.01 * U1))
-    failures.append(checks.check_frame_defining(bad_frame, pts, tol)[0])
+    failures.append(checks.check_frame_defining(cloud(bad_frame), tol)[0])
     vi = models[GroupId.G4_VI_1]
     from g4motions.adiff import exp as fexp
 
     bad_vi = dataclasses.replace(vi, holo_basis=perturb(vi.holo_basis, 0, 0, fexp(3.0 * U4)))
     failures.append(
-        checks.check_abelian_zero_field(bad_vi, samples[GroupId.G4_VI_1][0], tol)
+        checks.check_abelian_zero_field(SampleCloud(bad_vi, samples[GroupId.G4_VI_1][0]), tol)
     )
-    failures.append(mechanics.check_integral_algebra(zero_c, pts, momenta, tol))
+    failures.append(mechanics.check_integral_algebra(cloud(zero_c), tol))
 
     floor = min(r.max_residual for r in failures)
     ok = all(not r.passed for r in failures) and floor >= 1e-4

@@ -94,13 +94,12 @@ def test_sample_points_zero_count(models):
     assert sample_points(models[GroupId.G4_II].domain, 0, 1).shape == (0, 4)
 
 
-def test_frame_duality_all_entries(models, samples, tol):
+def test_frame_duality_all_entries(clouds, tol):
     from g4motions.checks import check_duality, check_tetrad_duality
 
-    for gid, model in models.items():
-        pts = samples[gid][0]
-        assert check_duality(model, pts, tol).max_residual <= 1e-12, gid
-        assert check_tetrad_duality(model, pts, tol).max_residual <= 1e-12, gid
+    for gid, cloud in clouds.items():
+        assert check_duality(cloud, tol).max_residual <= 1e-12, gid
+        assert check_tetrad_duality(cloud, tol).max_residual <= 1e-12, gid
 
 
 def test_potential_g4_i_at_origin():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from g4motions import catalog, checks
-from g4motions.adiff import coords, exp
+from g4motions.adiff import FieldExpr, Jet1, coords, exp
 from g4motions.catalog import ABELIAN_SUBGROUP_IDS, GroupId, GroupParams, get_group
 from g4motions.checks import (
     ASSERTED_HOLO_ADMISSIBILITY,
@@ -15,6 +15,7 @@ from g4motions.checks import (
     check_abelian_zero_field,
     check_admissibility,
     check_duality,
+    check_fd_oracle,
     check_frame_defining,
     check_frame_killing,
     check_jacobi,
@@ -23,6 +24,7 @@ from g4motions.checks import (
     check_potential_consistency,
     run_group_checks,
 )
+from g4motions.geometry import SampleCloud
 
 U1, U2, U3, U4 = coords()
 
@@ -38,9 +40,9 @@ def _perturb_table(table, row, col, bump):
 # --------------------------------------------------------------------------
 
 
-def test_lie_closure_all_entries(models, samples, tol):
-    for gid, model in models.items():
-        res = check_lie_closure(model, samples[gid][0], tol)
+def test_lie_closure_all_entries(clouds, tol):
+    for gid, cloud in clouds.items():
+        res = check_lie_closure(cloud, tol)
         assert res.passed, (gid, res.max_residual)
         assert "s=+1" in res.notes[0]
 
@@ -51,66 +53,65 @@ def test_jacobi_all_entries(models, tol):
         assert res.max_residual == 0.0, gid
 
 
-def test_killing_all_entries_both_signatures(models, samples, tol):
+def test_killing_all_entries_both_signatures(clouds, samples, tol):
     eta_pp = tuple(tuple(float(i == j) for j in range(4)) for i in range(4))
-    for gid, model in models.items():
-        pts = samples[gid][0]
-        assert check_killing(model, pts, tol).passed, gid
-        assert check_frame_killing(model, pts, tol).passed, gid
-        alt = get_group(gid, GroupParams(eta=eta_pp))
-        assert check_killing(alt, pts, tol).passed, (gid, "++++")
-        assert check_frame_killing(alt, pts, tol).passed, (gid, "++++")
+    for gid, cloud in clouds.items():
+        assert check_killing(cloud, tol).passed, gid
+        assert check_frame_killing(cloud, tol).passed, gid
+        alt = SampleCloud(get_group(gid, GroupParams(eta=eta_pp)), samples[gid][0])
+        assert check_killing(alt, tol).passed, (gid, "++++")
+        assert check_frame_killing(alt, tol).passed, (gid, "++++")
 
 
-def test_admissibility_asserted_entries(models, samples, tol):
+def test_admissibility_asserted_entries(clouds, tol):
     for gid in ASSERTED_HOLO_ADMISSIBILITY:
-        for res in check_admissibility(models[gid], samples[gid][0], tol):
+        for res in check_admissibility(clouds[gid], tol):
             assert res.passed and res.asserted, (gid, res.name, res.max_residual)
 
 
-def test_admissibility_tetrad_mode_all_entries(models, samples, tol):
+def test_admissibility_tetrad_mode_all_entries(models, clouds, tol):
     for gid, model in models.items():
-        for res in check_admissibility(model, samples[gid][0], tol, mode="tetrad"):
+        for res in check_admissibility(clouds[gid], tol, mode="tetrad"):
             assert res.passed, (gid, res.name, res.max_residual)
             assert res.asserted == model.tetrad_printed
 
 
-def test_admissibility_flagged_entries_report_mode(models, samples, tol):
+def test_admissibility_flagged_entries_report_mode(clouds, tol):
     # the third and fourth groups pass numerically but stay report-only
     for gid in (GroupId.G4_III, GroupId.G4_IV):
-        for res in check_admissibility(models[gid], samples[gid][0], tol):
+        for res in check_admissibility(clouds[gid], tol):
             assert res.passed and not res.asserted, (gid, res.name)
 
 
-def test_admissibility_abelian_entries(models, samples, tol):
+def test_admissibility_abelian_entries(clouds, tol):
     """Only the pure-gauge alpha4 direction is frame-invariant; the
     zero-field construction fails the invariance equations in alpha1..3."""
     for gid in ABELIAN_SUBGROUP_IDS:
-        results = check_admissibility(models[gid], samples[gid][0], tol)
+        results = check_admissibility(clouds[gid], tol)
         assert results[3].passed and results[3].asserted, gid
         for res in results[:3]:
             assert not res.asserted, (gid, res.name)
             assert res.max_residual >= 1e-4, (gid, res.name)
 
 
-def test_frame_defining_asserted_entries(models, samples, tol):
+def test_frame_defining_asserted_entries(clouds, tol):
     for gid in ASSERTED_HOLO_ADMISSIBILITY:
-        for res in check_frame_defining(models[gid], samples[gid][0], tol):
+        for res in check_frame_defining(clouds[gid], tol):
             assert res.passed, (gid, res.name, res.max_residual)
 
 
-def test_potential_consistency_exact(models, samples, tol):
-    for gid, model in models.items():
-        res = check_potential_consistency(model, samples[gid][0], tol)
+def test_potential_consistency_exact(clouds, tol):
+    for gid, cloud in clouds.items():
+        res = check_potential_consistency(cloud, tol)
         assert res.max_residual <= 1e-10, gid
 
 
-def test_abelian_zero_field(models, samples, tol):
+def test_abelian_zero_field(clouds, tol):
     for gid in ABELIAN_SUBGROUP_IDS:
-        res = check_abelian_zero_field(models[gid], samples[gid][0], tol)
+        res = check_abelian_zero_field(clouds[gid], tol)
         assert res.passed, (gid, res.max_residual)
     with pytest.raises(ValueError):
-        check_abelian_zero_field(models[GroupId.G4_II], samples[GroupId.G4_II][0], tol)
+        check_abelian_zero_field(clouds[GroupId.G4_II], tol)
 
 
 def test_abelian_flow_matches_matrix_exponential(models):
@@ -126,7 +127,7 @@ def test_abelian_flow_matches_matrix_exponential(models):
             assert np.allclose(vals[:3, :3].T, want, atol=1e-12), (gid, t)
 
 
-def test_frame_table_crosscheck_flags(models, samples, tol):
+def test_frame_table_crosscheck_flags(clouds, tol):
     """The source frame tables that disagree with their holonomic tables are
     surfaced; the consistent ones cross-check cleanly."""
     expectations = {
@@ -140,17 +141,16 @@ def test_frame_table_crosscheck_flags(models, samples, tol):
         GroupId.G4_VI_2: True,
     }
     for gid, should_match in expectations.items():
-        res = checks.check_frame_table_crosscheck(models[gid], samples[gid][0], tol)
+        res = checks.check_frame_table_crosscheck(clouds[gid], tol)
         assert res is not None and not res.asserted, gid
         assert res.passed == should_match, (gid, res.max_residual)
         if not should_match:
             assert res.notes  # per-component findings
 
 
-def test_run_group_checks_asserted_all_green(models, samples, tol):
-    for gid, model in models.items():
-        pts, momenta = samples[gid]
-        for res in run_group_checks(model, pts, tol, phase_momenta=momenta):
+def test_run_group_checks_asserted_all_green(clouds, tol):
+    for gid, cloud in clouds.items():
+        for res in run_group_checks(cloud, tol):
             if res.asserted:
                 assert res.passed, (gid, res.name, res.max_residual)
 
@@ -158,8 +158,8 @@ def test_run_group_checks_asserted_all_green(models, samples, tol):
 def test_results_deterministic(models, samples, tol):
     model = models[GroupId.G4_III]
     pts = samples[GroupId.G4_III][0]
-    a = [r.max_residual for r in run_group_checks(model, pts, tol)]
-    b = [r.max_residual for r in run_group_checks(model, pts, tol)]
+    a = [r.max_residual for r in run_group_checks(SampleCloud(model, pts), tol)]
+    b = [r.max_residual for r in run_group_checks(SampleCloud(model, pts), tol)]
     assert a == b
 
 
@@ -179,7 +179,7 @@ def test_negative_control_duality(models, samples, tol):
     model = models[GroupId.G4_I_CNE1]
     transposed = [[model.dual[j][i] for j in range(4)] for i in range(4)]
     bad = dataclasses.replace(model, dual=transposed)
-    res = check_duality(bad, samples[GroupId.G4_I_CNE1][0], tol)
+    res = check_duality(SampleCloud(bad, samples[GroupId.G4_I_CNE1][0]), tol)
     assert not res.passed and res.max_residual >= FAIL_FLOOR
 
 
@@ -187,7 +187,7 @@ def test_negative_control_lie_closure(models, samples, tol):
     bad = dataclasses.replace(
         models[GroupId.G4_VIII_A], structure_constants=np.zeros((4, 4, 4))
     )
-    res = check_lie_closure(bad, samples[GroupId.G4_VIII_A][0], tol)
+    res = check_lie_closure(SampleCloud(bad, samples[GroupId.G4_VIII_A][0]), tol)
     assert not res.passed and res.max_residual >= FAIL_FLOOR
 
 
@@ -208,10 +208,10 @@ def test_negative_control_killing(models, samples, tol):
     bad = dataclasses.replace(
         model, e_con=_perturb_table(model.e_con, 1, 1, 0.01 * U1)
     )
-    pts = samples[GroupId.G4_I_CNE1][0]
-    res = check_killing(bad, pts, tol)
+    cloud = SampleCloud(bad, samples[GroupId.G4_I_CNE1][0])
+    res = check_killing(cloud, tol)
     assert not res.passed and res.max_residual >= FAIL_FLOOR
-    res = check_frame_killing(bad, pts, tol)
+    res = check_frame_killing(cloud, tol)
     assert not res.passed and res.max_residual >= FAIL_FLOOR
 
 
@@ -220,7 +220,7 @@ def test_negative_control_admissibility(models, samples, tol):
     bad = dataclasses.replace(
         model, holo_basis=_perturb_table(model.holo_basis, 0, 0, 0.01 * U2)
     )
-    results = check_admissibility(bad, samples[GroupId.G4_I_CNE1][0], tol)
+    results = check_admissibility(SampleCloud(bad, samples[GroupId.G4_I_CNE1][0]), tol)
     assert not results[0].passed and results[0].max_residual >= FAIL_FLOOR
     # untouched bases keep passing: the defect is localized
     assert all(r.passed for r in results[1:])
@@ -230,7 +230,7 @@ def test_negative_control_frame_defining(models, samples, tol):
     model = models[GroupId.G4_I_CNE1]
     bad_frame = _perturb_table(model.frame_basis, 0, 2, 0.01 * U1)
     bad = dataclasses.replace(model, frame_basis=bad_frame)
-    results = check_frame_defining(bad, samples[GroupId.G4_I_CNE1][0], tol)
+    results = check_frame_defining(SampleCloud(bad, samples[GroupId.G4_I_CNE1][0]), tol)
     assert not results[0].passed and results[0].max_residual >= FAIL_FLOOR
 
 
@@ -240,5 +240,45 @@ def test_negative_control_zero_field(models, samples, tol):
     bad = dataclasses.replace(
         model, holo_basis=_perturb_table(model.holo_basis, 0, 0, exp(3.0 * U4))
     )
-    res = check_abelian_zero_field(bad, samples[GroupId.G4_VI_1][0], tol)
+    res = check_abelian_zero_field(SampleCloud(bad, samples[GroupId.G4_VI_1][0]), tol)
     assert not res.passed and res.max_residual >= FAIL_FLOOR
+
+
+def test_negative_control_unclosed_bracket_fails_without_raising(samples, tol):
+    """A model whose frame closes under neither bracket sign fails the
+    sign-dependent checks instead of raising: the sign comes from the
+    cloud's own bracket, not from ``GroupModel.bracket_sign``."""
+    from g4motions.mechanics import check_integral_algebra
+
+    fresh = get_group(GroupId.G4_I_CNE1)  # no bracket sign resolved yet
+    bad = dataclasses.replace(fresh, structure_constants=np.zeros((4, 4, 4)))
+    cloud = SampleCloud(bad, *samples[GroupId.G4_I_CNE1])
+    assert not check_integral_algebra(cloud, tol).passed
+    assert not check_frame_killing(cloud, tol).passed
+    assert not check_frame_defining(cloud, tol)[0].passed
+    with pytest.raises(catalog.ClosureFailed):
+        bad.bracket_sign()
+
+
+class _SkewedGradient(FieldExpr):
+    """A field with exact values whose jet gradient is off by a factor 1 + 1e-3."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def eval(self, u):
+        return self.f.eval(u)
+
+    def jet(self, u):
+        j = self.f.jet(u)
+        return Jet1(j.value, j.grad * (1 + 1e-3))
+
+
+def test_negative_control_fd_oracle(models, tol):
+    model = models[GroupId.G4_I_CNE1]
+    xi = [list(r) for r in model.xi]
+    xi[3][1] = _SkewedGradient(xi[3][1])  # c * u2
+    bad = dataclasses.replace(model, xi=xi)
+    pts = catalog.sample_points(model.domain, 20, 43)
+    res = check_fd_oracle(SampleCloud(bad, pts), tol)
+    assert not res.passed and res.max_residual >= 100.0

@@ -147,6 +147,37 @@ def test_simulate_flat_free_case_zero_drift(tmp_path, capsys):
     assert not summary["domain_exit"]
 
 
+@pytest.mark.parametrize(
+    "params, alphas, admissible",
+    [
+        ((), [1.0, 1.0, 1.0, 1.0], False),
+        (("alpha1=0", "alpha2=0", "alpha3=0"), [0.0, 0.0, 0.0, 1.0], True),
+    ],
+)
+def test_simulate_reports_alphas_admissibility(tmp_path, capsys, params, alphas, admissible):
+    # the Abelian-subgroup entries are verified only along alpha4
+    args = ["simulate", "--group", "g4-vi-1", "--out", str(tmp_path / "traj.csv")]
+    for key in params:
+        args += ["--param", key]
+    code, out, _ = run_cli(args, capsys)
+    assert code == 0
+    summary = json.loads(out)
+    assert summary["alphas"] == alphas
+    assert summary["alphas_admissible"] is admissible
+
+
+def test_report_config_records_every_parameter(capsys):
+    configs = []
+    for c in ("2", "3"):
+        argv = ["verify", "--group", "g4-i-cne1", "--points", "10", "--param", f"c={c}"]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        configs.append(json.loads(out)["config"])
+    assert configs[0] != configs[1]
+    assert (configs[0]["c"], configs[1]["c"]) == (2.0, 3.0)
+    assert {"alpha_angle", "k", "l", "eps01"} <= set(configs[0])
+
+
 def test_simulate_rejects_zero_step(capsys):
     code, _, err = run_cli(["simulate", "--group", "g4-ii", "--h", "0"], capsys)
     assert code == 2

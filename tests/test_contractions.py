@@ -7,8 +7,9 @@ Both are compared at one seeded cloud per catalog entry and frame metric.
 import numpy as np
 import pytest
 
-from g4motions import catalog, checks, geometry, mechanics
+from g4motions import catalog, checks, geometry
 from g4motions.catalog import GroupId, GroupParams, eval_table, eval_table_jet
+from g4motions.geometry import SampleCloud
 
 REL_TOL = 1e-13
 ETAS = {
@@ -61,7 +62,8 @@ def test_contractions_match_einsum(gid, eta_models, samples):
     assert_matches(G_con, G_ref)
     assert_matches(G_cov, einsum_ref("nai,nbj,nij->nab", xi, xi, ginv))
 
-    G, dG = checks._frame_metric_jet(g, dg, dual, ddual)
+    cloud = SampleCloud(model, pts, momenta)
+    G, dG = cloud.frame_metric()
     assert_matches(G, G_ref)
     assert_matches(
         dG,
@@ -72,9 +74,10 @@ def test_contractions_match_einsum(gid, eta_models, samples):
         ),
     )
 
-    A, dA = geometry.potential_batch(model, pts, alphas=checks.admissible_alphas(model))
+    alphas = checks.admissible_alphas(model)
+    A, dA = cloud.potential(alphas)
     P = momenta + A
-    dH, dHdp = mechanics._hamiltonian_grads(g, dg, dA, P)
+    dH, dHdp = cloud.hamiltonian_grads(alphas)
     PP = einsum_ref("nlij,ni,nj->nl", dg, P, P)
     gdAP = einsum_ref("nij,nli,nj->nl", g, dA, P)
     assert_matches(dH, add(PP, gdAP, gdAP))

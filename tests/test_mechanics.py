@@ -1,4 +1,4 @@
-"""Hamiltonian, brackets, motion integrals, trajectory integration."""
+"""Hamiltonian, bracket checks, motion integrals, trajectory integration."""
 import csv
 import math
 
@@ -9,12 +9,8 @@ from g4motions import catalog, mechanics
 from g4motions.adiff import DomainError, finite_diff_gradient
 from g4motions.catalog import ABELIAN_SUBGROUP_IDS, GroupId, GroupParams, get_group
 from g4motions.checks import admissible_alphas
+from g4motions.geometry import SampleCloud
 from g4motions.mechanics import (
-    CoordinateObservable,
-    HamiltonianObservable,
-    MomentumObservable,
-    MotionIntegralObservable,
-    Observable,
     PhasePoint,
     Trajectory,
     check_hamiltonian_commutes,
@@ -23,7 +19,6 @@ from g4motions.mechanics import (
     hamiltonian,
     integrate_trajectory,
     motion_integral,
-    poisson_bracket,
 )
 
 FLAT_PARAMS = GroupParams(k=0.0, l=0.0, eps01=0)
@@ -68,72 +63,15 @@ def test_motion_integral_frame_rows(models):
         motion_integral(models[GroupId.G4_V], 5, zero)
 
 
-def test_poisson_canonical_pair(models):
-    state = PhasePoint(u=[0.1, 0.2, 0.3, 0.4], p=[0.5, 0.6, 0.7, 0.8])
-    assert poisson_bracket(CoordinateObservable(0), MomentumObservable(0), state) == 1.0
-    assert poisson_bracket(CoordinateObservable(0), MomentumObservable(1), state) == 0.0
-
-
-def test_poisson_self_bracket_vanishes(models):
-    H = HamiltonianObservable(models[GroupId.G4_II])
-    state = PhasePoint(u=[0.1, -0.2, 0.4, 0.3], p=[0.3, 0.1, -0.5, 0.2])
-    assert poisson_bracket(H, H, state) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_poisson_antisymmetry(models):
-    model = models[GroupId.G4_VII_A]
-    H = HamiltonianObservable(model)
-    rng = np.random.default_rng(4)
-    for _ in range(10):
-        state = PhasePoint(
-            u=catalog.sample_points(model.domain, 1, int(rng.integers(1e6)))[0],
-            p=rng.uniform(-1, 1, 4),
-        )
-        for a in range(1, 5):
-            Y = MotionIntegralObservable(model, a)
-            lhs = poisson_bracket(H, Y, state)
-            rhs = poisson_bracket(Y, H, state)
-            assert abs(lhs + rhs) <= 1e-12 * (1 + abs(lhs))
-
-
-class _Product(Observable):
-    def __init__(self, f, g):
-        self.f, self.g = f, g
-
-    def value(self, state):
-        return self.f.value(state) * self.g.value(state)
-
-    def du(self, state):
-        return self.f.du(state) * self.g.value(state) + self.f.value(state) * self.g.du(state)
-
-    def dp(self, state):
-        return self.f.dp(state) * self.g.value(state) + self.f.value(state) * self.g.dp(state)
-
-
-def test_poisson_leibniz_rule(models):
-    model = models[GroupId.G4_I_CNE1]
-    f = HamiltonianObservable(model)
-    g = MotionIntegralObservable(model, 2)
-    h = MotionIntegralObservable(model, 4)
-    state = PhasePoint(u=[0.3, -0.1, 0.5, 0.2], p=[0.4, -0.6, 0.1, 0.9])
-    lhs = poisson_bracket(f, _Product(g, h), state)
-    rhs = poisson_bracket(f, g, state) * h.value(state) + g.value(state) * poisson_bracket(
-        f, h, state
-    )
-    assert abs(lhs - rhs) <= 1e-10 * (1 + abs(rhs))
-
-
-def test_hamiltonian_commutes_with_integrals(models, samples, tol):
-    for gid, model in models.items():
-        pts, momenta = samples[gid]
-        res = check_hamiltonian_commutes(model, pts, momenta, tol)
+def test_hamiltonian_commutes_with_integrals(clouds, tol):
+    for gid, cloud in clouds.items():
+        res = check_hamiltonian_commutes(cloud, tol)
         assert res.passed, (gid, res.max_residual)
 
 
-def test_integral_algebra_closes(models, samples, tol):
-    for gid, model in models.items():
-        pts, momenta = samples[gid]
-        res = check_integral_algebra(model, pts, momenta, tol)
+def test_integral_algebra_closes(clouds, tol):
+    for gid, cloud in clouds.items():
+        res = check_integral_algebra(cloud, tol)
         assert res.passed, (gid, res.max_residual)
 
 
@@ -143,8 +81,7 @@ def test_integral_algebra_negative_control(models, samples, tol):
     bad = dataclasses.replace(
         models[GroupId.G4_VIII_A], structure_constants=np.zeros((4, 4, 4))
     )
-    pts, momenta = samples[GroupId.G4_VIII_A]
-    res = check_integral_algebra(bad, pts, momenta, tol)
+    res = check_integral_algebra(SampleCloud(bad, *samples[GroupId.G4_VIII_A]), tol)
     assert not res.passed and res.max_residual >= 1e-4
 
 
@@ -195,21 +132,21 @@ def test_rk4_convergence_exponent(models):
 
 
 def test_compiled_dynamics_matches_jet_route(models):
-    """The code-generated integrator right-hand side equals the observable
-    gradients computed through the jets."""
+    """The code-generated integrator right-hand side equals the batched
+    gradients of H computed through the jets."""
     for gid in (GroupId.G4_I_CNE1, GroupId.G4_III, GroupId.G4_VIII_B, GroupId.G4_VI_2):
         model = models[gid]
         rhs, observables = mechanics._compiled_dynamics(model, model.params.alphas())
         rng = np.random.default_rng(13)
         pts = catalog.sample_points(model.domain, 5, 31)
-        for u in pts:
-            p = rng.uniform(-1, 1, 4)
+        momenta = rng.uniform(-1, 1, (5, 4))
+        dHdu, dHdp = SampleCloud(model, pts, momenta).hamiltonian_grads(model.params.alphas())
+        for u, p, jet_du, jet_dp in zip(pts, momenta, dHdu, dHdp):
             state = PhasePoint(u=u, p=p)
-            H_obs = HamiltonianObservable(model)
             du_dp = rhs(*u, *p)
             du, dp = np.array(du_dp[:4]), np.array(du_dp[4:])
-            assert np.allclose(du, H_obs.dp(state), atol=1e-12, rtol=1e-12), gid
-            assert np.allclose(dp, -H_obs.du(state), atol=1e-11, rtol=1e-11), gid
+            assert np.allclose(du, jet_dp, atol=1e-12, rtol=1e-12), gid
+            assert np.allclose(dp, -jet_du, atol=1e-11, rtol=1e-11), gid
             H, *Y = observables(*u, *p)
             assert H == pytest.approx(hamiltonian(model, state), rel=1e-12)
             for a in range(4):
