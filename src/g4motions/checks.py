@@ -21,6 +21,7 @@ from .catalog import (  # noqa: F401  eval_table_jet: read by bench/selftest.py
     ABELIAN_SUBGROUP_IDS,
     GroupId,
     GroupModel,
+    _scaled_error,
     eval_table,
     eval_table_jet,
     potential_from_basis,
@@ -91,21 +92,17 @@ def scaled_max(lhs, rhs) -> float:
 
     Raises ``FloatingPointError`` if the residual is not finite.
     """
-    lhs = np.asarray(lhs, float)
-    rhs = np.asarray(rhs, float)
-    # in place: the residual arrays are the largest arrays of a check
-    scale = np.abs(lhs)
-    np.maximum(scale, np.abs(rhs), out=scale)
-    scale += 1.0
-    err = lhs - rhs
-    np.abs(err, out=err)
-    err /= scale
-    resid = float(np.max(err)) if lhs.size else 0.0
+    err = _scaled_error(lhs, rhs)
+    resid = float(np.max(err)) if err.size else 0.0
+    _require_finite(resid)
+    return resid
+
+
+def _require_finite(resid: float) -> None:
     if not math.isfinite(resid):
         # np.einsum ignores np.errstate, so an overflow inside a contraction
         # surfaces here rather than where it happened
         raise FloatingPointError(f"non-finite residual {resid}")
-    return resid
 
 
 # --------------------------------------------------------------------------
@@ -114,7 +111,7 @@ def scaled_max(lhs, rhs) -> float:
 
 
 def check_duality(cloud: SampleCloud, tol: ToleranceConfig) -> CheckResult:
-    prod = np.einsum("nai,nib->nab", cloud.values("xi"), cloud.values("dual"))
+    prod = cloud.values("xi") @ cloud.values("dual")
     resid = scaled_max(prod, np.eye(4)[None])
     return CheckResult("frame_duality", cloud.model.name, len(cloud), resid, tol.tol_exact)
 
@@ -122,7 +119,7 @@ def check_duality(cloud: SampleCloud, tol: ToleranceConfig) -> CheckResult:
 def check_tetrad_duality(cloud: SampleCloud, tol: ToleranceConfig) -> CheckResult:
     cov = eval_table(cloud.model.e_cov, cloud.points)  # (n, i, alpha); no other check reads it
     con = cloud.values("e_con")  # (n, alpha, i)
-    prod = np.einsum("nai,nib->nab", con, cov)
+    prod = con @ cov
     resid = scaled_max(prod, np.eye(4)[None])
     notes = ()
     if cloud.model.orientation is not None:
@@ -149,20 +146,10 @@ def check_lie_closure(cloud: SampleCloud, tol: ToleranceConfig) -> CheckResult:
 
 
 def check_jacobi(C: np.ndarray, tol: ToleranceConfig, group: str = "-") -> CheckResult:
-    """Brute force over all index combinations of the cyclic Jacobi sum."""
-    worst = 0.0
-    for a in range(4):
-        for b in range(4):
-            for g in range(4):
-                for nu in range(4):
-                    total = 0.0
-                    for mu in range(4):
-                        total += (
-                            C[mu, a, b] * C[nu, mu, g]
-                            + C[mu, b, g] * C[nu, mu, a]
-                            + C[mu, g, a] * C[nu, mu, b]
-                        )
-                    worst = max(worst, abs(total))
+    """The cyclic Jacobi sum C^m_ab C^n_mg + C^m_bg C^n_ma + C^m_ga C^n_mb
+    over every index combination (a, b, g, n)."""
+    T = np.einsum("mab,nmg->abgn", C, C)
+    worst = float(np.max(np.abs(T + T.transpose(2, 0, 1, 3) + T.transpose(1, 2, 0, 3))))
     return CheckResult("jacobi", group, 0, worst, tol.tol_exact)
 
 
@@ -175,9 +162,10 @@ def check_killing(cloud: SampleCloud, tol: ToleranceConfig) -> CheckResult:
     """g^{il} d_l xi_a^j + g^{jl} d_l xi_a^i - d_l g^{ij} xi_a^l = 0."""
     g, _, dg = cloud.metric
     xi, dxi = cloud.jet("xi")
-    lhs = np.einsum("nil,nlaj->naij", g, dxi)
+    n = len(xi)
+    lhs = (g @ dxi.reshape(n, 4, 16)).reshape(n, 4, 4, 4).transpose(0, 2, 1, 3)
     lhs = lhs + lhs.transpose(0, 1, 3, 2)
-    rhs = np.einsum("nlij,nal->naij", dg, xi)
+    rhs = (xi @ dg.reshape(n, 4, 16)).reshape(n, 4, 4, 4)
     resid = scaled_max(lhs, rhs)
     return CheckResult("killing", cloud.model.name, len(cloud), resid, tol.tol_deriv)
 
@@ -190,7 +178,8 @@ def check_frame_killing(cloud: SampleCloud, tol: ToleranceConfig) -> CheckResult
     n = len(G)
     lhs = (cloud.values("xi") @ dG.reshape(n, 4, 16)).reshape(n, 4, 4, 4)  # xi_g^l d_l G^{ab}
     del dG  # the largest array here; the residual needs two more of its size
-    rhs = np.einsum("nat,btg->ngab", G, cloud.model.structure_constants)
+    C = cloud.model.structure_constants.transpose(1, 0, 2).reshape(4, 16)  # (t, (b, g))
+    rhs = (G.reshape(4 * n, 4) @ C).reshape(n, 4, 4, 4).transpose(0, 3, 1, 2)  # G^{at} C^b_{tg}
     rhs = rhs + rhs.transpose(0, 1, 3, 2)
     rhs *= s
     resid = scaled_max(lhs, rhs)
@@ -235,12 +224,13 @@ def admissible_alphas(model: GroupModel) -> np.ndarray:
     return alphas
 
 
-def _admissibility_residual(xi, dxi, A, dA) -> float:
-    # dxi: (n, i, a, j) = d_i xi_a^j; A (n, j) and dA (n, i, j) of one basis potential
+def _admissibility_residual(xi_t, dxi, A, dA) -> float:
+    # xi_t: (n, j, a) = xi_a^j, C-contiguous; dxi: (n, i, a, j) = d_i xi_a^j;
+    # A (n, j) and dA (n, i, j) of one basis potential
     F = dA - dA.transpose(0, 2, 1)
     # d_i (xi_a^j A_j) vs xi_a^j F_{ij}
-    lhs = np.einsum("niaj,nj->nia", dxi, A) + np.einsum("naj,nij->nia", xi, dA)
-    rhs = np.einsum("naj,nij->nia", xi, F)
+    lhs = np.einsum("niaj,nj->nia", dxi, A) + dA @ xi_t
+    rhs = F @ xi_t
     return scaled_max(lhs, rhs)
 
 
@@ -260,12 +250,13 @@ def check_admissibility(
         raise ValueError(f"unknown admissibility mode {mode!r}")
     model = cloud.model
     xi, dxi = cloud.jet("xi")
+    xi_t = np.ascontiguousarray(xi.transpose(0, 2, 1))  # a contiguous operand keeps matmul on BLAS
     vals, grads = cloud.jet(tables[mode])  # (n,b,i), (n,l,b,i)
 
     abelian = model.group_id in ABELIAN_SUBGROUP_IDS
     results = []
     for b in range(4):
-        resid = _admissibility_residual(xi, dxi, vals[:, b], grads[:, :, b])
+        resid = _admissibility_residual(xi_t, dxi, vals[:, b], grads[:, :, b])
         if mode == "tetrad":
             asserted = model.tetrad_printed
             notes = () if model.tetrad_printed else ("derived (untabulated) tetrad",)
@@ -302,14 +293,15 @@ def check_frame_defining(cloud: SampleCloud, tol: ToleranceConfig) -> list[Check
     xi = cloud.values("xi")
     vals, grads = cloud.jet("frame_basis")  # (n,c,a), (n,l,c,a)
     _, s, _ = cloud.bracket
-    C = model.structure_constants
+    n = len(xi)
+    C = model.structure_constants.reshape(4, 16)  # (g, (b, a))
     abelian = model.group_id in ABELIAN_SUBGROUP_IDS
     results = []
     for b in range(4):
         Av = vals[:, b, :]  # (n, alpha)
         dAv = grads[:, :, b, :]  # (n, l, alpha)
-        lhs = np.einsum("nbi,nia->nab", xi, dAv)
-        rhs = s * np.einsum("gba,ng->nab", C, Av)
+        lhs = (xi @ dAv).transpose(0, 2, 1)  # xi_b^i d_i A_a, as (n, a, b)
+        rhs = s * (Av @ C).reshape(n, 4, 4).transpose(0, 2, 1)  # C^g_ba A_g, as (n, a, b)
         resid = scaled_max(lhs, rhs)
         asserted = model.group_id in ASSERTED_HOLO_ADMISSIBILITY or (abelian and b == 3)
         notes = ()
@@ -335,7 +327,7 @@ def check_potential_consistency(cloud: SampleCloud, tol: ToleranceConfig) -> Che
     """A_i = xi^a_i A_a with the stored holonomic and frame tables."""
     dual = cloud.values("dual")  # (n, i, a)
     frame = cloud.values("frame_basis")  # (n, b, a)
-    recon = np.einsum("nia,nba->nbi", dual, frame)
+    recon = frame @ dual.transpose(0, 2, 1)  # (n, b, i)
     resid = scaled_max(recon, cloud.values("holo_basis"))  # (n, b, i)
     return CheckResult("potential_consistency", cloud.model.name, len(cloud), resid, 1e-10)
 
@@ -348,11 +340,13 @@ def check_frame_table_crosscheck(cloud: SampleCloud, tol: ToleranceConfig) -> Ch
         return None
     ref = eval_table(model.reference_frame, cloud.points)
     rec = cloud.values("frame_basis")
-    resid = scaled_max(ref, rec)
+    comps = np.max(_scaled_error(ref, rec), axis=0)  # (b, a), over the sample points
+    resid = float(np.max(comps))
+    _require_finite(resid)
     notes = []
     for b in range(4):
         for a in range(4):
-            comp = scaled_max(ref[:, b, a], rec[:, b, a])
+            comp = comps[b, a]
             if comp > tol.tol_deriv:
                 notes.append(
                     f"alpha{b + 1} basis, frame component {a + 1}: "

@@ -161,15 +161,17 @@ class SampleCloud:
 
         Pairwise batched matmuls; the two dual-derivative terms of the
         gradient are one product and its (a, b) transpose, since g is
-        symmetric.
+        symmetric.  The right factor of xi^a_i d_l g^{ij} xi^b_j is one
+        (16x4)(4x4) product per point.
         """
         g, _, dg = self.metric
         dual, ddual = self.jet("dual")  # (n,i,a), (n,l,i,a)
+        n = len(dual)
         dual_t = dual.transpose(0, 2, 1)
         gd = g @ dual  # g^{ij} xi^b_j
         dG = ddual.transpose(0, 1, 3, 2) @ gd[:, None]  # d_l xi^a_i g^{ij} xi^b_j
         dG = dG + dG.transpose(0, 1, 3, 2)
-        dG += dual_t[:, None] @ dg @ dual[:, None]
+        dG += ((dual_t[:, None] @ dg).reshape(n, 16, 4) @ dual).reshape(n, 4, 4, 4)
         return dual_t @ gd, dG
 
     def potential(self, alphas, basis: str = "holo_basis") -> tuple[np.ndarray, np.ndarray]:

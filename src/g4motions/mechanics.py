@@ -101,7 +101,7 @@ def check_integral_algebra(cloud: SampleCloud, tol: ToleranceConfig) -> CheckRes
     bracket, s, _ = cloud.bracket
     pb = -np.einsum("nabi,ni->nab", bracket, cloud.momenta)  # {Y_a, Y_b}
     Y = np.einsum("nai,ni->na", cloud.values("xi"), cloud.momenta)
-    target = np.einsum("gab,ng->nab", cloud.model.structure_constants, Y)
+    target = (Y @ cloud.model.structure_constants.reshape(4, 16)).reshape(-1, 4, 4)  # C^g_ab Y_g
     return CheckResult(
         "integral_algebra",
         cloud.model.name,

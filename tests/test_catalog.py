@@ -214,9 +214,18 @@ def test_catalog_entry_dump(models):
 
 def test_closure_failed_raised_for_inconsistent_constants(models):
     bad = dataclasses.replace(
-        models[GroupId.G4_VIII_A],
-        structure_constants=np.zeros((4, 4, 4)),
-        _bracket_sign=None,
+        models[GroupId.G4_VIII_A], structure_constants=np.zeros((4, 4, 4))
     )
+    with pytest.raises(catalog.ClosureFailed):
+        bad.bracket_sign()
+
+
+def test_replaced_model_resolves_its_own_bracket_sign():
+    """A copy made by ``dataclasses.replace`` or ``with_eta`` starts with an
+    unresolved sign, even after the original has resolved its own."""
+    model = catalog.get_group(GroupId.G4_I_CNE1)
+    assert model.bracket_sign() == 1
+    assert model.with_eta(model.params.eta)._bracket_sign is None
+    bad = dataclasses.replace(model, structure_constants=np.zeros((4, 4, 4)))
     with pytest.raises(catalog.ClosureFailed):
         bad.bracket_sign()

@@ -2,6 +2,7 @@
 each check can fail."""
 import copy
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -51,6 +52,40 @@ def test_jacobi_all_entries(models, tol):
     for gid, model in models.items():
         res = check_jacobi(model.structure_constants, tol, group=model.name)
         assert res.max_residual == 0.0, gid
+
+
+def _jacobi_loop(C):
+    """Brute force over all index combinations of the cyclic Jacobi sum: the
+    worst |sum| and the largest sum of the absolute terms."""
+    worst = scale = 0.0
+    for a, b, g, nu in itertools.product(range(4), repeat=4):
+        total = abs_total = 0.0
+        for mu in range(4):
+            terms = (
+                C[mu, a, b] * C[nu, mu, g],
+                C[mu, b, g] * C[nu, mu, a],
+                C[mu, g, a] * C[nu, mu, b],
+            )
+            total += terms[0] + terms[1] + terms[2]
+            abs_total += sum(map(abs, terms))
+        worst = max(worst, abs(total))
+        scale = max(scale, abs_total)
+    return worst, scale
+
+
+_RANDOM_C = np.random.default_rng(11).uniform(-1, 1, (4, 4, 4))
+
+
+@pytest.mark.parametrize(
+    "gid", [*GroupId, None], ids=[*(g.value for g in GroupId), "random-antisymmetric"]
+)
+def test_jacobi_matches_brute_force_loop(gid, models, tol):
+    C = _RANDOM_C - _RANDOM_C.transpose(0, 2, 1) if gid is None else models[gid].structure_constants
+    worst, scale = _jacobi_loop(C)
+    res = check_jacobi(C, tol)
+    assert abs(res.max_residual - worst) <= 1e-13 * scale, (res.max_residual, worst)
+    if gid is None:
+        assert worst > 0.1  # the comparison is not between zeros
 
 
 def test_killing_all_entries_both_signatures(clouds, samples, tol):
@@ -146,6 +181,38 @@ def test_frame_table_crosscheck_flags(clouds, tol):
         assert res.passed == should_match, (gid, res.max_residual)
         if not should_match:
             assert res.notes  # per-component findings
+
+
+def test_frame_table_crosscheck_matches_componentwise(clouds, tol):
+    """One pass over the (n, 4, 4) residual gives the residual and notes of
+    a separate ``scaled_max`` per frame component."""
+    for gid, cloud in clouds.items():
+        res = checks.check_frame_table_crosscheck(cloud, tol)
+        if res is None:
+            continue
+        ref = catalog.eval_table(cloud.model.reference_frame, cloud.points)
+        rec = cloud.values("frame_basis")
+        assert res.max_residual == checks.scaled_max(ref, rec), gid
+        notes = [
+            f"alpha{b + 1} basis, frame component {a + 1}: source table deviates by {comp:.2e}"
+            for b, a in itertools.product(range(4), repeat=2)
+            if (comp := checks.scaled_max(ref[:, b, a], rec[:, b, a])) > tol.tol_deriv
+        ]
+        assert list(res.notes) == notes, gid
+
+
+class _NaNField(FieldExpr):
+    def eval(self, u):
+        return np.full(np.shape(u)[1], np.nan)
+
+
+def test_frame_table_crosscheck_nonfinite_raises(models, samples, tol):
+    model = models[GroupId.G4_I_CNE1]
+    ref = [list(r) for r in model.reference_frame]
+    ref[2][1] = _NaNField()
+    bad = dataclasses.replace(model, reference_frame=ref)
+    with pytest.raises(FloatingPointError):
+        checks.check_frame_table_crosscheck(SampleCloud(bad, samples[GroupId.G4_I_CNE1][0]), tol)
 
 
 def test_run_group_checks_asserted_all_green(clouds, tol):

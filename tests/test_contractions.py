@@ -1,13 +1,16 @@
 """The batched-matmul contractions against the plain einsum expressions.
 
 Each reference below is the index expression written out as a single
-``np.einsum``; the library computes the same quantity as pairwise matmuls.
-Both are compared at one seeded cloud per catalog entry and frame metric.
+``np.einsum``; the library computes the same quantity as batched or flat
+matmuls.  Both are compared at one seeded cloud per catalog entry and frame
+metric.  The two sides of each identity check are read where the check hands
+them to its residual (``checks.scaled_max``, and ``catalog._scaled_error``
+for the frame bracket), so they are compared in the layout the check uses.
 """
 import numpy as np
 import pytest
 
-from g4motions import catalog, checks, geometry
+from g4motions import catalog, checks, geometry, mechanics
 from g4motions.catalog import GroupId, GroupParams, eval_table, eval_table_jet
 from g4motions.geometry import SampleCloud
 
@@ -30,8 +33,17 @@ def add(*refs):
     return sum(r[0] for r in refs), sum(r[1] for r in refs)
 
 
+def scaled(ref, k):
+    return k * ref[0], abs(k) * ref[1]
+
+
+def transposed(ref, axes):
+    return ref[0].transpose(axes), ref[1].transpose(axes)
+
+
 def assert_matches(new, ref):
     value, scale = ref
+    assert new.shape == value.shape
     err = np.abs(new - value)
     assert np.all(err <= REL_TOL * scale), float(np.max(err / np.where(scale > 0, scale, 1)))
 
@@ -82,3 +94,83 @@ def test_contractions_match_einsum(gid, eta_models, samples):
     gdAP = einsum_ref("nij,nli,nj->nl", g, dA, P)
     assert_matches(dH, add(PP, gdAP, gdAP))
     assert_matches(dHdp, add(*[einsum_ref("nij,nj->ni", g, P)] * 2))
+
+
+def record_sides(monkeypatch, module, name):
+    """Record every (lhs, rhs) pair passed to ``module.name``."""
+    calls = []
+    real = getattr(module, name)
+
+    def record(lhs, rhs):
+        calls.append((lhs, rhs))
+        return real(lhs, rhs)
+
+    monkeypatch.setattr(module, name, record)
+    return calls
+
+
+@pytest.mark.parametrize("gid", list(GroupId), ids=[g.value for g in GroupId])
+def test_check_sides_match_einsum(gid, eta_models, samples, monkeypatch):
+    model = eta_models[gid]
+    pts, momenta = samples[gid]
+    tol = checks.ToleranceConfig()
+    cloud = SampleCloud(model, pts, momenta)
+    C = model.structure_constants
+    xi, dxi = cloud.jet("xi")
+    dual = cloud.values("dual")
+    g, _, dg = cloud.metric
+    sym = (0, 1, 3, 2)
+
+    bracket_sides = record_sides(monkeypatch, catalog, "_scaled_error")
+    bracket, s, _ = catalog.frame_bracket(xi, dxi, C)
+    half = einsum_ref("naj,njbi->nabi", xi, dxi)
+    assert_matches(bracket, add(half, scaled(transposed(half, (0, 2, 1, 3)), -1)))
+    target = bracket_sides[0][1]  # the sign +1 is tried first
+    assert_matches(target, einsum_ref("gab,ngi->nabi", C, xi))
+
+    sides = record_sides(monkeypatch, checks, "scaled_max")
+    checks.check_duality(cloud, tol)
+    assert_matches(sides.pop()[0], einsum_ref("nai,nib->nab", xi, dual))
+    checks.check_tetrad_duality(cloud, tol)
+    cov = eval_table(model.e_cov, pts)
+    assert_matches(sides.pop()[0], einsum_ref("nai,nib->nab", cloud.values("e_con"), cov))
+    checks.check_potential_consistency(cloud, tol)
+    frame = cloud.values("frame_basis")
+    assert_matches(sides.pop()[0], einsum_ref("nia,nba->nbi", dual, frame))
+
+    checks.check_killing(cloud, tol)
+    lhs, rhs = sides.pop()
+    half = einsum_ref("nil,nlaj->naij", g, dxi)
+    assert_matches(lhs, add(half, transposed(half, sym)))
+    assert_matches(rhs, einsum_ref("nlij,nal->naij", dg, xi))
+
+    checks.check_frame_killing(cloud, tol)
+    lhs, rhs = sides.pop()
+    G, dG = cloud.frame_metric()
+    assert_matches(lhs, einsum_ref("ngl,nlab->ngab", xi, dG))
+    half = einsum_ref("nat,btg->ngab", G, C)
+    assert_matches(rhs, scaled(add(half, transposed(half, sym)), s))
+
+    for mode, table in (("holonomic", "holo_basis"), ("tetrad", "tetrad_basis")):
+        checks.check_admissibility(cloud, tol, mode)
+        vals, grads = cloud.jet(table)
+        for b, (lhs, rhs) in enumerate(sides):
+            A, dA = vals[:, b], grads[:, :, b]
+            F = dA - dA.transpose(0, 2, 1)
+            lhs_ref = add(einsum_ref("niaj,nj->nia", dxi, A), einsum_ref("naj,nij->nia", xi, dA))
+            assert_matches(lhs, lhs_ref)
+            assert_matches(rhs, einsum_ref("naj,nij->nia", xi, F))
+        assert len(sides) == 4
+        sides.clear()
+
+    checks.check_frame_defining(cloud, tol)
+    vals, grads = cloud.jet("frame_basis")
+    for b, (lhs, rhs) in enumerate(sides):
+        assert_matches(lhs, einsum_ref("nbi,nia->nab", xi, grads[:, :, b]))
+        assert_matches(rhs, scaled(einsum_ref("gba,ng->nab", C, vals[:, b]), s))
+    assert len(sides) == 4
+
+    mech_sides = record_sides(monkeypatch, mechanics, "scaled_max")
+    mechanics.check_integral_algebra(cloud, tol)
+    Y = np.einsum("nai,ni->na", xi, momenta)
+    assert_matches(mech_sides.pop()[1], scaled(einsum_ref("gab,ng->nab", C, Y), -s))
