@@ -7,9 +7,7 @@ __version__ = "0.1.0"
 from .adiff import (  # noqa: F401
     DomainError,
     FieldExpr,
-    Jet1,
     coords,
-    eval_jet,
     finite_diff_gradient,
 )
 from .catalog import (  # noqa: F401

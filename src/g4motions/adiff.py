@@ -1,18 +1,20 @@
-"""Forward-mode first derivatives for the catalog's closed-form fields.
+"""Closed-form fields of the chart point and their symbolic first partials.
 
 Every scalar field tabulated in the catalog (Killing frames, tetrads,
 potentials) is a closed form built from constants, the four chart
 coordinates, ``+ - * /`` and ``exp``/``sin``/``cos``.  ``FieldExpr`` captures
-exactly that function class as a tiny expression tree.  ``Jet1`` carries a
-value together with its exact 4-gradient through arithmetic (dual numbers
-with a fixed 4-slot gradient; the chart dimension is always 4, so no tape or
-expression graph is needed).
+exactly that function class as a tiny expression tree, and ``diff`` builds
+the exact partial along one chart axis as another such tree (constants fold,
+zeros vanish, and a partial refers back to the nodes of its field where the
+chain and product rules reuse them).
 
-A central finite-difference oracle is provided so that every gradient used
-downstream can be compared against an independent estimate, and a small
-source-level compiler turns expression trees into straight-line
-plain-``math`` functions (one temporary per distinct subtree) for the
-trajectory integrator's hot loop.
+``evaluate`` is the one evaluator, for values and partials alike: it
+evaluates each distinct node of a list of trees once per call and drops
+each value after its last use.  A central finite-difference oracle is
+provided so that every gradient used downstream can be compared against an
+independent estimate, and a small source-level compiler turns expression
+trees into straight-line plain-``math`` functions (one temporary per
+distinct subtree) for the trajectory integrator's hot loop.
 """
 from __future__ import annotations
 
@@ -26,7 +28,6 @@ CHART_DIM = 4
 __all__ = [
     "CHART_DIM",
     "DomainError",
-    "Jet1",
     "FieldExpr",
     "Const",
     "Coord",
@@ -36,7 +37,7 @@ __all__ = [
     "sin",
     "cos",
     "as_point",
-    "eval_jet",
+    "evaluate",
     "finite_diff_gradient",
     "compile_values",
     "gradient_exprs",
@@ -60,105 +61,24 @@ def as_point(u) -> np.ndarray:
     return pt
 
 
-class Jet1:
-    """A value plus its exact 4-gradient.
-
-    ``value`` is a float (or an (N,) array for batched evaluation) and
-    ``grad`` a (4,) array (or (4, N)).  Arithmetic follows the usual dual
-    number rules, so gradients obey the chain and product rules exactly.
-    """
-
-    __slots__ = ("value", "grad")
-
-    def __init__(self, value, grad):
-        self.value = value
-        self.grad = grad
-
-    @classmethod
-    def variable(cls, value, axis: int) -> "Jet1":
-        value = np.asarray(value, dtype=float)
-        grad = np.zeros((CHART_DIM,) + value.shape)
-        grad[axis] = 1.0
-        return cls(value if value.shape else float(value), grad)
-
-    @classmethod
-    def const(cls, value, like: "Jet1 | None" = None) -> "Jet1":
-        grad = np.zeros(CHART_DIM) if like is None else np.zeros_like(like.grad)
-        return cls(value, grad)
-
-    def __add__(self, other):
-        if isinstance(other, Jet1):
-            return Jet1(self.value + other.value, self.grad + other.grad)
-        return Jet1(self.value + other, self.grad)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, Jet1):
-            return Jet1(self.value - other.value, self.grad - other.grad)
-        return Jet1(self.value - other, self.grad)
-
-    def __rsub__(self, other):
-        return Jet1(other - self.value, -self.grad)
-
-    def __mul__(self, other):
-        if isinstance(other, Jet1):
-            return Jet1(
-                self.value * other.value,
-                self.grad * other.value + self.value * other.grad,
-            )
-        return Jet1(self.value * other, self.grad * other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Jet1):
-            _guard_denominator(other.value)
-            inv = 1.0 / other.value
-            return Jet1(
-                self.value * inv,
-                (self.grad - self.value * inv * other.grad) * inv,
-            )
-        _guard_denominator(other)
-        return Jet1(self.value / other, self.grad / other)
-
-    def __rtruediv__(self, other):
-        _guard_denominator(self.value)
-        val = other / self.value
-        return Jet1(val, -val / self.value * self.grad)
-
-    def __neg__(self):
-        return Jet1(-self.value, -self.grad)
-
-    def __repr__(self):
-        return f"Jet1({self.value!r}, grad={self.grad!r})"
-
-
 def _guard_denominator(value):
     if np.any(np.abs(value) < _SINGULAR):
         raise DomainError(_SINGULAR_MSG)
 
 
 def exp(x):
-    if isinstance(x, Jet1):
-        v = np.exp(x.value)
-        return Jet1(v, v * x.grad)
     if isinstance(x, FieldExpr):
         return _unary(Exp, x, math.exp)
     return np.exp(x)
 
 
 def sin(x):
-    if isinstance(x, Jet1):
-        return Jet1(np.sin(x.value), np.cos(x.value) * x.grad)
     if isinstance(x, FieldExpr):
         return _unary(Sin, x, math.sin)
     return np.sin(x)
 
 
 def cos(x):
-    if isinstance(x, Jet1):
-        return Jet1(np.cos(x.value), -np.sin(x.value) * x.grad)
     if isinstance(x, FieldExpr):
         return _unary(Cos, x, math.cos)
     return np.cos(x)
@@ -170,21 +90,25 @@ def cos(x):
 
 
 class FieldExpr:
-    """Closed-form scalar field of the chart point u = (u1, u2, u3, u4)."""
+    """Closed-form scalar field of the chart point u = (u1, u2, u3, u4).
+
+    A node names its child nodes in ``operands`` (empty for a leaf).
+    ``eval(u, *values)`` receives the chart point(s) ``u``, of shape (4,) or
+    (4, N), and the values of the operands in order; ``evaluate`` supplies
+    them.
+    """
 
     __slots__ = ()
+    operands: tuple = ()
 
-    def eval(self, u):
-        raise NotImplementedError
-
-    def jet(self, u) -> Jet1:
+    def eval(self, u, *values):
         raise NotImplementedError
 
     def diff(self, axis: int) -> "FieldExpr":
         raise NotImplementedError
 
     def __call__(self, u):
-        return self.eval(np.asarray(u, dtype=float))
+        return evaluate([self], u)[0]
 
     # Operator sugar: every overload routes through the folding constructors
     # so that catalog tables stay small trees (zeros vanish, constants fold).
@@ -223,14 +147,7 @@ class Const(FieldExpr):
         self.c = float(c)
 
     def eval(self, u):
-        if u.ndim == 1:
-            return self.c
-        return np.full(u.shape[1], self.c)
-
-    def jet(self, u):
-        if u.ndim == 1:
-            return Jet1(self.c, np.zeros(CHART_DIM))
-        return Jet1(np.full(u.shape[1], self.c), np.zeros((CHART_DIM, u.shape[1])))
+        return self.c  # numpy broadcasts it against the batch
 
     def diff(self, axis):
         return ZERO
@@ -250,9 +167,6 @@ class Coord(FieldExpr):
     def eval(self, u):
         return u[self.axis]
 
-    def jet(self, u):
-        return Jet1.variable(u[self.axis], self.axis)
-
     def diff(self, axis):
         return ONE if axis == self.axis else ZERO
 
@@ -260,159 +174,123 @@ class Coord(FieldExpr):
         return f"u{self.axis + 1}"
 
 
-class _Binary(FieldExpr):
-    __slots__ = ("a", "b")
+class _Op(FieldExpr):
+    __slots__ = ("operands",)
 
-    def __init__(self, a, b):
-        self.a = a
-        self.b = b
+    def __init__(self, *operands):
+        self.operands = operands
 
 
-class Add(_Binary):
+class Add(_Op):
     __slots__ = ()
 
-    def eval(self, u):
-        return self.a.eval(u) + self.b.eval(u)
-
-    def jet(self, u):
-        return self.a.jet(u) + self.b.jet(u)
+    def eval(self, u, a, b):
+        return a + b
 
     def diff(self, axis):
-        return _add(self.a.diff(axis), self.b.diff(axis))
+        a, b = self.operands
+        return _add(a.diff(axis), b.diff(axis))
 
     def __repr__(self):
-        return f"({self.a!r} + {self.b!r})"
+        return "({!r} + {!r})".format(*self.operands)
 
 
-class Sub(_Binary):
+class Sub(_Op):
     __slots__ = ()
 
-    def eval(self, u):
-        return self.a.eval(u) - self.b.eval(u)
-
-    def jet(self, u):
-        return self.a.jet(u) - self.b.jet(u)
+    def eval(self, u, a, b):
+        return a - b
 
     def diff(self, axis):
-        return _sub(self.a.diff(axis), self.b.diff(axis))
+        a, b = self.operands
+        return _sub(a.diff(axis), b.diff(axis))
 
     def __repr__(self):
-        return f"({self.a!r} - {self.b!r})"
+        return "({!r} - {!r})".format(*self.operands)
 
 
-class Mul(_Binary):
+class Mul(_Op):
     __slots__ = ()
 
-    def eval(self, u):
-        return self.a.eval(u) * self.b.eval(u)
-
-    def jet(self, u):
-        return self.a.jet(u) * self.b.jet(u)
+    def eval(self, u, a, b):
+        return a * b
 
     def diff(self, axis):
-        return _add(
-            _mul(self.a.diff(axis), self.b),
-            _mul(self.a, self.b.diff(axis)),
-        )
+        a, b = self.operands
+        return _add(_mul(a.diff(axis), b), _mul(a, b.diff(axis)))
 
     def __repr__(self):
-        return f"({self.a!r} * {self.b!r})"
+        return "({!r} * {!r})".format(*self.operands)
 
 
-class Div(_Binary):
+class Div(_Op):
     __slots__ = ()
 
-    def eval(self, u):
-        den = self.b.eval(u)
-        _guard_denominator(den)
-        return self.a.eval(u) / den
-
-    def jet(self, u):
-        return self.a.jet(u) / self.b.jet(u)
+    def eval(self, u, a, b):
+        _guard_denominator(b)
+        return a / b
 
     def diff(self, axis):
         # (a/b)' = a'/b - a b' / b^2
-        return _sub(
-            _div(self.a.diff(axis), self.b),
-            _div(_mul(self.a, self.b.diff(axis)), _mul(self.b, self.b)),
-        )
+        a, b = self.operands
+        return _sub(_div(a.diff(axis), b), _div(_mul(a, b.diff(axis)), _mul(b, b)))
 
     def __repr__(self):
-        return f"({self.a!r} / {self.b!r})"
+        return "({!r} / {!r})".format(*self.operands)
 
 
-class Neg(FieldExpr):
-    __slots__ = ("a",)
-
-    def __init__(self, a):
-        self.a = a
-
-    def eval(self, u):
-        return -self.a.eval(u)
-
-    def jet(self, u):
-        return -self.a.jet(u)
-
-    def diff(self, axis):
-        return _neg(self.a.diff(axis))
-
-    def __repr__(self):
-        return f"(-{self.a!r})"
-
-
-class _Unary(FieldExpr):
-    __slots__ = ("a",)
-
-    def __init__(self, a):
-        self.a = a
-
-
-class Exp(_Unary):
+class Neg(_Op):
     __slots__ = ()
 
-    def eval(self, u):
-        return np.exp(self.a.eval(u))
-
-    def jet(self, u):
-        return exp(self.a.jet(u))
+    def eval(self, u, a):
+        return -a
 
     def diff(self, axis):
-        return _mul(self.a.diff(axis), self)
+        return _neg(self.operands[0].diff(axis))
 
     def __repr__(self):
-        return f"exp({self.a!r})"
+        return f"(-{self.operands[0]!r})"
 
 
-class Sin(_Unary):
+class Exp(_Op):
     __slots__ = ()
 
-    def eval(self, u):
-        return np.sin(self.a.eval(u))
-
-    def jet(self, u):
-        return sin(self.a.jet(u))
+    def eval(self, u, a):
+        return np.exp(a)
 
     def diff(self, axis):
-        return _mul(self.a.diff(axis), Cos(self.a))
+        return _mul(self.operands[0].diff(axis), self)
 
     def __repr__(self):
-        return f"sin({self.a!r})"
+        return f"exp({self.operands[0]!r})"
 
 
-class Cos(_Unary):
+class Sin(_Op):
     __slots__ = ()
 
-    def eval(self, u):
-        return np.cos(self.a.eval(u))
-
-    def jet(self, u):
-        return cos(self.a.jet(u))
+    def eval(self, u, a):
+        return np.sin(a)
 
     def diff(self, axis):
-        return _neg(_mul(self.a.diff(axis), Sin(self.a)))
+        a = self.operands[0]
+        return _mul(a.diff(axis), Cos(a))
 
     def __repr__(self):
-        return f"cos({self.a!r})"
+        return f"sin({self.operands[0]!r})"
+
+
+class Cos(_Op):
+    __slots__ = ()
+
+    def eval(self, u, a):
+        return np.cos(a)
+
+    def diff(self, axis):
+        a = self.operands[0]
+        return _neg(_mul(a.diff(axis), Sin(a)))
+
+    def __repr__(self):
+        return f"cos({self.operands[0]!r})"
 
 
 ZERO = Const(0.0)
@@ -430,66 +308,70 @@ def coords() -> tuple[Coord, Coord, Coord, Coord]:
     return Coord(0), Coord(1), Coord(2), Coord(3)
 
 
-def _is_const(e, value=None):
-    return isinstance(e, Const) and (value is None or e.c == value)
+# The folding constructors run once per node of every symbolic partial, so
+# they test ``type(x) is Const`` directly rather than through a helper.
 
 
 def _add(a, b):
-    if _is_const(a) and _is_const(b):
-        return Const(a.c + b.c)
-    if _is_const(a, 0.0):
-        return b
-    if _is_const(b, 0.0):
+    if type(a) is Const:
+        if type(b) is Const:
+            return Const(a.c + b.c)
+        if a.c == 0.0:
+            return b
+    elif type(b) is Const and b.c == 0.0:
         return a
     return Add(a, b)
 
 
 def _sub(a, b):
-    if _is_const(a) and _is_const(b):
-        return Const(a.c - b.c)
-    if _is_const(b, 0.0):
-        return a
-    if _is_const(a, 0.0):
+    if type(b) is Const:
+        if type(a) is Const:
+            return Const(a.c - b.c)
+        if b.c == 0.0:
+            return a
+    elif type(a) is Const and a.c == 0.0:
         return _neg(b)
     return Sub(a, b)
 
 
 def _mul(a, b):
-    if _is_const(a) and _is_const(b):
-        return Const(a.c * b.c)
-    if _is_const(a, 0.0) or _is_const(b, 0.0):
+    if type(a) is Const:
+        if type(b) is Const:
+            return Const(a.c * b.c)
+        c, other = a.c, b
+    elif type(b) is Const:
+        c, other = b.c, a
+    else:
+        return Mul(a, b)
+    if c == 0.0:
         return ZERO
-    if _is_const(a, 1.0):
-        return b
-    if _is_const(b, 1.0):
-        return a
-    if _is_const(a, -1.0):
-        return _neg(b)
-    if _is_const(b, -1.0):
-        return _neg(a)
+    if c == 1.0:
+        return other
+    if c == -1.0:
+        return _neg(other)
     return Mul(a, b)
 
 
 def _div(a, b):
-    if _is_const(b):
+    if type(b) is Const:
         if b.c == 0.0:
             raise DomainError("division by the constant zero field")
         return _mul(a, Const(1.0 / b.c))
-    if _is_const(a, 0.0):
+    if type(a) is Const and a.c == 0.0:
         return ZERO
     return Div(a, b)
 
 
 def _neg(a):
-    if _is_const(a):
+    if type(a) is Const:
         return Const(-a.c)
-    if isinstance(a, Neg):
-        return a.a
+    if type(a) is Neg:
+        return a.operands[0]
     return Neg(a)
 
 
 def _unary(node, a, fn):
-    if _is_const(a):
+    if type(a) is Const:
         return Const(fn(a.c))
     return node(a)
 
@@ -499,13 +381,50 @@ def _unary(node, a, fn):
 # --------------------------------------------------------------------------
 
 
-def eval_jet(f: FieldExpr, u) -> Jet1:
-    """Value and exact 4-gradient of ``f`` at the chart point(s) ``u``.
+def evaluate(exprs: Sequence[FieldExpr], u) -> list:
+    """Values of ``exprs`` at the chart point(s) ``u``, in order.
 
     ``u`` may be a single point of shape (4,) or a batch of shape (4, N);
-    the returned jet then carries an (N,) value and a (4, N) gradient.
+    each value is then a float or an (N,) array (a constant stays a float
+    either way).  Every distinct node object reachable from ``exprs`` is
+    evaluated once per call, so trees that share nodes (a table's entries
+    and their ``gradient_exprs``) share the values, and a value is dropped
+    as soon as its last reader has run.
     """
-    return f.jet(np.asarray(u, dtype=float))
+    u = np.asarray(u, dtype=float)
+    uses: dict[int, int] = {}  # readers per node; a root counts as one more
+    order: list[FieldExpr] = []  # operands before the nodes that read them
+
+    def visit(e):
+        key = id(e)
+        n = uses.get(key)
+        if n is None:
+            uses[key] = 1
+            for o in e.operands:
+                visit(o)
+            order.append(e)
+        else:
+            uses[key] = n + 1
+
+    for e in exprs:
+        visit(e)
+    values: dict[int, object] = {}
+    for e in order:
+        ops = e.operands
+        if not ops:
+            values[id(e)] = e.eval(u)
+            continue
+        args = []
+        for o in ops:
+            key = id(o)
+            args.append(values[key])
+            n = uses[key] - 1
+            if n:
+                uses[key] = n
+            else:
+                del values[key]
+        values[id(e)] = e.eval(u, *args)
+    return [values[id(e)] for e in exprs]
 
 
 def finite_diff_gradient(f, u, h: float = 1e-5) -> np.ndarray:
@@ -526,7 +445,7 @@ def finite_diff_gradient(f, u, h: float = 1e-5) -> np.ndarray:
 
 
 def gradient_exprs(f: FieldExpr) -> list[FieldExpr]:
-    """Symbolic partials [df/du1, ..., df/du4] (used by the compiler)."""
+    """Symbolic partials [df/du1, ..., df/du4]."""
     return [f.diff(i) for i in range(CHART_DIM)]
 
 
@@ -560,12 +479,12 @@ class _SSA:
         else:
             kind = type(e)
             if kind in _INFIX:
-                a, b = self.name(e.a), self.name(e.b)
+                a, b = map(self.name, e.operands)
                 key, src = (kind, a, b), f"{a} {_INFIX[kind]} {b}"
                 if kind in _COMMUTATIVE and b < a:
                     key = (kind, b, a)  # IEEE a + b == b + a and a * b == b * a exactly
             elif kind in _CALLS:
-                a = self.name(e.a)
+                a = self.name(e.operands[0])
                 key, src = (kind, a), f"{_CALLS[kind]}({a})"
             else:
                 raise TypeError(f"cannot compile {kind.__name__}")
@@ -598,14 +517,16 @@ def compile_values(
     the expression folded to the constant 0, and returns ``(lines,
     outputs)``: statements appended to the body, which may also read
     ``extra_args``, and the source of each returned value.  Compiled output
-    is cross-checked against ``eval``/``eval_jet`` in the test suite.
+    is cross-checked against ``evaluate`` in the test suite.
     """
     ssa = _SSA()
     names = [ssa.name(e) for e in exprs]
     if epilogue is None:
         lines, outputs = [], names
     else:
-        lines, outputs = epilogue([None if _is_const(e, 0.0) else n for e, n in zip(exprs, names)])
+        lines, outputs = epilogue(
+            [None if type(e) is Const and e.c == 0.0 else n for e, n in zip(exprs, names)]
+        )
     args = ", ".join((*_COORD_NAMES, *extra_args))
     body = "".join(f"    {line}\n" for line in (*ssa.lines, *lines))
     src = f"def _kernel({args}):\n{body}    return ({', '.join(outputs)},)\n"

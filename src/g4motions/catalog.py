@@ -290,31 +290,36 @@ def _frame_from_holo(xi, holo_basis) -> list:
     return out
 
 
+def _stack(values, n: int, shape: tuple) -> np.ndarray:
+    """Field values (floats or (n,) arrays) as one (n, *shape) array.  Most
+    entries of a table, and most of its partials, are constants: they are
+    written in one broadcast, the rest column by column."""
+    out = np.empty((n, len(values)))
+    out[:] = [v if isinstance(v, float) else 0.0 for v in values]
+    for k, v in enumerate(values):
+        if not isinstance(v, float):
+            out[:, k] = v
+    return out.reshape(n, *shape)
+
+
 def eval_table(exprs, points) -> np.ndarray:
     """Evaluate a table of FieldExpr at points (n, 4) -> (n, r, c)."""
     pts = np.asarray(points, float).T  # (4, n)
-    n = pts.shape[1]
-    r, c = len(exprs), len(exprs[0])
-    out = np.empty((n, r, c))
-    for i in range(r):
-        for j in range(c):
-            out[:, i, j] = exprs[i][j].eval(pts)
-    return out
+    values = adiff.evaluate([e for row in exprs for e in row], pts)
+    return _stack(values, pts.shape[1], (len(exprs), len(exprs[0])))
 
 
 def eval_table_jet(exprs, points) -> tuple[np.ndarray, np.ndarray]:
-    """Values (n, r, c) and gradients (n, 4, r, c) of a FieldExpr table."""
+    """Values (n, r, c) and gradients (n, 4, r, c) of a FieldExpr table,
+    the gradients from the entries' symbolic partials (one evaluation of
+    the entries and partials together)."""
     pts = np.asarray(points, float).T
-    n = pts.shape[1]
-    r, c = len(exprs), len(exprs[0])
-    vals = np.empty((n, r, c))
-    grads = np.empty((n, adiff.CHART_DIM, r, c))
-    for i in range(r):
-        for j in range(c):
-            jet = exprs[i][j].jet(pts)
-            vals[:, i, j] = jet.value
-            grads[:, :, i, j] = jet.grad.T
-    return vals, grads
+    n, shape = pts.shape[1], (len(exprs), len(exprs[0]))
+    flat = [e for row in exprs for e in row]
+    partials = [adiff.gradient_exprs(e) for e in flat]
+    values = adiff.evaluate([*flat, *(p[l] for l in range(adiff.CHART_DIM) for p in partials)], pts)
+    m = len(flat)
+    return _stack(values[:m], n, shape), _stack(values[m:], n, (adiff.CHART_DIM, *shape))
 
 
 # --------------------------------------------------------------------------

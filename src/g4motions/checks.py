@@ -385,8 +385,8 @@ _FD_TABLES = ("xi", "dual", "e_cov", "e_con", "holo_basis", "frame_basis")
 
 def _fd_table_residual(table, grads, points, tol: ToleranceConfig) -> float:
     """Central differences of one table, from batched value evaluations at
-    points +- h e_k, against its jet gradients (n, 4, r, c); normalized to
-    the mixed absolute/relative tolerance."""
+    points +- h e_k, against its symbolic-partial gradients (n, 4, r, c);
+    normalized to the mixed absolute/relative tolerance."""
     steps = np.eye(4) * tol.fd_step
     fd = np.stack(
         [(eval_table(table, points + h) - eval_table(table, points - h)) / (2 * tol.fd_step) for h in steps],
@@ -396,8 +396,8 @@ def _fd_table_residual(table, grads, points, tol: ToleranceConfig) -> float:
 
 
 def check_fd_oracle(cloud: SampleCloud, tol: ToleranceConfig) -> CheckResult:
-    """Every expression table's forward-mode gradient against the central
-    finite-difference oracle (mixed absolute/relative tolerance)."""
+    """Every expression table's gradient, from its symbolic partials, against
+    the central finite-difference oracle (mixed absolute/relative tolerance)."""
     worst = max(
         _fd_table_residual(getattr(cloud.model, name), cloud.jet(name)[1], cloud.points, tol)
         for name in _FD_TABLES

@@ -4,8 +4,8 @@ the sample cloud that every verification check reads.
 All index gymnastics used by the verification suite and the particle
 mechanics lives here.  Point-wise wrappers return small dataclasses; the
 ``*_batch`` functions evaluate on (n, 4) point arrays and also return the
-coordinate gradients needed by the identity checks (obtained from the
-forward-mode jets of the tetrad/potential expression tables).
+coordinate gradients needed by the identity checks (the symbolic partials of
+the tetrad/potential expression tables, evaluated with their values).
 """
 from __future__ import annotations
 

@@ -4,17 +4,18 @@ The Hamiltonian is H = g^{ij} (p_i + A_i)(p_j + A_j); the linear motion
 integrals are the frame contractions Y_a = xi_a^i p_i (the gauge in which
 they carry no potential term).  The bracket checks read the batched
 gradients of H and Y from a ``geometry.SampleCloud``: coordinate gradients
-from the forward-mode jets, momentum gradients analytic (H is quadratic in
-p, Y linear).
+from the tables' symbolic partials, momentum gradients analytic (H is
+quadratic in p, Y linear).
 
 Trajectories are integrated with fixed-step classical RK4 — conservation
 drift is the measured quantity and fixed steps make convergence-order tests
 clean.  For the integrator's inner loop Hamilton's equations and the
 observables are compiled into two straight-line plain-``math`` kernels per
-run (cross-checked against the jet path and the finite-difference oracle in
-the tests), and the RK4 stages run on Python floats.  Runs that leave the
-entry's sampling box stop early and are flagged rather than raising, since
-exponential blow-up in noncompact charts is expected.
+run from the same symbolic partials (cross-checked against the batched
+sample-cloud gradients and the finite-difference oracle in the tests), and
+the RK4 stages run on Python floats.  Runs that leave the entry's sampling
+box stop early and are flagged rather than raising, since exponential
+blow-up in noncompact charts is expected.
 """
 from __future__ import annotations
 
@@ -268,16 +269,19 @@ def integrate_trajectory(
     alphas=None,
 ) -> Trajectory:
     """Classical fixed-step RK4 for Hamilton's equations, recording H and
-    Y_1..Y_4 each step.  Stops early (flagged, partial data) if the state
+    Y_1..Y_4 each step.  Raises ``ValueError`` unless ``round(T / h)`` is at
+    least one step.  Stops early (flagged, partial data) if the state
     leaves the entry's sampling box; raises ``FloatingPointError`` if the
     state, H or Y becomes non-finite."""
     if h <= 0 or T <= 0:
         raise ValueError("step size and horizon must be positive")
+    n_steps = int(round(T / h))
+    if n_steps < 1:
+        raise ValueError(f"T={T!r} and h={h!r} give round(T / h) = 0 RK4 steps")
     alphas = model.params.alphas() if alphas is None else np.asarray(alphas, float)
     rhs, observables = _compiled_dynamics(model, alphas)
     lo, hi = (b.tolist() for b in model.domain.bounds())
 
-    n_steps = int(round(T / h))
     half, sixth = 0.5 * h, h / 6.0
     y = [*state0.u.tolist(), *state0.p.tolist()]  # u1..u4, p1..p4
     states = array("d", y)

@@ -1,4 +1,5 @@
-"""Forward-mode jets against hand values and the finite-difference oracle."""
+"""Symbolic partials and the one evaluator against hand values and the
+finite-difference oracle."""
 import math
 
 import numpy as np
@@ -8,30 +9,40 @@ from g4motions import adiff
 from g4motions.adiff import (
     Const,
     DomainError,
+    FieldExpr,
     compile_values,
     coords,
     cos,
-    eval_jet,
+    evaluate,
     exp,
     finite_diff_gradient,
+    gradient_exprs,
     sin,
 )
+from g4motions.catalog import eval_table_jet
 
 U1, U2, U3, U4 = coords()
 
 
+def value_and_grad(f, u):
+    """Value and 4-gradient of ``f`` at ``u`` ((4,) or (4, N)) from one
+    evaluation of the field and its symbolic partials."""
+    value, *grad = evaluate([f, *gradient_exprs(f)], u)
+    return value, np.array(grad)
+
+
 def test_constant_field_has_zero_gradient():
-    jet = eval_jet(Const(7.0), [0.3, -1.0, 2.0, 0.5])
-    assert jet.value == 7.0
-    assert np.all(jet.grad == 0.0)
+    value, grad = value_and_grad(Const(7.0), [0.3, -1.0, 2.0, 0.5])
+    assert value == 7.0
+    assert np.all(grad == 0.0)
 
 
 def test_exponential_profile_gradient_at_origin():
     # d/du4 exp(-2 u4) = -2 at u4 = 0
     f = exp(-2.0 * U4)
-    jet = eval_jet(f, [0.0, 0.0, 0.0, 0.0])
-    assert jet.value == pytest.approx(1.0, abs=0)
-    assert np.allclose(jet.grad, [0.0, 0.0, 0.0, -2.0])
+    value, grad = value_and_grad(f, [0.0, 0.0, 0.0, 0.0])
+    assert value == pytest.approx(1.0, abs=0)
+    assert np.allclose(grad, [0.0, 0.0, 0.0, -2.0])
 
 
 def test_linear_field_finite_difference():
@@ -49,9 +60,9 @@ def test_jet_matches_finite_difference_on_mixed_expression():
     rng = np.random.default_rng(11)
     for _ in range(25):
         u = rng.uniform(-1.5, 1.5, size=4)
-        jet = eval_jet(f, u)
+        _, grad = value_and_grad(f, u)
         fd = finite_diff_gradient(f, u, h=1e-5)
-        assert np.allclose(jet.grad, fd, rtol=1e-7, atol=1e-9)
+        assert np.allclose(grad, fd, rtol=1e-7, atol=1e-9)
 
 
 def test_product_rule_is_exact():
@@ -61,10 +72,10 @@ def test_product_rule_is_exact():
     fg = f * g
     for _ in range(50):
         u = rng.uniform(-1.4, 1.4, size=4)
-        jf, jg, jfg = eval_jet(f, u), eval_jet(g, u), eval_jet(fg, u)
-        assert jfg.value == pytest.approx(jf.value * jg.value, abs=1e-12, rel=1e-12)
-        composed = jf.grad * jg.value + jf.value * jg.grad
-        assert np.max(np.abs(jfg.grad - composed)) <= 1e-12 * (1 + np.max(np.abs(composed)))
+        (vf, df), (vg, dg), (vfg, dfg) = (value_and_grad(h, u) for h in (f, g, fg))
+        assert vfg == pytest.approx(vf * vg, abs=1e-12, rel=1e-12)
+        composed = df * vg + vf * dg
+        assert np.max(np.abs(dfg - composed)) <= 1e-12 * (1 + np.max(np.abs(composed)))
 
 
 def test_quotient_and_chain_rule_against_oracle():
@@ -72,20 +83,20 @@ def test_quotient_and_chain_rule_against_oracle():
     rng = np.random.default_rng(8)
     for _ in range(30):
         u = rng.uniform(-1.2, 1.2, size=4)
-        jet = eval_jet(f, u)
+        _, grad = value_and_grad(f, u)
         fd = finite_diff_gradient(f, u)
-        assert np.max(np.abs(jet.grad - fd)) <= 1e-6 * (1 + np.max(np.abs(jet.grad)))
+        assert np.max(np.abs(grad - fd)) <= 1e-6 * (1 + np.max(np.abs(grad)))
 
 
 def test_batched_jets_match_pointwise():
     f = U1 * U1 * exp(-U3) + sin(U4 - U2)
     rng = np.random.default_rng(3)
     pts = rng.uniform(-1.0, 1.0, size=(20, 4))
-    batch = eval_jet(f, pts.T)
+    batch_value, batch_grad = value_and_grad(f, pts.T)
     for k, u in enumerate(pts):
-        single = eval_jet(f, u)
-        assert batch.value[k] == pytest.approx(single.value, abs=0)
-        assert np.array_equal(batch.grad[:, k], single.grad)
+        value, grad = value_and_grad(f, u)
+        assert batch_value[k] == pytest.approx(value, abs=0)
+        assert np.array_equal(batch_grad[:, k], grad)
 
 
 def test_singular_denominator_raises():
@@ -93,7 +104,7 @@ def test_singular_denominator_raises():
     with pytest.raises(DomainError):
         f([0.0, 1.0, 1.0, 1.0])
     with pytest.raises(DomainError):
-        eval_jet(f, [0.0, 1.0, 1.0, 1.0])
+        value_and_grad(f, [0.0, 1.0, 1.0, 1.0])
 
 
 def test_finite_diff_rejects_bad_step():
@@ -102,14 +113,15 @@ def test_finite_diff_rejects_bad_step():
 
 
 def test_symbolic_diff_matches_jets():
+    """The symbolic partials against the central-difference oracle (the
+    independent check on the one derivative path), at the oracle's bound."""
     f = U1 * exp(-2.0 * U4) + cos(U2) / (2.0 + U3 * U3)
     rng = np.random.default_rng(17)
     partials = adiff.gradient_exprs(f)
     for _ in range(20):
         u = rng.uniform(-1.3, 1.3, size=4)
-        jet = eval_jet(f, u)
         sym = np.array([p(u) for p in partials])
-        assert np.allclose(sym, jet.grad, atol=1e-13, rtol=1e-13)
+        assert np.allclose(sym, finite_diff_gradient(f, u, h=1e-5), rtol=1e-7, atol=1e-9)
 
 
 def test_compiled_values_match_tree_walk():
@@ -129,8 +141,9 @@ def test_compiled_values_match_tree_walk():
 
 
 def test_catalog_expressions_agree_with_oracle(models):
-    """Every expression table of every entry: AD vs central differences,
-    |ad - fd| <= atol + rtol |ad| with atol = rtol = 1e-6, h = 1e-5."""
+    """Every expression table of every entry: symbolic partials vs central
+    differences, |ad - fd| <= atol + rtol |ad| with atol = rtol = 1e-6,
+    h = 1e-5."""
     from g4motions import catalog
 
     for gid, model in models.items():
@@ -139,13 +152,108 @@ def test_catalog_expressions_agree_with_oracle(models):
         lo, hi = model.domain.bounds()
         pts = np.clip(pts, lo + 1e-4, hi - 1e-4)
         for table in (model.xi, model.dual, model.e_cov, model.e_con, model.holo_basis):
-            for row in table:
-                for expr in row:
-                    jets = expr.jet(pts.T)
+            _, grads = eval_table_jet(table, pts)  # (n, 4, r, c)
+            for i, row in enumerate(table):
+                for j, expr in enumerate(row):
                     for k in range(0, len(pts), 7):
                         fd = finite_diff_gradient(expr, pts[k], h=1e-5)
-                        ad = jets.grad[:, k]
+                        ad = grads[k, :, i, j]
                         assert np.max(np.abs(ad - fd)) <= 1e-6 + 1e-6 * np.max(np.abs(ad)), (
                             gid,
                             expr,
                         )
+
+
+# --------------------------------------------------------------------------
+# The evaluator
+# --------------------------------------------------------------------------
+
+
+class _Tally(FieldExpr):
+    """Identity node that logs each of its evaluations; its partials are
+    tallied too."""
+
+    log: list = []
+
+    def __init__(self, f):
+        self.operands = (f,)
+
+    def eval(self, u, f):
+        _Tally.log.append(id(self))
+        return f
+
+    def diff(self, axis):
+        return _Tally(self.operands[0].diff(axis))
+
+
+def _reachable(roots):
+    seen, stack = {}, list(roots)
+    while stack:
+        e = stack.pop()
+        if id(e) not in seen:
+            seen[id(e)] = e
+            stack.extend(e.operands)
+    return seen.values()
+
+
+def test_each_distinct_node_evaluated_once_across_values_and_partials():
+    a = _Tally(U1 * U2)
+    b = _Tally(exp(-a))
+    table = [[a * b, b / (2.0 + a)], [sin(a), _Tally(U3) * b]]
+    flat = [e for row in table for e in row]
+    roots = [*flat, *(d for e in flat for d in gradient_exprs(e))]
+    pts = np.random.default_rng(2).uniform(-1.0, 1.0, size=(4, 6))
+
+    _Tally.log.clear()
+    values = evaluate(roots, pts)
+    tallies = [id(e) for e in _reachable(roots) if isinstance(e, _Tally)]
+    assert len(tallies) > 3  # the partials add tally nodes of their own
+    assert sorted(_Tally.log) == sorted(tallies)
+    want = [np.array([e(p) for p in pts.T]) for e in roots]
+    for got, ref in zip(values, want):
+        assert np.allclose(got, ref, atol=0, rtol=1e-15)
+
+    # the table evaluator shares the value nodes with the partials the same way
+    _Tally.log.clear()
+    eval_table_jet(table, pts.T)
+    assert _Tally.log.count(id(a)) == 1 and _Tally.log.count(id(b)) == 1
+
+
+def test_root_that_is_an_operand_of_another_root():
+    f = exp(U4)
+    assert f.diff(3) is f  # the partial is the exp node itself
+    g = U1 * f
+    u = [0.5, -0.3, 1.1, 0.7]
+    got = evaluate([g, *gradient_exprs(g), f, f.diff(3), f], u)
+    e = math.exp(0.7)
+    want = [0.5 * e, e, 0.0, 0.0, 0.5 * e, e, e, e]
+    assert np.allclose(got, want, atol=0, rtol=1e-15)
+
+
+class _Square(FieldExpr):
+    """A node type defined outside the library: f**2 with (f**2)' = 2 f f'."""
+
+    def __init__(self, f):
+        self.operands = (f,)
+
+    def eval(self, u, f):
+        return f * f
+
+    def diff(self, axis):
+        f = self.operands[0]
+        return 2.0 * f * f.diff(axis)
+
+
+def test_node_type_defined_outside_the_library():
+    f = _Square(sin(U1) + U2 * U4)
+    rng = np.random.default_rng(31)
+    for _ in range(10):
+        u = rng.uniform(-1.2, 1.2, size=4)
+        value, grad = value_and_grad(f, u)
+        assert value == pytest.approx((math.sin(u[0]) + u[1] * u[3]) ** 2, abs=0, rel=1e-15)
+        assert np.allclose(grad, finite_diff_gradient(f, u, h=1e-5), rtol=1e-7, atol=1e-9)
+    pts = rng.uniform(-1.2, 1.2, size=(5, 4))
+    vals, grads = eval_table_jet([[f, U3]], pts)
+    for k, u in enumerate(pts):
+        value, grad = value_and_grad(f, u)
+        assert vals[k, 0, 0] == value and np.array_equal(grads[k, :, 0, 0], grad)

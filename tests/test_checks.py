@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from g4motions import catalog, checks
-from g4motions.adiff import FieldExpr, Jet1, coords, exp
+from g4motions.adiff import FieldExpr, coords, exp
 from g4motions.catalog import ABELIAN_SUBGROUP_IDS, GroupId, GroupParams, get_group
 from g4motions.checks import (
     ASSERTED_HOLO_ADMISSIBILITY,
@@ -328,17 +328,17 @@ def test_negative_control_unclosed_bracket_fails_without_raising(samples, tol):
 
 
 class _SkewedGradient(FieldExpr):
-    """A field with exact values whose jet gradient is off by a factor 1 + 1e-3."""
+    """A field with exact values whose partials are off by a factor 1 + 1e-3."""
 
     def __init__(self, f):
         self.f = f
+        self.operands = (f,)
 
-    def eval(self, u):
-        return self.f.eval(u)
+    def eval(self, u, f):
+        return f
 
-    def jet(self, u):
-        j = self.f.jet(u)
-        return Jet1(j.value, j.grad * (1 + 1e-3))
+    def diff(self, axis):
+        return self.f.diff(axis) * (1 + 1e-3)
 
 
 def test_negative_control_fd_oracle(models, tol):

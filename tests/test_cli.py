@@ -222,6 +222,7 @@ FAILURE_SURFACE = [
     (["simulate", "--group", "g4-viii-a"], 2, "[0.2, 2.94159]"),
     (["simulate", "--group", "g4-ii", "--u0", "100,100,100,100"], 2, "outside the sampling box"),
     (["simulate", "--group", "g4-ii", "--T", "inf"], 2, "finite"),
+    (["simulate", "--group", "g4-ii", "--u0", "0,0,0,0", "--T", "1e-4", "--h", "1e-3"], 2, "0 RK4 steps"),
     (["verify", "--group", "g4-ii", "--points", "5", "--param", "alpha1=1e308"], 2, "non-finite"),
     (["simulate", "--group", "g4-ii", "--u0=0,0,0,0", "--p0=1e200,1e200,0,0", "--T", "0.01", "--h", "1e-3"],
      2, "FloatingPointError"),

@@ -192,6 +192,8 @@ def test_integrate_rejects_bad_steps(models):
         integrate_trajectory(models[GroupId.G4_II], state0, T=1.0, h=0.0)
     with pytest.raises(ValueError):
         integrate_trajectory(models[GroupId.G4_II], state0, T=-1.0, h=0.1)
+    with pytest.raises(ValueError, match="0 RK4 steps"):
+        integrate_trajectory(models[GroupId.G4_II], state0, T=1e-4, h=1e-3)  # round(T / h) = 0
 
 
 def test_drift_report_fixtures():
