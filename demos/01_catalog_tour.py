@@ -11,6 +11,7 @@ import numpy as np
 
 from g4motions import catalog
 from g4motions.catalog import GroupId, GroupParams, eval_table
+from g4motions.geometry import SampleCloud
 
 np.set_printoptions(precision=4, suppress=True)
 
@@ -33,10 +34,12 @@ dual = eval_table(model.dual, u[None])[0]
 print(xi @ dual)
 
 # --- the admissible potential, linear in four constants ------------------
+cloud = SampleCloud(model, u[None])
+alphas = model.params.alphas()
 print("\nholonomic potential A_i at u for alphas = (1,1,1,1):")
-print(catalog.potential(model, u))
+print(cloud.potential(alphas)[0][0])
 print("same potential from the left-invariant tetrad legs:")
-print(catalog.potential_from_tetrad(model, u))
+print(cloud.potential(alphas, "tetrad_basis")[0][0])
 
 # --- a rotation-group entry ----------------------------------------------
 spherical = catalog.get_group(GroupId.G4_VIII_A)

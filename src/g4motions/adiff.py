@@ -10,9 +10,9 @@ chain and product rules reuse them).
 
 ``evaluate`` is the one evaluator, for values and partials alike: it
 evaluates each distinct node of a list of trees once per call and drops
-each value after its last use.  A central finite-difference oracle is
-provided so that every gradient used downstream can be compared against an
-independent estimate, and a small source-level compiler turns expression
+each value after its last use.  The independent check on the partials is
+the central finite-difference oracle of the verification suite
+(``checks.check_fd_oracle``).  A small source-level compiler turns expression
 trees into straight-line plain-``math`` functions (one temporary per
 distinct subtree) for the trajectory integrator's hot loop.
 """
@@ -38,7 +38,6 @@ __all__ = [
     "cos",
     "as_point",
     "evaluate",
-    "finite_diff_gradient",
     "compile_values",
     "gradient_exprs",
 ]
@@ -425,23 +424,6 @@ def evaluate(exprs: Sequence[FieldExpr], u) -> list:
                 del values[key]
         values[id(e)] = e.eval(u, *args)
     return [values[id(e)] for e in exprs]
-
-
-def finite_diff_gradient(f, u, h: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient estimate, the independent oracle.
-
-    ``f`` may be a FieldExpr or any callable of a (4,) point.  The estimate
-    is (f(u + h e_i) - f(u - h e_i)) / (2 h) per axis.
-    """
-    if h <= 0:
-        raise ValueError("finite-difference step must be positive")
-    u = as_point(u)
-    grad = np.empty(CHART_DIM)
-    for i in range(CHART_DIM):
-        step = np.zeros(CHART_DIM)
-        step[i] = h
-        grad[i] = (f(u + step) - f(u - step)) / (2.0 * h)
-    return grad
 
 
 def gradient_exprs(f: FieldExpr) -> list[FieldExpr]:

@@ -23,13 +23,13 @@ can surface it; the uncorrected frame-potential tables are kept alongside
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
 
 from . import adiff
-from .adiff import Const, FieldExpr, coords, exp, sin, cos
+from .adiff import FieldExpr, coords, exp, sin, cos
 
 U1, U2, U3, U4 = coords()
 
@@ -40,12 +40,8 @@ __all__ = [
     "OrientationDecision",
     "GroupModel",
     "InvalidParams",
-    "ClosureFailed",
     "get_group",
-    "all_groups",
     "sample_points",
-    "potential",
-    "potential_from_tetrad",
     "potential_from_basis",
     "frame_bracket",
     "orient_tetrad",
@@ -55,10 +51,6 @@ __all__ = [
 
 class InvalidParams(ValueError):
     """Group parameters violate the entry's constraints."""
-
-
-class ClosureFailed(RuntimeError):
-    """No overall sign makes the frame brackets close on the stored constants."""
 
 
 class GroupId(str, Enum):
@@ -207,7 +199,6 @@ class GroupModel:
     abelian_block: np.ndarray | None  # the 3x3 C_a^b matrix for the VI family
     notes: tuple = ()
     orientation: OrientationDecision | None = None
-    _bracket_sign: int | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def name(self) -> str:
@@ -220,21 +211,6 @@ class GroupModel:
     def tetrad_basis(self) -> list:
         """Tetrad-constructed potential, basis-wise: entry [beta][i] = e^beta_i."""
         return [[self.e_cov[i][beta] for i in range(4)] for beta in range(4)]
-
-    def bracket_sign(self) -> int:
-        """Overall sign s with [xi_a, xi_b] = s C^g_ab xi_g, found empirically
-        at 16 fixed sample points; raises ``ClosureFailed`` if neither sign
-        closes."""
-        if self._bracket_sign is None:
-            xi, dxi = eval_table_jet(self.xi, sample_points(self.domain, 16, 1234))
-            _, s, res = frame_bracket(xi, dxi, self.structure_constants)
-            if res[s] > 1e-8:
-                raise ClosureFailed(
-                    f"{self.name}: no bracket sign closes on the stored structure "
-                    f"constants (residuals {res[1]:.2e} / {res[-1]:.2e})"
-                )
-            self._bracket_sign = s
-        return self._bracket_sign
 
     def with_eta(self, eta) -> "GroupModel":
         """The same entry under another constant frame metric.  The expression
@@ -264,18 +240,6 @@ def _ctensor(entries) -> np.ndarray:
         C[g - 1, a - 1, b - 1] = v
         C[g - 1, b - 1, a - 1] = -v
     return C
-
-
-def _matmul_exprs(A, B) -> list:
-    n, m, p = len(A), len(B[0]), len(B)
-    out = _zeros(n, m)
-    for i in range(n):
-        for j in range(m):
-            acc = adiff.ZERO
-            for k in range(p):
-                acc = acc + A[i][k] * B[k][j]
-            out[i][j] = acc
-    return out
 
 
 def _frame_from_holo(xi, holo_basis) -> list:
@@ -1064,10 +1028,6 @@ def get_group(group_id: GroupId | str, params: GroupParams | None = None) -> Gro
     return model
 
 
-def all_groups(params: GroupParams | None = None) -> list[GroupModel]:
-    return [get_group(gid, params) for gid in GroupId]
-
-
 def _scaled_error(lhs, rhs) -> np.ndarray:
     """|lhs - rhs| / (1 + max(|lhs|, |rhs|)) elementwise: the relative
     residual of every identity check."""
@@ -1111,24 +1071,6 @@ def potential_from_basis(alphas, basis) -> np.ndarray:
     """A_i = alpha_b T^b_i from a basis-wise potential table's values
     (n, b, i), or d_l A_i from its gradients (n, l, b, i)."""
     return np.einsum("b,...bi->...i", alphas, basis)
-
-
-def _potential_at(model: GroupModel, table, u, alphas) -> np.ndarray:
-    alphas = model.params.alphas() if alphas is None else np.asarray(alphas, float)
-    u = np.asarray(u, float)
-    A = potential_from_basis(alphas, eval_table(table, np.atleast_2d(u)))
-    return A[0] if u.ndim == 1 else A
-
-
-def potential(model: GroupModel, u, alphas=None) -> np.ndarray:
-    """Holonomic potential A_i at chart point(s) u with the model's (or the
-    given) potential constants."""
-    return _potential_at(model, model.holo_basis, u, alphas)
-
-
-def potential_from_tetrad(model: GroupModel, u, alphas=None) -> np.ndarray:
-    """Left-invariant potential A_i = alpha_beta e^beta_i."""
-    return _potential_at(model, model.tetrad_basis, u, alphas)
 
 
 # --------------------------------------------------------------------------

@@ -77,15 +77,6 @@ class CheckResult:
     def __post_init__(self):
         self.passed = bool(self.max_residual <= self.tolerance)
 
-    def describe(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        if not self.asserted:
-            status += "*"
-        return (
-            f"{self.group:12s} {self.name:34s} "
-            f"{self.max_residual:10.3e} <= {self.tolerance:8.1e}  {status}"
-        )
-
 
 def scaled_max(lhs, rhs) -> float:
     """max |lhs - rhs| / (1 + max(|lhs|, |rhs|)) over all entries.

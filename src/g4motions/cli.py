@@ -2,9 +2,10 @@
 integrate charged-particle trajectories.
 
 Exit codes: 0 all asserted checks pass, 1 a verification failure, 2 usage or
-configuration error.  Reports are deterministic for a fixed configuration
-(floats serialized with a fixed 17-significant-digit format), so two runs
-with the same seed produce byte-identical JSON.
+configuration error, an output path that cannot be written included.
+Reports are deterministic for a fixed configuration (floats serialized with
+a fixed 17-significant-digit format), so two runs with the same seed produce
+byte-identical JSON.
 """
 from __future__ import annotations
 
@@ -161,7 +162,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the verification suite")
     _add_common(p_verify)
 
-    p_sim = sub.add_parser("simulate", help="integrate a charged-particle trajectory")
+    p_sim = sub.add_parser(
+        "simulate",
+        help="integrate a charged-particle trajectory",
+        description="integrate a charged-particle trajectory; when the potential "
+        "constants are not the admissible ones that verify checks {H, Y_a} = 0 for, "
+        "the run goes ahead and one warning line on stderr names the admissible alphas",
+    )
     _add_common(p_sim)
     p_sim.add_argument("--u0", default="0,0,0,0", help="initial chart point, comma separated")
     p_sim.add_argument("--p0", default="0.1,0.2,0.3,0.4", help="initial momenta, comma separated")
@@ -375,6 +382,7 @@ def cmd_simulate(config: RunConfig, u0, p0, T: float, h: float) -> int:
         start = ",".join(f"{x:g}" for x in state0.u)
         raise InvalidParams(f"--u0 {start} lies outside the sampling box of {model.name}: {box}")
     alphas = model.params.alphas()
+    admissible = checks.admissible_alphas(model)
     traj = mechanics.integrate_trajectory(model, state0, T=T, h=h, alphas=alphas)
     stats = mechanics.drift_report(traj)
 
@@ -389,13 +397,19 @@ def cmd_simulate(config: RunConfig, u0, p0, T: float, h: float) -> int:
         "h": h,
         "alphas": alphas.tolist(),
         # verify checks {H, Y_a} = 0 only for these projected constants
-        "alphas_admissible": bool(np.array_equal(alphas, checks.admissible_alphas(model))),
+        "alphas_admissible": bool(np.array_equal(alphas, admissible)),
         "domain_exit": traj.domain_exit,
         "t_final": float(traj.t[-1]),
         "csv": csv_path,
         "max_drift_H": stats.H.max_abs,
         "max_drift_Y": [d.max_abs for d in stats.Y],
     }
+    if not summary["alphas_admissible"]:
+        print(
+            f"warning: alphas {alphas.tolist()} are not admissible for {model.name}; "
+            f"verify checks {{H, Y_a}} = 0 for alphas {admissible.tolist()}",
+            file=sys.stderr,
+        )
     sys.stdout.write(render_json(summary) + "\n")
     return 0
 
@@ -417,7 +431,7 @@ def main(argv=None) -> int:
                 p0 = [float(x) for x in args.p0.split(",")]
                 return cmd_simulate(config, u0, p0, args.T, args.h)
             parser.error(f"unknown command {args.command}")
-    except ValueError as exc:  # InvalidParams included
+    except (ValueError, OSError) as exc:  # InvalidParams, and an unwritable --out
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ArithmeticError, np.linalg.LinAlgError) as exc:

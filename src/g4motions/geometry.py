@@ -1,34 +1,22 @@
-"""Metric tensors from tetrads, frame metric components, field strength, and
-the sample cloud that every verification check reads.
+"""Metric tensors from tetrads, and the sample cloud that every verification
+check reads.
 
-All index gymnastics used by the verification suite and the particle
-mechanics lives here.  Point-wise wrappers return small dataclasses; the
-``*_batch`` functions evaluate on (n, 4) point arrays and also return the
-coordinate gradients needed by the identity checks (the symbolic partials of
-the tetrad/potential expression tables, evaluated with their values).
+All index gymnastics used by the verification suite lives here.
+``metric_batch`` assembles the metric on (n, 4) point arrays together with
+its coordinate gradient; ``SampleCloud`` evaluates one entry's tables, metric,
+frame metric, frame bracket and potential on a fixed set of points, with the
+coordinate gradients the identity checks need (the symbolic partials of the
+expression tables, evaluated with their values).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .catalog import GroupModel, eval_table, eval_table_jet, frame_bracket, potential_from_basis
 
-__all__ = [
-    "SingularMetric",
-    "MetricAt",
-    "FrameMetricAt",
-    "FaradayAt",
-    "SampleCloud",
-    "metric_at",
-    "faraday_at",
-    "frame_metric_at",
-    "metric_batch",
-    "frame_metric_batch",
-    "faraday_batch",
-]
+__all__ = ["SingularMetric", "SampleCloud", "metric_batch"]
 
 _DET_GUARD = 1e-12
 
@@ -39,23 +27,6 @@ _SHARED_JETS = frozenset({"xi", "dual", "e_con", "holo_basis"})
 
 class SingularMetric(ArithmeticError):
     """The assembled metric is (numerically) degenerate."""
-
-
-@dataclass
-class MetricAt:
-    g_con: np.ndarray  # g^{ij}
-    g_cov: np.ndarray  # g_{ij}
-
-
-@dataclass
-class FrameMetricAt:
-    G_con: np.ndarray  # frame components of g^{ij}
-    G_cov: np.ndarray
-
-
-@dataclass
-class FaradayAt:
-    F: np.ndarray  # F_{ij} = A_{j,i} - A_{i,j}, antisymmetric
 
 
 def _invert(g: np.ndarray) -> np.ndarray:
@@ -84,11 +55,6 @@ def metric_batch(
     dg = decon.transpose(0, 1, 3, 2) @ t[:, None]
     dg = dg + dg.transpose(0, 1, 3, 2)
     return g, _invert(g), dg
-
-
-def metric_at(model: GroupModel, u) -> MetricAt:
-    g, ginv, _ = metric_batch(model, np.asarray(u, float)[None, :])
-    return MetricAt(g_con=g[0], g_cov=ginv[0])
 
 
 class SampleCloud:
@@ -198,35 +164,3 @@ class SampleCloud:
         dH = np.einsum("nlij,ni,nj->nl", dg, P, P) + 2.0 * np.einsum("nli,ni->nl", dA, gP)
         return dH, 2.0 * gP
 
-
-def faraday_batch(
-    model: GroupModel, points, alphas=None, basis: str = "holo_basis"
-) -> np.ndarray:
-    """F_{ij} at points (n, 4), from the jets of the potential table ``basis``
-    (a ``SampleCloud.jet`` name)."""
-    alphas = model.params.alphas() if alphas is None else alphas
-    _, dA = SampleCloud(model, points).potential(alphas, basis)
-    return dA - dA.transpose(0, 2, 1)  # F[n,i,j] = d_i A_j - d_j A_i
-
-
-def faraday_at(model: GroupModel, u, alphas=None) -> FaradayAt:
-    F = faraday_batch(model, np.asarray(u, float)[None, :], alphas=alphas)
-    return FaradayAt(F=F[0])
-
-
-def frame_metric_batch(model: GroupModel, points) -> tuple[np.ndarray, np.ndarray]:
-    """Frame components G^{ab} (n, a, b) of g^{ij} and G_{ab} of g_{ij}."""
-    cloud = SampleCloud(model, points)
-    G_con, _ = cloud.frame_metric()
-    _, ginv, _ = cloud.metric
-    xiv = cloud.values("xi")  # (n, alpha, i)
-    G_cov = xiv @ ginv @ xiv.transpose(0, 2, 1)  # xi_a^i g_{ij} xi_b^j
-    return G_con, G_cov
-
-
-def frame_metric_at(model: GroupModel, u) -> FrameMetricAt:
-    G_con, G_cov = frame_metric_batch(model, np.asarray(u, float)[None, :])
-    resid = np.max(np.abs(G_con[0] @ G_cov[0] - np.eye(4)))
-    if resid > 1e-8:
-        raise SingularMetric(f"frame metric variance forms fail to invert ({resid:.3e})")
-    return FrameMetricAt(G_con=G_con[0], G_cov=G_cov[0])

@@ -2,10 +2,10 @@
 
 The Hamiltonian is H = g^{ij} (p_i + A_i)(p_j + A_j); the linear motion
 integrals are the frame contractions Y_a = xi_a^i p_i (the gauge in which
-they carry no potential term).  The bracket checks read the batched
-gradients of H and Y from a ``geometry.SampleCloud``: coordinate gradients
-from the tables' symbolic partials, momentum gradients analytic (H is
-quadratic in p, Y linear).
+they carry no potential term).  Their values and gradients on a sample of
+phase points come from a ``geometry.SampleCloud``; the bracket checks read
+its batched gradients: coordinate gradients from the tables' symbolic
+partials, momentum gradients analytic (H is quadratic in p, Y linear).
 
 Trajectories are integrated with fixed-step classical RK4 — conservation
 drift is the measured quantity and fixed steps make convergence-order tests
@@ -26,8 +26,8 @@ from operator import gt
 
 import numpy as np
 
-from . import adiff, catalog, geometry
-from .catalog import GroupModel, eval_table
+from . import adiff
+from .catalog import GroupModel
 from .checks import CheckResult, ToleranceConfig, admissible_alphas, scaled_max
 from .geometry import SampleCloud
 
@@ -35,8 +35,6 @@ __all__ = [
     "PhasePoint",
     "Trajectory",
     "DriftStats",
-    "hamiltonian",
-    "motion_integral",
     "check_integral_algebra",
     "check_hamiltonian_commutes",
     "sample_phase_points",
@@ -59,21 +57,6 @@ class PhasePoint:
         self.p = np.asarray(self.p, dtype=float)
         if self.p.shape != (4,) or not np.all(np.isfinite(self.p)):
             raise ValueError("momenta must be four finite components")
-
-
-def hamiltonian(model: GroupModel, state: PhasePoint, alphas=None) -> float:
-    g, _, _ = geometry.metric_batch(model, state.u[None, :])
-    A = catalog.potential(model, state.u, alphas=alphas)
-    P = state.p + A
-    return float(P @ g[0] @ P)
-
-
-def motion_integral(model: GroupModel, alpha_index: int, state: PhasePoint) -> float:
-    """Y_a = xi_a^i p_i for the 1-based frame index ``alpha_index``."""
-    if not 1 <= alpha_index <= 4:
-        raise ValueError("frame index must be 1..4")
-    xi = eval_table(model.xi, state.u[None, :])[0]
-    return float(xi[alpha_index - 1] @ state.p)
 
 
 # --------------------------------------------------------------------------

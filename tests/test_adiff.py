@@ -15,11 +15,11 @@ from g4motions.adiff import (
     cos,
     evaluate,
     exp,
-    finite_diff_gradient,
     gradient_exprs,
     sin,
 )
 from g4motions.catalog import eval_table_jet
+from oracles import finite_diff_gradient
 
 U1, U2, U3, U4 = coords()
 

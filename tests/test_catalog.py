@@ -14,10 +14,9 @@ from g4motions.catalog import (
     eval_table,
     get_group,
     orient_tetrad,
-    potential,
-    potential_from_tetrad,
     sample_points,
 )
+from g4motions.geometry import SampleCloud
 
 U1, U2, U3, U4 = coords()
 
@@ -104,8 +103,8 @@ def test_frame_duality_all_entries(clouds, tol):
 
 def test_potential_g4_i_at_origin():
     model = get_group(GroupId.G4_I_CNE1, GroupParams(c=2.0))
-    A = potential(model, np.zeros(4))
-    assert np.allclose(A, [1.0, 1.0, 1.0, 1.0])
+    A, _ = SampleCloud(model, np.zeros((1, 4))).potential(model.params.alphas())
+    assert np.allclose(A[0], [1.0, 1.0, 1.0, 1.0])
 
 
 def test_potential_abelian_entry_structure():
@@ -116,7 +115,7 @@ def test_potential_abelian_entry_structure():
     diag = np.array([3.0, 1.0, 2.0])
     Aa = np.exp(-diag * u[3])
     expected4 = -np.sum(diag * u[:3] * Aa) + 1.0
-    A = potential(model, u)
+    A = SampleCloud(model, u[None]).potential(model.params.alphas())[0][0]
     assert np.allclose(A[:3], Aa, atol=1e-15)
     assert A[3] == pytest.approx(expected4, rel=1e-14)
 
@@ -124,12 +123,12 @@ def test_potential_abelian_entry_structure():
 def test_potential_linear_in_constants(models):
     rng = np.random.default_rng(2)
     for gid, model in models.items():
-        u = sample_points(model.domain, 1, 9)[0]
+        cloud = SampleCloud(model, sample_points(model.domain, 1, 9))
         a1, a2 = rng.uniform(-2, 2, 4), rng.uniform(-2, 2, 4)
-        lhs = potential(model, u, alphas=a1 + a2)
-        rhs = potential(model, u, alphas=a1) + potential(model, u, alphas=a2)
+        lhs = cloud.potential(a1 + a2)[0]
+        rhs = cloud.potential(a1)[0] + cloud.potential(a2)[0]
         assert np.allclose(lhs, rhs, atol=1e-13), gid
-        assert np.allclose(potential(model, u, alphas=np.zeros(4)), 0.0), gid
+        assert np.allclose(cloud.potential(np.zeros(4))[0], 0.0), gid
 
 
 def test_tetrad_potential_reproduces_table_for_exact_entries(models, samples):
@@ -143,8 +142,9 @@ def test_tetrad_potential_reproduces_table_for_exact_entries(models, samples):
         GroupId.G4_VIII_A,
     ):
         model = models[gid]
-        pts = samples[gid][0][:50]
-        diff = potential_from_tetrad(model, pts) - potential(model, pts)
+        cloud = SampleCloud(model, samples[gid][0][:50])
+        alphas = model.params.alphas()
+        diff = cloud.potential(alphas, "tetrad_basis")[0] - cloud.potential(alphas)[0]
         assert np.max(np.abs(diff)) <= 1e-10, gid
 
 
@@ -153,8 +153,8 @@ def test_tetrad_potential_g4_ii_origin_component(models):
     # an independent numeric evaluation of the tetrad matrix: row i=1 of
     # e^alpha_i at u=0 is (0, 0, -1, 0), so A_1 = -alpha_3
     model = models[GroupId.G4_II]
-    A = potential_from_tetrad(model, np.zeros(4), alphas=[1.0, 1.0, 1.0, 1.0])
-    assert A[0] == pytest.approx(-1.0, abs=1e-15)
+    A, _ = SampleCloud(model, np.zeros((1, 4))).potential(np.ones(4), "tetrad_basis")
+    assert A[0, 0] == pytest.approx(-1.0, abs=1e-15)
 
 
 def test_orientation_decisions(models):
@@ -185,9 +185,10 @@ def test_orientation_relabeling_recorded_for_g4_iii(models):
     assert not np.allclose(R, np.eye(4))
 
 
-def test_bracket_sign_is_plus_one_for_all_entries(models):
-    for gid, model in models.items():
-        assert model.bracket_sign() == 1, gid
+def test_bracket_sign_is_plus_one_for_all_entries(clouds):
+    for gid, cloud in clouds.items():
+        _, s, res = cloud.bracket
+        assert s == 1 and res[s] <= 1e-8, gid
 
 
 def test_abelian_frame_table_solves_transport_equation(models, samples):
@@ -211,21 +212,3 @@ def test_catalog_entry_dump(models):
     assert triples == {(3, 1, 2): 1.0, (1, 2, 3): 1.0, (2, 3, 1): 1.0}
     assert entry["domain"]["excluded"] == "sin(u1) = 0"
 
-
-def test_closure_failed_raised_for_inconsistent_constants(models):
-    bad = dataclasses.replace(
-        models[GroupId.G4_VIII_A], structure_constants=np.zeros((4, 4, 4))
-    )
-    with pytest.raises(catalog.ClosureFailed):
-        bad.bracket_sign()
-
-
-def test_replaced_model_resolves_its_own_bracket_sign():
-    """A copy made by ``dataclasses.replace`` or ``with_eta`` starts with an
-    unresolved sign, even after the original has resolved its own."""
-    model = catalog.get_group(GroupId.G4_I_CNE1)
-    assert model.bracket_sign() == 1
-    assert model.with_eta(model.params.eta)._bracket_sign is None
-    bad = dataclasses.replace(model, structure_constants=np.zeros((4, 4, 4)))
-    with pytest.raises(catalog.ClosureFailed):
-        bad.bracket_sign()

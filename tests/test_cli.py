@@ -159,11 +159,37 @@ def test_simulate_reports_alphas_admissibility(tmp_path, capsys, params, alphas,
     args = ["simulate", "--group", "g4-vi-1", "--out", str(tmp_path / "traj.csv")]
     for key in params:
         args += ["--param", key]
-    code, out, _ = run_cli(args, capsys)
+    code, out, err = run_cli(args, capsys)
     assert code == 0
     summary = json.loads(out)
     assert summary["alphas"] == alphas
     assert summary["alphas_admissible"] is admissible
+    # non-admissible constants still integrate, with one warning naming the admissible ones
+    if admissible:
+        assert err == ""
+    else:
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("warning: "), err
+        assert "[0.0, 0.0, 0.0, 1.0]" in lines[0]
+
+
+UNWRITABLE_OUT = {
+    "list": ["list", "--group", "g4-ii"],
+    "verify": ["verify", "--group", "g4-ii", "--points", "5"],
+    "simulate": ["simulate", "--group", "g4-ii", "--T", "0.01"],
+}
+
+
+@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+@pytest.mark.parametrize("command", list(UNWRITABLE_OUT))
+def test_unwritable_out_fails_cleanly(command, target, tmp_path, capsys):
+    # exit 1 means a failed verification; an output path that cannot be written is exit 2
+    out = tmp_path / "missing" / "out" if target == "missing-directory" else tmp_path
+    code, _, err = run_cli([*UNWRITABLE_OUT[command], "--out", str(out)], capsys)
+    assert code == 2
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+    assert str(out) in lines[0]
 
 
 def test_report_config_records_every_parameter(capsys):

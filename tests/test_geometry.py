@@ -1,5 +1,4 @@
 """Metric assembly, field strength, frame metric."""
-import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +6,8 @@ import pytest
 
 from g4motions import geometry
 from g4motions.catalog import GroupId, GroupParams, get_group
-from g4motions.geometry import SingularMetric, faraday_at, frame_metric_at, metric_at
+from g4motions.geometry import SampleCloud, SingularMetric
+from oracles import frame_metric_cov
 
 ETA_LORENTZ = np.diag([1.0, -1.0, -1.0, -1.0])
 
@@ -17,15 +17,22 @@ def flat_model():
     return get_group(GroupId.G4_VI_1, GroupParams(k=0.0, l=0.0, eps01=0))
 
 
+def faraday(model, points, alphas=None, basis="holo_basis"):
+    """F_ij = d_i A_j - d_j A_i (n, i, j) from the cloud's potential gradient."""
+    alphas = model.params.alphas() if alphas is None else alphas
+    _, dA = SampleCloud(model, np.atleast_2d(points)).potential(alphas, basis)
+    return dA - dA.transpose(0, 2, 1)
+
+
 def test_identity_tetrad_gives_eta():
-    m = metric_at(flat_model(), np.array([0.3, -0.2, 0.9, 1.1]))
-    assert np.allclose(m.g_cov, ETA_LORENTZ, atol=1e-15)
-    assert np.allclose(m.g_con, ETA_LORENTZ, atol=1e-15)
+    g_con, g_cov, _ = SampleCloud(flat_model(), np.array([[0.3, -0.2, 0.9, 1.1]])).metric
+    assert np.allclose(g_cov[0], ETA_LORENTZ, atol=1e-15)
+    assert np.allclose(g_con[0], ETA_LORENTZ, atol=1e-15)
 
 
 def test_g4_i_metric_is_eta_at_origin(models):
-    m = metric_at(models[GroupId.G4_I_CNE1], np.zeros(4))
-    assert np.allclose(m.g_cov, ETA_LORENTZ, atol=1e-15)
+    _, g_cov, _ = SampleCloud(models[GroupId.G4_I_CNE1], np.zeros((1, 4))).metric
+    assert np.allclose(g_cov[0], ETA_LORENTZ, atol=1e-15)
 
 
 def test_g4_viii_metric_against_independent_transcription(models):
@@ -46,8 +53,8 @@ def test_g4_viii_metric_against_independent_transcription(models):
     expected = np.zeros((4, 4))
     expected[3, 3] = 1.0
     expected[:, :] += np.einsum("ab,ai,bj->ij", eta3_con, e_con[:3], e_con[:3])
-    m = metric_at(models[GroupId.G4_VIII_A], u)
-    assert np.allclose(m.g_con, expected, atol=1e-14)
+    g_con, _, _ = SampleCloud(models[GroupId.G4_VIII_A], u[None]).metric
+    assert np.allclose(g_con[0], expected, atol=1e-14)
 
 
 def test_metric_inversion_residual_all_entries(models, samples):
@@ -70,17 +77,17 @@ def test_singular_metric_raises(models):
     # far outside the sampling box the exponential tetrad degenerates
     # numerically and the determinant guard must trip
     with pytest.raises(SingularMetric):
-        metric_at(models[GroupId.G4_I_CNE1], np.array([0.0, 0.0, 0.0, -8.0]))
+        SampleCloud(models[GroupId.G4_I_CNE1], np.array([[0.0, 0.0, 0.0, -8.0]])).metric
 
 
 def test_faraday_zero_for_zero_constants(models):
-    F = faraday_at(models[GroupId.G4_II], np.array([0.2, 0.4, -0.6, 0.8]), alphas=np.zeros(4))
-    assert np.allclose(F.F, 0.0)
+    F = faraday(models[GroupId.G4_II], [0.2, 0.4, -0.6, 0.8], alphas=np.zeros(4))
+    assert np.allclose(F, 0.0)
 
 
 def test_faraday_antisymmetric(models, samples):
     for gid, model in models.items():
-        F = geometry.faraday_batch(model, samples[gid][0][:50])
+        F = faraday(model, samples[gid][0][:50])
         assert np.array_equal(F, -F.transpose(0, 2, 1)), gid
 
 
@@ -88,7 +95,7 @@ def test_faraday_g4_i_single_constant():
     # alpha = (1,0,0,0), c = 2: A_1 = exp(-u4), so F_14 = -d4 A_1 = exp(-u4)
     model = get_group(GroupId.G4_I_CNE1, GroupParams(c=2.0))
     u = np.array([0.3, -0.5, 0.8, 0.6])
-    F = faraday_at(model, u, alphas=[1.0, 0.0, 0.0, 0.0]).F
+    F = faraday(model, u, alphas=[1.0, 0.0, 0.0, 0.0])[0]
     expected = math.exp(-u[3])
     assert F[0, 3] == pytest.approx(expected, rel=1e-14)
     off = F.copy()
@@ -98,15 +105,17 @@ def test_faraday_g4_i_single_constant():
 
 def test_frame_metric_identity_frame():
     model = flat_model()
-    fm = frame_metric_at(model, np.array([0.1, 0.2, 0.3, 0.4]))
-    m = metric_at(model, np.array([0.1, 0.2, 0.3, 0.4]))
-    assert np.allclose(fm.G_con, m.g_con, atol=1e-14)
-    assert np.allclose(fm.G_cov, m.g_cov, atol=1e-14)
+    cloud = SampleCloud(model, np.array([[0.1, 0.2, 0.3, 0.4]]))
+    g_con, g_cov, _ = cloud.metric
+    G_con, _ = cloud.frame_metric()
+    assert np.allclose(G_con, g_con, atol=1e-14)
+    assert np.allclose(frame_metric_cov(cloud), g_cov, atol=1e-14)
 
 
 def test_frame_metric_symmetric_and_inverse_pair(models, samples):
     for gid, model in models.items():
-        G_con, G_cov = geometry.frame_metric_batch(model, samples[gid][0][:60])
+        cloud = SampleCloud(model, samples[gid][0][:60])
+        G_con, G_cov = cloud.frame_metric()[0], frame_metric_cov(cloud)
         assert np.allclose(G_con, G_con.transpose(0, 2, 1), atol=1e-12), gid
         prod = np.einsum("nab,nbc->nac", G_con, G_cov)
         assert np.max(np.abs(prod - np.eye(4))) <= 1e-10, gid
@@ -115,5 +124,6 @@ def test_frame_metric_symmetric_and_inverse_pair(models, samples):
 def test_frame_metric_two_route_consistency(models, samples):
     """G^{ab} via the dual frame vs inverting G_{ab} built from xi."""
     model = models[GroupId.G4_I_CNE1]
-    G_con, G_cov = geometry.frame_metric_batch(model, samples[GroupId.G4_I_CNE1][0][:80])
+    cloud = SampleCloud(model, samples[GroupId.G4_I_CNE1][0][:80])
+    G_con, G_cov = cloud.frame_metric()[0], frame_metric_cov(cloud)
     assert np.max(np.abs(G_con - np.linalg.inv(G_cov))) <= 1e-10

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from g4motions import catalog, mechanics
-from g4motions.adiff import DomainError, finite_diff_gradient
-from g4motions.catalog import ABELIAN_SUBGROUP_IDS, GroupId, GroupParams, get_group
+from g4motions.adiff import DomainError
+from g4motions.catalog import GroupId, GroupParams, get_group
 from g4motions.checks import admissible_alphas
 from g4motions.geometry import SampleCloud
 from g4motions.mechanics import (
@@ -16,10 +16,9 @@ from g4motions.mechanics import (
     check_hamiltonian_commutes,
     check_integral_algebra,
     drift_report,
-    hamiltonian,
     integrate_trajectory,
-    motion_integral,
 )
+from oracles import finite_diff_gradient, hamiltonian, motion_integrals
 
 FLAT_PARAMS = GroupParams(k=0.0, l=0.0, eps01=0)
 
@@ -29,38 +28,40 @@ def flat_model(alphas=(0.0, 0.0, 0.0, 0.0)):
     return get_group(GroupId.G4_VI_1, params)
 
 
+def phase_cloud(model, u, p):
+    """The one-point sample cloud of the phase point (u, p)."""
+    return SampleCloud(model, np.array([u], float), np.array([p], float))
+
+
 def test_hamiltonian_flat_free_particle():
-    state = PhasePoint(u=[0.3, 0.1, -0.2, 0.5], p=[1.0, 0.0, 0.0, 0.0])
-    assert hamiltonian(flat_model(), state) == pytest.approx(1.0, abs=1e-15)
+    model = flat_model()
+    cloud = phase_cloud(model, [0.3, 0.1, -0.2, 0.5], [1.0, 0.0, 0.0, 0.0])
+    assert hamiltonian(cloud, model.params.alphas())[0] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_hamiltonian_g4_i_origin_pure_potential(models):
     # metric = eta at the origin and A = (1,1,1,1): H = 1 - 1 - 1 - 1 = -2
-    state = PhasePoint(u=np.zeros(4), p=np.zeros(4))
-    assert hamiltonian(models[GroupId.G4_I_CNE1], state) == pytest.approx(-2.0, abs=1e-14)
+    model = models[GroupId.G4_I_CNE1]
+    cloud = phase_cloud(model, np.zeros(4), np.zeros(4))
+    assert hamiltonian(cloud, model.params.alphas())[0] == pytest.approx(-2.0, abs=1e-14)
 
 
 def test_hamiltonian_reduces_to_free_without_constants(models):
-    model = models[GroupId.G4_II]
-    state = PhasePoint(u=[0.2, -0.4, 0.6, 0.3], p=[0.5, -0.1, 0.7, 0.2])
-    from g4motions.geometry import metric_at
-
-    g = metric_at(model, state.u).g_con
-    free = float(state.p @ g @ state.p)
-    assert hamiltonian(model, state, alphas=np.zeros(4)) == pytest.approx(free, rel=1e-14)
+    p = np.array([0.5, -0.1, 0.7, 0.2])
+    cloud = phase_cloud(models[GroupId.G4_II], [0.2, -0.4, 0.6, 0.3], p)
+    g = cloud.metric[0][0]
+    free = float(p @ g @ p)
+    assert hamiltonian(cloud, np.zeros(4))[0] == pytest.approx(free, rel=1e-14)
 
 
 def test_motion_integral_frame_rows(models):
-    state = PhasePoint(u=np.zeros(4), p=[0.0, 1.0, 0.0, 0.0])
-    assert motion_integral(models[GroupId.G4_I_CNE1], 1, state) == pytest.approx(1.0)
-    state8 = PhasePoint(u=[math.pi / 2, 0.0, 0.0, 0.0], p=[0.0, 1.0, 0.0, 0.0])
-    assert motion_integral(models[GroupId.G4_VIII_A], 1, state8) == pytest.approx(1.0)
-    zero = PhasePoint(u=[0.4, 0.2, 0.9, -0.3], p=np.zeros(4))
-    assert all(
-        motion_integral(models[GroupId.G4_V], a, zero) == 0.0 for a in range(1, 5)
-    )
-    with pytest.raises(ValueError):
-        motion_integral(models[GroupId.G4_V], 5, zero)
+    p = [0.0, 1.0, 0.0, 0.0]
+    cloud = phase_cloud(models[GroupId.G4_I_CNE1], np.zeros(4), p)
+    assert motion_integrals(cloud)[0, 0] == pytest.approx(1.0)
+    cloud8 = phase_cloud(models[GroupId.G4_VIII_A], [math.pi / 2, 0.0, 0.0, 0.0], p)
+    assert motion_integrals(cloud8)[0, 0] == pytest.approx(1.0)
+    zero = phase_cloud(models[GroupId.G4_V], [0.4, 0.2, 0.9, -0.3], np.zeros(4))
+    assert np.all(motion_integrals(zero) == 0.0)
 
 
 def test_hamiltonian_commutes_with_integrals(clouds, tol):
@@ -140,19 +141,18 @@ def test_compiled_dynamics_matches_jet_route(models):
         rng = np.random.default_rng(13)
         pts = catalog.sample_points(model.domain, 5, 31)
         momenta = rng.uniform(-1, 1, (5, 4))
-        dHdu, dHdp = SampleCloud(model, pts, momenta).hamiltonian_grads(model.params.alphas())
-        for u, p, jet_du, jet_dp in zip(pts, momenta, dHdu, dHdp):
-            state = PhasePoint(u=u, p=p)
+        cloud = SampleCloud(model, pts, momenta)
+        dHdu, dHdp = cloud.hamiltonian_grads(model.params.alphas())
+        H_ref, Y_ref = hamiltonian(cloud, model.params.alphas()), motion_integrals(cloud)
+        for k, (u, p) in enumerate(zip(pts, momenta)):
             du_dp = rhs(*u, *p)
             du, dp = np.array(du_dp[:4]), np.array(du_dp[4:])
-            assert np.allclose(du, jet_dp, atol=1e-12, rtol=1e-12), gid
-            assert np.allclose(dp, -jet_du, atol=1e-11, rtol=1e-11), gid
+            assert np.allclose(du, dHdp[k], atol=1e-12, rtol=1e-12), gid
+            assert np.allclose(dp, -dHdu[k], atol=1e-11, rtol=1e-11), gid
             H, *Y = observables(*u, *p)
-            assert H == pytest.approx(hamiltonian(model, state), rel=1e-12)
+            assert H == pytest.approx(H_ref[k], rel=1e-12)
             for a in range(4):
-                assert Y[a] == pytest.approx(
-                    motion_integral(model, a + 1, state), rel=1e-12, abs=1e-13
-                )
+                assert Y[a] == pytest.approx(Y_ref[k, a], rel=1e-12, abs=1e-13)
 
 
 def test_fused_kernel_agrees_with_oracle(models):
