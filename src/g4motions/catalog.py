@@ -42,7 +42,6 @@ __all__ = [
     "InvalidParams",
     "get_group",
     "sample_points",
-    "potential_from_basis",
     "frame_bracket",
     "orient_tetrad",
     "catalog_entry",
@@ -1060,17 +1059,6 @@ def frame_bracket(xi, dxi, C) -> tuple[np.ndarray, int, dict]:
     if not all(map(math.isfinite, res.values())):
         raise FloatingPointError(f"non-finite bracket residuals {res}")
     return bracket, min(res, key=res.get), res
-
-
-# --------------------------------------------------------------------------
-# Potentials
-# --------------------------------------------------------------------------
-
-
-def potential_from_basis(alphas, basis) -> np.ndarray:
-    """A_i = alpha_b T^b_i from a basis-wise potential table's values
-    (n, b, i), or d_l A_i from its gradients (n, l, b, i)."""
-    return np.einsum("b,...bi->...i", alphas, basis)
 
 
 # --------------------------------------------------------------------------

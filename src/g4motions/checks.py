@@ -24,7 +24,6 @@ from .catalog import (  # noqa: F401  eval_table_jet: read by bench/selftest.py
     _scaled_error,
     eval_table,
     eval_table_jet,
-    potential_from_basis,
 )
 from .geometry import SampleCloud
 
@@ -360,7 +359,7 @@ def check_abelian_zero_field(cloud: SampleCloud, tol: ToleranceConfig) -> CheckR
     model = cloud.model
     if model.group_id not in ABELIAN_SUBGROUP_IDS:
         raise ValueError("zero-field theorem applies to the g4-vi-* entries only")
-    dA = potential_from_basis(model.params.alphas(), cloud.jet("holo_basis")[1])
+    dA = cloud.potential(model.params.alphas())[1]
     F = dA - dA.transpose(0, 2, 1)
     resid = scaled_max(F, np.zeros_like(F))
     return CheckResult("abelian_zero_field", model.name, len(cloud), resid, tol.tol_exact)

@@ -10,6 +10,7 @@ byte-identical JSON.
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 from dataclasses import dataclass, field
@@ -133,8 +134,6 @@ def _seed_default() -> int:
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--group", default="all", help="catalog id or 'all'")
-    parser.add_argument("--seed", type=int, default=None, help="sampling seed (fallback: G4_SEED env, then 42)")
-    parser.add_argument("--points", type=int, default=200)
     parser.add_argument(
         "--param",
         action="append",
@@ -142,9 +141,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         metavar="KEY=VALUE",
         help="c, alpha-angle, k, l, eps01, alpha1..alpha4, eta=diag:a,b,c,d (repeatable)",
     )
-    parser.add_argument("--tol-exact", type=float, default=1e-12)
-    parser.add_argument("--tol-deriv", type=float, default=1e-9)
-    parser.add_argument("--format", choices=("json", "csv", "human"), default="json")
     parser.add_argument("--out", default=None, help="write output to this path")
 
 
@@ -161,6 +157,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the verification suite")
     _add_common(p_verify)
+    p_verify.add_argument("--seed", type=int, default=None, help="sampling seed (fallback: G4_SEED env, then 42)")
+    p_verify.add_argument("--points", type=int, default=200)
+    p_verify.add_argument("--tol-exact", type=float, default=1e-12)
+    p_verify.add_argument("--tol-deriv", type=float, default=1e-9)
+    p_verify.add_argument("--format", choices=("json", "csv", "human"), default="json")
 
     p_sim = sub.add_parser(
         "simulate",
@@ -178,18 +179,28 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> RunConfig:
-    seed = args.seed if args.seed is not None else _seed_default()
-    if args.points < 1:
-        raise InvalidParams("--points must be at least 1")
-    return RunConfig(
-        groups=_resolve_groups(args.group),
-        seed=seed,
-        n_points=args.points,
-        params=_parse_params(args.param),
-        tol=checks.ToleranceConfig(tol_exact=args.tol_exact, tol_deriv=args.tol_deriv),
-        fmt=args.format,
-        out=args.out,
-    )
+    config = RunConfig(groups=_resolve_groups(args.group), params=_parse_params(args.param), out=args.out)
+    if args.command == "simulate":
+        if len(config.groups) != 1:
+            raise InvalidParams("simulate expects a single --group id")
+        config.out = config.out or f"trajectory-{config.groups[0].value}.csv"
+    elif args.command == "verify":
+        if args.points < 1:
+            raise InvalidParams("--points must be at least 1")
+        config.seed = args.seed if args.seed is not None else _seed_default()
+        config.n_points = args.points
+        config.tol = checks.ToleranceConfig(tol_exact=args.tol_exact, tol_deriv=args.tol_deriv)
+        config.fmt = args.format
+    return config
+
+
+def _check_out(path: str | None) -> None:
+    """Raise, before any work is done, the error that ``open(path, "w")``
+    gives for a missing parent directory or for a directory."""
+    if path and not os.path.exists(os.path.dirname(path) or "."):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+    if path and os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
 
 
 # --------------------------------------------------------------------------
@@ -370,8 +381,6 @@ def cmd_verify(config: RunConfig) -> int:
 
 
 def cmd_simulate(config: RunConfig, u0, p0, T: float, h: float) -> int:
-    if len(config.groups) != 1:
-        raise InvalidParams("simulate expects a single --group id")
     if not (0 < h < np.inf and 0 < T < np.inf):
         raise InvalidParams("simulate requires positive finite --T and --h")
     model = catalog.get_group(config.groups[0], config.params)
@@ -383,11 +392,10 @@ def cmd_simulate(config: RunConfig, u0, p0, T: float, h: float) -> int:
         raise InvalidParams(f"--u0 {start} lies outside the sampling box of {model.name}: {box}")
     alphas = model.params.alphas()
     admissible = checks.admissible_alphas(model)
-    traj = mechanics.integrate_trajectory(model, state0, T=T, h=h, alphas=alphas)
+    traj = mechanics.integrate_trajectory(model, state0, T=T, h=h)
     stats = mechanics.drift_report(traj)
 
-    csv_path = config.out or f"trajectory-{model.name}.csv"
-    mechanics.export_csv(traj, csv_path)
+    mechanics.export_csv(traj, config.out)
     summary = {
         "schema": 1,
         "version": __version__,
@@ -400,7 +408,7 @@ def cmd_simulate(config: RunConfig, u0, p0, T: float, h: float) -> int:
         "alphas_admissible": bool(np.array_equal(alphas, admissible)),
         "domain_exit": traj.domain_exit,
         "t_final": float(traj.t[-1]),
-        "csv": csv_path,
+        "csv": config.out,
         "max_drift_H": stats.H.max_abs,
         "max_drift_Y": [d.max_abs for d in stats.Y],
     }
@@ -422,6 +430,7 @@ def main(argv=None) -> int:
         # (exit 2 below) instead of printing warnings and carrying on
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             config = _config_from_args(args)
+            _check_out(config.out)
             if args.command == "list":
                 return cmd_list(config)
             if args.command == "verify":

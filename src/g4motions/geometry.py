@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .catalog import GroupModel, eval_table, eval_table_jet, frame_bracket, potential_from_basis
+from .catalog import GroupModel, eval_table, eval_table_jet, frame_bracket
 
 __all__ = ["SingularMetric", "SampleCloud", "metric_batch"]
 
@@ -64,11 +64,11 @@ class SampleCloud:
     tolerances.  Everything is evaluated on first use, and the cloud keeps
     only what two or more checks read: the jets of the tables in
     ``_SHARED_JETS``, the values of the other tables asked for through
-    ``values``, the metric g^{ij}, g_{ij}, d_l g^{ij}, the frame Lie bracket
-    with its sign, and A_i, d_l A_i per alpha vector.  The jets of the other
-    tables, the frame metric G^{ab} with its gradient and the gradients of H
-    each have a single reader and are computed on each call, so no table's
-    jets are evaluated twice.
+    ``values``, the metric g^{ij}, g_{ij}, d_l g^{ij}, and the frame Lie
+    bracket with its sign.  The jets of the other tables, the frame metric
+    G^{ab} with its gradient, the potential A_i, d_l A_i (two small
+    contractions of the shared ``holo_basis`` jets) and the gradients of H
+    are computed on each call, so no table's jets are evaluated twice.
 
     ``with_eta`` gives the cloud of the same points under another frame
     metric: it shares every eta-independent evaluation and recomputes only
@@ -79,7 +79,7 @@ class SampleCloud:
         self.model = model
         self.points = np.asarray(points, float)
         self.momenta = None if momenta is None else np.asarray(momenta, float)
-        self._shared = {}  # eta-independent: table jets and values, bracket, potentials
+        self._shared = {}  # eta-independent: table jets and values, bracket
 
     def __len__(self) -> int:
         return len(self.points)
@@ -141,15 +141,11 @@ class SampleCloud:
         return dual_t @ gd, dG
 
     def potential(self, alphas, basis: str = "holo_basis") -> tuple[np.ndarray, np.ndarray]:
-        """A_i (n, 4) and d_l A_i (n, 4, 4) for the potential constants
-        ``alphas`` over the basis-wise table ``basis`` (see ``jet``)."""
+        """A_i = alpha_b T^b_i (n, 4) and d_l A_i (n, 4, 4) for the potential
+        constants ``alphas`` over the basis-wise table ``basis`` (see ``jet``)."""
         alphas = np.asarray(alphas, float)
-
-        def compute():
-            vals, grads = self.jet(basis)
-            return potential_from_basis(alphas, vals), potential_from_basis(alphas, grads)
-
-        return self._memo(("potential", basis, alphas.tobytes()), compute)
+        vals, grads = self.jet(basis)
+        return np.einsum("b,...bi->...i", alphas, vals), np.einsum("b,...bi->...i", alphas, grads)
 
     def hamiltonian_grads(self, alphas) -> tuple[np.ndarray, np.ndarray]:
         """dH/du (n, l) and dH/dp (n, i) of H = g^{ij} P_i P_j with

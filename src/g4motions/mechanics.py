@@ -10,12 +10,13 @@ partials, momentum gradients analytic (H is quadratic in p, Y linear).
 Trajectories are integrated with fixed-step classical RK4 — conservation
 drift is the measured quantity and fixed steps make convergence-order tests
 clean.  For the integrator's inner loop Hamilton's equations and the
-observables are compiled into two straight-line plain-``math`` kernels per
-run from the same symbolic partials (cross-checked against the batched
-sample-cloud gradients and the finite-difference oracle in the tests), and
-the RK4 stages run on Python floats.  Runs that leave the entry's sampling
-box stop early and are flagged rather than raising, since exponential
-blow-up in noncompact charts is expected.
+observables H, Y_a are compiled into one straight-line plain-``math`` kernel
+per run from the same symbolic partials (cross-checked against the batched
+sample-cloud gradients and the finite-difference oracle in the tests).  Its
+call at an accepted state records that state's H and Y and is also the next
+RK4 step's first stage; the stages run on Python floats.  Runs that leave
+the entry's sampling box stop early and are flagged rather than raising,
+since exponential blow-up in noncompact charts is expected.
 """
 from __future__ import annotations
 
@@ -96,10 +97,10 @@ def check_integral_algebra(cloud: SampleCloud, tol: ToleranceConfig) -> CheckRes
     )
 
 
-def check_hamiltonian_commutes(cloud: SampleCloud, tol: ToleranceConfig, alphas=None) -> CheckResult:
+def check_hamiltonian_commutes(cloud: SampleCloud, tol: ToleranceConfig) -> CheckResult:
     """{H, Y_a} = 0 for the verified-admissible potential configuration."""
     model = cloud.model
-    alphas = admissible_alphas(model) if alphas is None else np.asarray(alphas, float)
+    alphas = admissible_alphas(model)
     xi, dxi = cloud.jet("xi")
     dH, dHdp = cloud.hamiltonian_grads(alphas)
     dYdu = np.einsum("nial,nl->nia", dxi, cloud.momenta)  # d_i (xi_a^l p_l)
@@ -160,23 +161,16 @@ def _sum(products) -> str:
     return " + ".join(kept) if kept else "0.0"
 
 
-def _momentum_lines(g, A) -> list[str]:
-    """P_i = p_i + A_i and gP^i = g^{ij} P_j as straight-line source."""
-    lines = [f"P{i} = {_P[i]} + {A[i]}" if A[i] else f"P{i} = {_P[i]}" for i in range(4)]
-    lines += [f"gP{i} = {_sum((g[i][j], f'P{j}') for j in range(4))}" for i in range(4)]
-    return lines
-
-
 def _compiled_dynamics(model: GroupModel, alphas: np.ndarray):
-    """Generate the fused kernels rhs and observables, both of
-    (u1, u2, u3, u4, p1, p2, p3, p4).
+    """Generate the fused kernel of (u1, u2, u3, u4, p1, p2, p3, p4).
 
-    ``rhs`` returns Hamilton's equations du/dt = dH/dp = 2 gP and
-    dp/dt = -dH/du = -(d_l g^{ij} P_i P_j + 2 d_l A_i gP^i) as 8 floats;
-    ``observables`` returns H = P_i gP^i and Y_a = xi_a^i p_i.  The metric
-    entries g^{ij} and the potential A_i are assembled once as folded
-    expression trees; their symbolic partials are compiled with them, and
-    the contractions are emitted as scalar code after the field values.
+    It returns 13 floats: Hamilton's equations du/dt = dH/dp = 2 gP and
+    dp/dt = -dH/du = -(d_l g^{ij} P_i P_j + 2 d_l A_i gP^i), then the
+    observables H = P_i gP^i and Y_a = xi_a^i p_i, all from the same
+    P_i = p_i + A_i and gP^i = g^{ij} P_j.  The metric entries g^{ij} and
+    the potential A_i are assembled once as folded expression trees; their
+    symbolic partials and the frame xi are compiled with them, and the
+    contractions are emitted as scalar code after the field values.
     """
     eta_con = model.eta_con()
     pairs = _sym_pairs()
@@ -207,10 +201,14 @@ def _compiled_dynamics(model: GroupModel, alphas: np.ndarray):
     n = len(pairs)
 
     def hamilton(names):
-        # names: g (n), then d_l g per pair (4n), then A (4), then d_l A_i per i (16)
+        # names: g (n), then d_l g per pair (4n), then A (4), then d_l A_i
+        # per i (16), then xi_a^i row by row (16)
         g, A = metric(names[:n]), names[5 * n : 5 * n + 4]
         dg = [metric(names[n + l : 5 * n : 4]) for l in range(4)]
-        dA = [names[5 * n + 4 + l :: 4] for l in range(4)]
+        dA = [names[5 * n + 4 + l : 5 * n + 20 : 4] for l in range(4)]
+        xi = names[5 * n + 20 :]
+        lines = [f"P{i} = {_P[i]} + {A[i]}" if A[i] else f"P{i} = {_P[i]}" for i in range(4)]
+        lines += [f"gP{i} = {_sum((g[i][j], f'P{j}') for j in range(4))}" for i in range(4)]
         du = [f"2.0 * gP{i}" for i in range(4)]
         dp = []
         for l in range(4):
@@ -218,22 +216,13 @@ def _compiled_dynamics(model: GroupModel, alphas: np.ndarray):
             products += [("2.0", dg[l][i][j], f"P{i}", f"P{j}") for i, j in pairs if i != j]
             products += [("2.0", dA[l][i], f"gP{i}") for i in range(4)]
             dp.append(f"-({_sum(products)})")
-        return _momentum_lines(g, A), du + dp
-
-    def observables(names):
-        # names: g (n), then A (4), then xi_a^i row by row (16)
-        g, A, xi = metric(names[:n]), names[n : n + 4], names[n + 4 :]
         H = _sum((f"P{i}", f"gP{i}") for i in range(4))
         Y = [_sum((xi[4 * a + i], _P[i]) for i in range(4)) for a in range(4)]
-        return _momentum_lines(g, A), [H, *Y]
+        return lines, [*du, *dp, H, *Y]
 
     derivs = [d for e in (*g_exprs, *A_exprs) for d in adiff.gradient_exprs(e)]
-    rhs_exprs = [*g_exprs, *derivs[: 4 * n], *A_exprs, *derivs[4 * n :]]
-    obs_exprs = [*g_exprs, *A_exprs, *(x for row in model.xi for x in row)]
-    return (
-        adiff.compile_values(rhs_exprs, _P, hamilton),
-        adiff.compile_values(obs_exprs, _P, observables),
-    )
+    exprs = [*g_exprs, *derivs[: 4 * n], *A_exprs, *derivs[4 * n :], *(x for row in model.xi for x in row)]
+    return adiff.compile_values(exprs, _P, hamilton)
 
 
 def _finite(values, t: float):
@@ -244,44 +233,39 @@ def _finite(values, t: float):
     return values
 
 
-def integrate_trajectory(
-    model: GroupModel,
-    state0: PhasePoint,
-    T: float,
-    h: float,
-    alphas=None,
-) -> Trajectory:
-    """Classical fixed-step RK4 for Hamilton's equations, recording H and
-    Y_1..Y_4 each step.  Raises ``ValueError`` unless ``round(T / h)`` is at
-    least one step.  Stops early (flagged, partial data) if the state
-    leaves the entry's sampling box; raises ``FloatingPointError`` if the
-    state, H or Y becomes non-finite."""
+def integrate_trajectory(model: GroupModel, state0: PhasePoint, T: float, h: float) -> Trajectory:
+    """Classical fixed-step RK4 for Hamilton's equations with the model's
+    potential constants, recording H and Y_1..Y_4 each step.  Raises
+    ``ValueError`` unless ``round(T / h)`` is at least one step.  Stops early
+    (flagged, partial data) if the state leaves the entry's sampling box;
+    raises ``FloatingPointError`` if the state, H or Y becomes non-finite."""
     if h <= 0 or T <= 0:
         raise ValueError("step size and horizon must be positive")
     n_steps = int(round(T / h))
     if n_steps < 1:
         raise ValueError(f"T={T!r} and h={h!r} give round(T / h) = 0 RK4 steps")
-    alphas = model.params.alphas() if alphas is None else np.asarray(alphas, float)
-    rhs, observables = _compiled_dynamics(model, alphas)
+    kernel = _compiled_dynamics(model, model.params.alphas())
     lo, hi = (b.tolist() for b in model.domain.bounds())
 
     half, sixth = 0.5 * h, h / 6.0
     y = [*state0.u.tolist(), *state0.p.tolist()]  # u1..u4, p1..p4
+    k1 = kernel(*y)  # du, dp, then H, Y: this state's observables and the first stage
     states = array("d", y)
-    obs = array("d", _finite(observables(*y), 0.0))
+    obs = array("d", _finite(k1[8:], 0.0))
     exited = False
 
     for step in range(1, n_steps + 1):
-        k1 = rhs(*y)
-        k2 = rhs(*[a + half * b for a, b in zip(y, k1)])
-        k3 = rhs(*[a + half * b for a, b in zip(y, k2)])
-        k4 = rhs(*[a + h * b for a, b in zip(y, k3)])
+        # zip stops after the 8 state components, so the stages' trailing H, Y go unused
+        k2 = kernel(*[a + half * b for a, b in zip(y, k1)])
+        k3 = kernel(*[a + half * b for a, b in zip(y, k2)])
+        k4 = kernel(*[a + h * b for a, b in zip(y, k3)])
         y = [a + sixth * (b1 + 2 * b2 + 2 * b3 + b4) for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
         _finite(y, step * h)
         if any(map(gt, lo, y)) or any(map(gt, y, hi)):  # map stops after the 4 coordinates
             exited = True
             break
-        obs.extend(_finite(observables(*y), step * h))
+        k1 = kernel(*y)  # the next step's first stage
+        obs.extend(_finite(k1[8:], step * h))
         states.extend(y)
 
     phase = np.array(states).reshape(-1, 8)

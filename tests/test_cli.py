@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from g4motions import catalog
 from g4motions.cli import main
 
 
@@ -182,14 +183,37 @@ UNWRITABLE_OUT = {
 
 @pytest.mark.parametrize("target", ["missing-directory", "directory"])
 @pytest.mark.parametrize("command", list(UNWRITABLE_OUT))
-def test_unwritable_out_fails_cleanly(command, target, tmp_path, capsys):
+def test_unwritable_out_fails_cleanly(command, target, tmp_path, capsys, monkeypatch):
     # exit 1 means a failed verification; an output path that cannot be written is exit 2
     out = tmp_path / "missing" / "out" if target == "missing-directory" else tmp_path
+
+    def no_model(*args, **kwargs):
+        raise AssertionError("the output target is checked before any model is built")
+
+    monkeypatch.setattr(catalog, "get_group", no_model)
     code, _, err = run_cli([*UNWRITABLE_OUT[command], "--out", str(out)], capsys)
     assert code == 2
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), err
     assert str(out) in lines[0]
+
+
+VERIFY_ONLY_OPTIONS = [
+    ["--seed", "5"],
+    ["--points", "7"],
+    ["--tol-exact", "1e-12"],
+    ["--tol-deriv", "1e-3"],
+    ["--format", "csv"],
+]
+
+
+@pytest.mark.parametrize("option", VERIFY_ONLY_OPTIONS, ids=lambda o: o[0].lstrip("-"))
+@pytest.mark.parametrize("command", [["list"], ["simulate", "--group", "g4-ii", "--T", "0.01"]], ids=lambda c: c[0])
+def test_verify_only_options_are_usage_errors(command, option, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*command, *option, "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_report_config_records_every_parameter(capsys):

@@ -137,7 +137,7 @@ def test_compiled_dynamics_matches_jet_route(models):
     gradients of H computed through the jets."""
     for gid in (GroupId.G4_I_CNE1, GroupId.G4_III, GroupId.G4_VIII_B, GroupId.G4_VI_2):
         model = models[gid]
-        rhs, observables = mechanics._compiled_dynamics(model, model.params.alphas())
+        kernel = mechanics._compiled_dynamics(model, model.params.alphas())
         rng = np.random.default_rng(13)
         pts = catalog.sample_points(model.domain, 5, 31)
         momenta = rng.uniform(-1, 1, (5, 4))
@@ -145,11 +145,11 @@ def test_compiled_dynamics_matches_jet_route(models):
         dHdu, dHdp = cloud.hamiltonian_grads(model.params.alphas())
         H_ref, Y_ref = hamiltonian(cloud, model.params.alphas()), motion_integrals(cloud)
         for k, (u, p) in enumerate(zip(pts, momenta)):
-            du_dp = rhs(*u, *p)
-            du, dp = np.array(du_dp[:4]), np.array(du_dp[4:])
+            out = kernel(*u, *p)
+            du, dp = np.array(out[:4]), np.array(out[4:8])
             assert np.allclose(du, dHdp[k], atol=1e-12, rtol=1e-12), gid
             assert np.allclose(dp, -dHdu[k], atol=1e-11, rtol=1e-11), gid
-            H, *Y = observables(*u, *p)
+            H, *Y = out[8:]
             assert H == pytest.approx(H_ref[k], rel=1e-12)
             for a in range(4):
                 assert Y[a] == pytest.approx(Y_ref[k, a], rel=1e-12, abs=1e-13)
@@ -159,17 +159,31 @@ def test_fused_kernel_agrees_with_oracle(models):
     """Criterion 8's finite-difference budget on the integrator's own
     gradients: du = dH/dp and dp = -dH/du of the compiled H."""
     for gid, model in models.items():
-        rhs, observables = mechanics._compiled_dynamics(model, admissible_alphas(model))
+        kernel = mechanics._compiled_dynamics(model, admissible_alphas(model))
         lo, hi = model.domain.bounds()
         pts = np.clip(catalog.sample_points(model.domain, 10, 19), lo + 1e-4, hi - 1e-4)
         rng = np.random.default_rng(19)
         for u in pts:
             p = rng.uniform(-1, 1, 4)
-            du_dp = np.array(rhs(*u, *p))
-            fd_p = finite_diff_gradient(lambda q: observables(*u, *q)[0], p, h=1e-5)
-            fd_u = finite_diff_gradient(lambda x: observables(*x, *p)[0], u, h=1e-5)
+            du_dp = np.array(kernel(*u, *p)[:8])
+            fd_p = finite_diff_gradient(lambda q: kernel(*u, *q)[8], p, h=1e-5)
+            fd_u = finite_diff_gradient(lambda x: kernel(*x, *p)[8], u, h=1e-5)
             for ad, fd in ((du_dp[:4], fd_p), (du_dp[4:], -fd_u)):
                 assert np.max(np.abs(ad - fd)) <= 1e-6 + 1e-6 * np.max(np.abs(ad)), (gid, u, p)
+
+
+@pytest.mark.parametrize("gid", [GroupId.G4_VI_1, GroupId.G4_II, GroupId.G4_VIII_B])
+def test_recorded_observables_belong_to_their_row(gid):
+    """Each row's H and Y are those of that row's own state.  g4-vi-1 runs
+    with its default (not admissible) alphas, so its Y moves along the run
+    and a row paired with a neighbouring state's Y would show."""
+    model = get_group(gid)
+    lo, hi = model.domain.bounds()
+    state0 = PhasePoint(u=(lo + hi) / 2, p=[0.3, -0.2, 0.1, 0.25])
+    traj = integrate_trajectory(model, state0, T=0.5, h=1e-2)
+    cloud = SampleCloud(model, traj.u, traj.p)
+    assert np.allclose(traj.H, hamiltonian(cloud, model.params.alphas()), rtol=1e-12, atol=1e-13)
+    assert np.allclose(traj.Y, motion_integrals(cloud), rtol=1e-12, atol=1e-13)
 
 
 @pytest.mark.parametrize("gid", [GroupId.G4_VIII_A, GroupId.G4_VIII_B])
