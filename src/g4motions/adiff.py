@@ -12,9 +12,12 @@ chain and product rules reuse them).
 evaluates each distinct node of a list of trees once per call and drops
 each value after its last use.  The independent check on the partials is
 the central finite-difference oracle of the verification suite
-(``checks.check_fd_oracle``).  A small source-level compiler turns expression
-trees into straight-line plain-``math`` functions (one temporary per
-distinct subtree) for the trajectory integrator's hot loop.
+(``checks.check_fd_oracle``).  A small source-level compiler,
+``compile_values``, turns one list of trees over the chart point and named
+kernel arguments (``Var`` leaves, the integrator's momenta) into a
+straight-line plain-``math`` function for the trajectory integrator's hot
+loop: each distinct subtree is evaluated once, as a temporary, or written
+into its reader when it has exactly one.
 """
 from __future__ import annotations
 
@@ -31,6 +34,7 @@ __all__ = [
     "FieldExpr",
     "Const",
     "Coord",
+    "Var",
     "coords",
     "as_expr",
     "exp",
@@ -171,6 +175,20 @@ class Coord(FieldExpr):
 
     def __repr__(self):
         return f"u{self.axis + 1}"
+
+
+class Var(FieldExpr):
+    """A named argument of a compiled kernel besides the chart point (the
+    trajectory kernel's momenta ``p1`` ... ``p4``); only ``compile_values``
+    reads it."""
+
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def __repr__(self):
+        return self.name
 
 
 class _Op(FieldExpr):
@@ -432,85 +450,97 @@ def gradient_exprs(f: FieldExpr) -> list[FieldExpr]:
 
 
 _COORD_NAMES = ("u1", "u2", "u3", "u4")
-_INFIX = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
-_CALLS = {Neg: "-", Exp: "exp", Sin: "sin", Cos: "cos"}
+_SOURCE = {
+    Add: "{} + {}", Sub: "{} - {}", Mul: "{} * {}", Div: "{} / {}",
+    Neg: "-{}", Exp: "exp({})", Sin: "sin({})", Cos: "cos({})",
+}
 _COMMUTATIVE = (Add, Mul)
 
 
 class _SSA:
     """Hash-consing emitter: one temporary per distinct subtree.
 
-    Leaves render inline (coordinates by name, constants as literals).  A
-    node's key is its type plus the names of its operands, so structurally
-    equal subtrees built as separate objects still share one temporary.
+    Leaves render inline (coordinates and ``Var`` arguments by name,
+    constants as literals).  A node's key is its type plus the names of its
+    operands, so structurally equal subtrees built as separate objects still
+    share one temporary.  ``reads`` counts the readers of each name; a
+    guarded denominator's guard is one of them.
     """
 
     def __init__(self):
-        self.lines: list[str] = []
+        self.steps: list = []  # guard lines and (temp, source format, operand names)
         self.temps: dict[tuple, str] = {}
+        self.reads: dict[str, int] = {}
         self.by_id: dict[int, str] = {}  # shared node objects: skip the re-walk
 
     def name(self, e: FieldExpr) -> str:
-        hit = self.by_id.get(id(e))
-        if hit is not None:
-            return hit
-        if isinstance(e, Const):
-            out = repr(e.c) if e.c >= 0 else f"({e.c!r})"
-        elif isinstance(e, Coord):
-            out = _COORD_NAMES[e.axis]
-        else:
-            kind = type(e)
-            if kind in _INFIX:
-                a, b = map(self.name, e.operands)
-                key, src = (kind, a, b), f"{a} {_INFIX[kind]} {b}"
-                if kind in _COMMUTATIVE and b < a:
-                    key = (kind, b, a)  # IEEE a + b == b + a and a * b == b * a exactly
-            elif kind in _CALLS:
-                a = self.name(e.operands[0])
-                key, src = (kind, a), f"{_CALLS[kind]}({a})"
+        """The temporary or literal of ``e``, counted as one more read."""
+        out = self.by_id.get(id(e))
+        if out is None:
+            if isinstance(e, Const):
+                out = repr(e.c) if e.c >= 0 else f"({e.c!r})"
+            elif isinstance(e, (Coord, Var)):
+                out = repr(e)
             else:
-                raise TypeError(f"cannot compile {kind.__name__}")
-            out = self.temps.get(key)
-            if out is None:
-                out = self.temps[key] = f"t{len(self.temps)}"
-                if kind is Div:
-                    self.lines.append(
-                        f"if {-_SINGULAR!r} < {b} < {_SINGULAR!r}: raise DomainError(_SINGULAR_MSG)"
-                    )
-                self.lines.append(f"{out} = {src}")
-        self.by_id[id(e)] = out
+                out = self._node(e)
+            self.by_id[id(e)] = out
+        self.reads[out] = self.reads.get(out, 0) + 1
         return out
 
+    def _node(self, e: FieldExpr) -> str:
+        kind = type(e)
+        if kind not in _SOURCE:
+            raise TypeError(f"cannot compile {kind.__name__}")
+        ops = tuple(map(self.name, e.operands))
+        key = (kind, *ops)
+        if kind in _COMMUTATIVE and ops[1] < ops[0]:
+            key = (kind, ops[1], ops[0])  # IEEE a + b == b + a and a * b == b * a exactly
+        out = self.temps.get(key)
+        if out is not None:
+            for o in ops:  # read by the existing temporary, not by a new one
+                self.reads[o] -= 1
+            return out
+        out = self.temps[key] = f"t{len(self.temps)}"
+        if kind is Div:
+            self.reads[ops[1]] += 1
+            self.steps.append(f"if {-_SINGULAR!r} < {ops[1]} < {_SINGULAR!r}: raise DomainError(_SINGULAR_MSG)")
+        self.steps.append((out, _SOURCE[kind], ops))
+        return out
 
-def compile_values(
-    exprs: Sequence[FieldExpr],
-    extra_args: Sequence[str] = (),
-    epilogue: Callable | None = None,
-) -> Callable:
+    def source(self, names: list[str]) -> tuple[list[str], list[str]]:
+        """Body lines, and the source of each value in ``names``.  A
+        temporary read once is written into its reader, in parentheses:
+        the same operations in the same order."""
+        lines, inline = [], {}
+        for step in self.steps:
+            if isinstance(step, str):
+                lines.append(step)
+                continue
+            out, fmt, ops = step
+            src = fmt.format(*(f"({inline.pop(o)})" if o in inline else o for o in ops))
+            if self.reads[out] == 1:
+                inline[out] = src
+            else:
+                lines.append(f"{out} = {src}")
+        return lines, [inline.pop(n, n) for n in names]
+
+
+def compile_values(exprs: Sequence[FieldExpr], extra_args: Sequence[str] = ()) -> Callable:
     """Compile expressions into one straight-line ``math`` function of
-    ``(u1, u2, u3, u4, *extra_args)`` returning a tuple of floats.
+    ``(u1, u2, u3, u4, *extra_args)`` returning their values as a tuple of
+    floats; ``Var`` leaves name the ``extra_args``.
 
     Every distinct subtree of the folded trees is evaluated once per call
-    (common-subexpression elimination into SSA temporaries), and every
+    (common-subexpression elimination into SSA temporaries), and a
+    temporary read exactly once is written into its reader instead.  Every
     denominator is guarded as in ``Div.eval``: a magnitude below 1e-14 raises
-    ``DomainError``.  Without ``epilogue`` the function returns the values
-    of ``exprs``.  Otherwise ``epilogue(names)`` receives, per expression,
-    the source of its value (a temporary or a literal), or ``None`` where
-    the expression folded to the constant 0, and returns ``(lines,
-    outputs)``: statements appended to the body, which may also read
-    ``extra_args``, and the source of each returned value.  Compiled output
-    is cross-checked against ``evaluate`` in the test suite.
+    ``DomainError``.  Compiled output is cross-checked against ``evaluate``
+    in the test suite.
     """
     ssa = _SSA()
-    names = [ssa.name(e) for e in exprs]
-    if epilogue is None:
-        lines, outputs = [], names
-    else:
-        lines, outputs = epilogue(
-            [None if type(e) is Const and e.c == 0.0 else n for e, n in zip(exprs, names)]
-        )
+    lines, outputs = ssa.source([ssa.name(e) for e in exprs])
     args = ", ".join((*_COORD_NAMES, *extra_args))
-    body = "".join(f"    {line}\n" for line in (*ssa.lines, *lines))
+    body = "".join(f"    {line}\n" for line in lines)
     src = f"def _kernel({args}):\n{body}    return ({', '.join(outputs)},)\n"
     namespace = {
         "exp": math.exp,

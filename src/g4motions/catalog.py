@@ -150,8 +150,9 @@ SPHERICAL_DOMAIN = SampleDomain(
 )
 
 
-def sample_points(dom: SampleDomain, n: int, seed: int) -> np.ndarray:
-    """Deterministic uniform draw of ``n`` chart points, shape (n, 4)."""
+def sample_points(dom: SampleDomain, n: int, seed: int | np.random.Generator) -> np.ndarray:
+    """Deterministic uniform draw of ``n`` chart points, shape (n, 4), from
+    an integer seed or from a generator, which the draw advances."""
     if n < 0:
         raise ValueError("sample count must be nonnegative")
     lo, hi = dom.bounds()
@@ -1089,7 +1090,7 @@ def _relabel_fit(tetrad_tab, holo_tab) -> tuple[float, np.ndarray]:
     return resid, R
 
 
-def orient_tetrad(model: GroupModel, n_points: int = 40, seed: int = 977) -> OrientationDecision:
+def orient_tetrad(model: GroupModel) -> OrientationDecision:
     """Decide whether the stored tetrad rows index coordinates or frame legs.
 
     Both readings of an inverse pair satisfy the duality contraction, so the
@@ -1098,7 +1099,7 @@ def orient_tetrad(model: GroupModel, n_points: int = 40, seed: int = 977) -> Ori
     tables use freely).  The stored reading (rows = coordinate index for
     e^alpha_i) is kept unless only the transposed reading fits.
     """
-    pts = sample_points(model.domain, n_points, seed)
+    pts = sample_points(model.domain, 40, 977)
     if not model.tetrad_printed:
         cov = eval_table(model.e_cov, pts)
         con = eval_table(model.e_con, pts)

@@ -214,6 +214,19 @@ def admissible_alphas(model: GroupModel) -> np.ndarray:
     return alphas
 
 
+def _asserted_basis(model: GroupModel, b: int, zero_field: str) -> tuple[bool, tuple]:
+    """Whether the potential of basis vector ``b`` is asserted admissible,
+    and the note of a flagged one; ``zero_field`` ends the Abelian-subgroup
+    note."""
+    abelian = model.group_id in ABELIAN_SUBGROUP_IDS
+    asserted = model.group_id in ASSERTED_HOLO_ADMISSIBILITY or (abelian and b == 3)
+    if abelian and b < 3:
+        return asserted, (f"zero-field construction: {zero_field}",)
+    if model.group_id in (GroupId.G4_III, GroupId.G4_IV):
+        return asserted, ("report mode: source potential tables carry label conflicts",)
+    return asserted, ()
+
+
 def _admissibility_residual(xi_t, dxi, A, dA) -> float:
     # xi_t: (n, j, a) = xi_a^j, C-contiguous; dxi: (n, i, a, j) = d_i xi_a^j;
     # A (n, j) and dA (n, i, j) of one basis potential
@@ -242,8 +255,6 @@ def check_admissibility(
     xi, dxi = cloud.jet("xi")
     xi_t = np.ascontiguousarray(xi.transpose(0, 2, 1))  # a contiguous operand keeps matmul on BLAS
     vals, grads = cloud.jet(tables[mode])  # (n,b,i), (n,l,b,i)
-
-    abelian = model.group_id in ABELIAN_SUBGROUP_IDS
     results = []
     for b in range(4):
         resid = _admissibility_residual(xi_t, dxi, vals[:, b], grads[:, :, b])
@@ -251,17 +262,9 @@ def check_admissibility(
             asserted = model.tetrad_printed
             notes = () if model.tetrad_printed else ("derived (untabulated) tetrad",)
         else:
-            asserted = model.group_id in ASSERTED_HOLO_ADMISSIBILITY or (
-                abelian and b == 3
+            asserted, notes = _asserted_basis(
+                model, b, "F vanishes identically but the potential is not frame-invariant in this direction"
             )
-            notes = ()
-            if abelian and b < 3:
-                notes = (
-                    "zero-field construction: F vanishes identically but the "
-                    "potential is not frame-invariant in this direction",
-                )
-            elif model.group_id in (GroupId.G4_III, GroupId.G4_IV):
-                notes = ("report mode: source potential tables carry label conflicts",)
         results.append(
             CheckResult(
                 f"admissibility[{mode}:alpha{b + 1}]",
@@ -285,7 +288,6 @@ def check_frame_defining(cloud: SampleCloud, tol: ToleranceConfig) -> list[Check
     _, s, _ = cloud.bracket
     n = len(xi)
     C = model.structure_constants.reshape(4, 16)  # (g, (b, a))
-    abelian = model.group_id in ABELIAN_SUBGROUP_IDS
     results = []
     for b in range(4):
         Av = vals[:, b, :]  # (n, alpha)
@@ -293,12 +295,7 @@ def check_frame_defining(cloud: SampleCloud, tol: ToleranceConfig) -> list[Check
         lhs = (xi @ dAv).transpose(0, 2, 1)  # xi_b^i d_i A_a, as (n, a, b)
         rhs = s * (Av @ C).reshape(n, 4, 4).transpose(0, 2, 1)  # C^g_ba A_g, as (n, a, b)
         resid = scaled_max(lhs, rhs)
-        asserted = model.group_id in ASSERTED_HOLO_ADMISSIBILITY or (abelian and b == 3)
-        notes = ()
-        if abelian and b < 3:
-            notes = ("zero-field construction: mixed components do not close",)
-        elif model.group_id in (GroupId.G4_III, GroupId.G4_IV):
-            notes = ("report mode: source potential tables carry label conflicts",)
+        asserted, notes = _asserted_basis(model, b, "mixed components do not close")
         results.append(
             CheckResult(
                 f"frame_defining[alpha{b + 1}]",

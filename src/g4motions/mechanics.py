@@ -10,9 +10,11 @@ partials, momentum gradients analytic (H is quadratic in p, Y linear).
 Trajectories are integrated with fixed-step classical RK4 — conservation
 drift is the measured quantity and fixed steps make convergence-order tests
 clean.  For the integrator's inner loop Hamilton's equations and the
-observables H, Y_a are compiled into one straight-line plain-``math`` kernel
-per run from the same symbolic partials (cross-checked against the batched
-sample-cloud gradients and the finite-difference oracle in the tests).  Its
+observables H, Y_a are written as expression trees over the chart point and
+the momenta, from the same symbolic partials, and compiled into one
+straight-line plain-``math`` kernel per run (cross-checked against the
+batched sample-cloud gradients and the finite-difference oracle in the
+tests).  Its
 call at an accepted state records that state's H and Y and is also the next
 RK4 step's first stage; the stages run on Python floats.  Runs that leave
 the entry's sampling box stop early and are flagged rather than raising,
@@ -28,7 +30,7 @@ from operator import gt
 import numpy as np
 
 from . import adiff
-from .catalog import GroupModel
+from .catalog import GroupModel, sample_points
 from .checks import CheckResult, ToleranceConfig, admissible_alphas, scaled_max
 from .geometry import SampleCloud
 
@@ -68,12 +70,11 @@ class PhasePoint:
 def sample_phase_points(
     model: GroupModel, n: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic (points, momenta) draw; momenta uniform in [-1, 1]^4."""
+    """Deterministic (points, momenta) draw: ``catalog.sample_points``, then
+    momenta uniform in [-1, 1]^4 from the same generator."""
     rng = np.random.default_rng(seed)
-    lo, hi = model.domain.bounds()
-    u = lo + (hi - lo) * rng.random((n, 4))
-    p = -1.0 + 2.0 * rng.random((n, 4))
-    return u, p
+    u = sample_points(model.domain, n, rng)
+    return u, -1.0 + 2.0 * rng.random((n, 4))
 
 
 def check_integral_algebra(cloud: SampleCloud, tol: ToleranceConfig) -> CheckResult:
@@ -147,18 +148,7 @@ class DriftStats:
         return max(self.H.max_abs, *(d.max_abs for d in self.Y))
 
 
-def _sym_pairs():
-    return [(i, j) for i in range(4) for j in range(i, 4)]
-
-
 _P = ("p1", "p2", "p3", "p4")  # extra kernel arguments: the canonical momenta
-
-
-def _sum(products) -> str:
-    """Source of a sum of products; a product with a zero (``None``) factor
-    is left out, so symbolically-zero partials cost nothing."""
-    kept = [" * ".join(factors) for factors in products if None not in factors]
-    return " + ".join(kept) if kept else "0.0"
 
 
 def _compiled_dynamics(model: GroupModel, alphas: np.ndarray):
@@ -167,62 +157,33 @@ def _compiled_dynamics(model: GroupModel, alphas: np.ndarray):
     It returns 13 floats: Hamilton's equations du/dt = dH/dp = 2 gP and
     dp/dt = -dH/du = -(d_l g^{ij} P_i P_j + 2 d_l A_i gP^i), then the
     observables H = P_i gP^i and Y_a = xi_a^i p_i, all from the same
-    P_i = p_i + A_i and gP^i = g^{ij} P_j.  The metric entries g^{ij} and
-    the potential A_i are assembled once as folded expression trees; their
-    symbolic partials and the frame xi are compiled with them, and the
-    contractions are emitted as scalar code after the field values.
+    P_i = p_i + A_i and gP^i = g^{ij} P_j.  Every output is one folded
+    expression tree over the chart point and the momenta (``adiff.Var``
+    leaves), written from the metric entries g^{ij}, the potential A_i,
+    their symbolic partials and the frame xi; a product with a symbolically
+    zero factor folds away, so it costs nothing.
     """
-    eta_con = model.eta_con()
-    pairs = _sym_pairs()
-
-    g_exprs = []
-    for i, j in pairs:
-        acc = adiff.ZERO
-        for a in range(4):
-            for b in range(4):
-                if eta_con[a, b] != 0.0:
-                    acc = acc + eta_con[a, b] * (model.e_con[a][i] * model.e_con[b][j])
-        g_exprs.append(acc)
-
-    A_exprs = []
-    for i in range(4):
-        acc = adiff.ZERO
-        for b in range(4):
-            if alphas[b] != 0.0:
-                acc = acc + alphas[b] * model.holo_basis[b][i]
-        A_exprs.append(acc)
-
-    def metric(names):
-        g = [[None] * 4 for _ in range(4)]
-        for (i, j), name in zip(pairs, names):
-            g[i][j] = g[j][i] = name
-        return g
-
-    n = len(pairs)
-
-    def hamilton(names):
-        # names: g (n), then d_l g per pair (4n), then A (4), then d_l A_i
-        # per i (16), then xi_a^i row by row (16)
-        g, A = metric(names[:n]), names[5 * n : 5 * n + 4]
-        dg = [metric(names[n + l : 5 * n : 4]) for l in range(4)]
-        dA = [names[5 * n + 4 + l : 5 * n + 20 : 4] for l in range(4)]
-        xi = names[5 * n + 20 :]
-        lines = [f"P{i} = {_P[i]} + {A[i]}" if A[i] else f"P{i} = {_P[i]}" for i in range(4)]
-        lines += [f"gP{i} = {_sum((g[i][j], f'P{j}') for j in range(4))}" for i in range(4)]
-        du = [f"2.0 * gP{i}" for i in range(4)]
-        dp = []
-        for l in range(4):
-            products = [(dg[l][i][i], f"P{i}", f"P{i}") for i in range(4)]
-            products += [("2.0", dg[l][i][j], f"P{i}", f"P{j}") for i, j in pairs if i != j]
-            products += [("2.0", dA[l][i], f"gP{i}") for i in range(4)]
-            dp.append(f"-({_sum(products)})")
-        H = _sum((f"P{i}", f"gP{i}") for i in range(4))
-        Y = [_sum((xi[4 * a + i], _P[i]) for i in range(4)) for a in range(4)]
-        return lines, [*du, *dp, H, *Y]
-
-    derivs = [d for e in (*g_exprs, *A_exprs) for d in adiff.gradient_exprs(e)]
-    exprs = [*g_exprs, *derivs[: 4 * n], *A_exprs, *derivs[4 * n :], *(x for row in model.xi for x in row)]
-    return adiff.compile_values(exprs, _P, hamilton)
+    eta_con, e, Z = model.eta_con(), model.e_con, adiff.ZERO
+    eta = [(a, b, eta_con[a, b]) for a in range(4) for b in range(4) if eta_con[a, b] != 0.0]
+    upper = [(i, j) for i in range(4) for j in range(i, 4)]
+    g = [[None] * 4 for _ in range(4)]
+    for i, j in upper:
+        g[i][j] = g[j][i] = sum((c * (e[a][i] * e[b][j]) for a, b, c in eta), Z)
+    A = [sum((c * row[i] for c, row in zip(alphas, model.holo_basis) if c != 0.0), Z) for i in range(4)]
+    dg = {(i, j): adiff.gradient_exprs(g[i][j]) for i, j in upper}
+    dA = [adiff.gradient_exprs(a) for a in A]
+    p = [adiff.Var(name) for name in _P]
+    P = [p[i] + A[i] for i in range(4)]
+    gP = [sum((g[i][j] * P[j] for j in range(4)), Z) for i in range(4)]
+    dp = []
+    for l in range(4):
+        terms = [dg[i, i][l] * P[i] * P[i] for i in range(4)]
+        terms += [2.0 * dg[i, j][l] * P[i] * P[j] for i, j in upper if i < j]
+        terms += [2.0 * dA[i][l] * gP[i] for i in range(4)]
+        dp.append(-sum(terms, Z))
+    H = sum((P[i] * gP[i] for i in range(4)), Z)
+    Y = [sum((x * p[i] for i, x in enumerate(row)), Z) for row in model.xi]
+    return adiff.compile_values([*(2.0 * x for x in gP), *dp, H, *Y], _P)
 
 
 def _finite(values, t: float):

@@ -130,6 +130,7 @@ def test_compiled_values_match_tree_walk():
         cos(U2 - U3) / (2.0 + sin(U1)),
         -(U3 * U3) + 0.5 * U2,
         Const(-3.25),
+        U3 / (U1 - U2),
     ]
     fn = compile_values(exprs)
     rng = np.random.default_rng(23)
@@ -138,6 +139,16 @@ def test_compiled_values_match_tree_walk():
         got = fn(*u)
         want = [e(u) for e in exprs]
         assert np.allclose(got, want, atol=0, rtol=1e-15)
+
+
+def test_compiled_guard_and_kernel_arguments():
+    """A denominator read once is still guarded, and ``Var`` leaves read the
+    extra arguments."""
+    fn = compile_values([U3 / (U1 - U2)])
+    with pytest.raises(DomainError):
+        fn(0.5, 0.5, 1.0, 0.0)
+    fn = compile_values([adiff.Var("p1") * U1 + adiff.Var("p2")], ("p1", "p2"))
+    assert fn(3.0, 0.0, 0.0, 0.0, 2.0, 0.25) == (6.25,)
 
 
 def test_catalog_expressions_agree_with_oracle(models):
