@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -198,7 +199,11 @@ class GroupModel:
     tetrad_printed: bool
     abelian_block: np.ndarray | None  # the 3x3 C_a^b matrix for the VI family
     notes: tuple = ()
-    orientation: OrientationDecision | None = None
+
+    @cached_property
+    def orientation(self) -> OrientationDecision:
+        """The tetrad orientation decision, computed on first read."""
+        return orient_tetrad(self)
 
     @property
     def name(self) -> str:
@@ -993,13 +998,17 @@ _BUILDERS = {
 
 
 def get_group(group_id: GroupId | str, params: GroupParams | None = None) -> GroupModel:
-    """Build the fully wired model for one catalog entry."""
+    """Build the fully wired model for one catalog entry.
+
+    The tetrad orientation decision (``orient_tetrad``) is not part of the
+    build: ``GroupModel.orientation`` computes it on first read, so only the
+    ``tetrad_duality`` check pays for it."""
     group_id = GroupId(group_id)
     params = params if params is not None else GroupParams()
     xi, dual, C, e_cov, e_con, holo, reference_frame, notes = _BUILDERS[group_id](
         params
     )
-    model = GroupModel(
+    return GroupModel(
         group_id=group_id,
         params=params,
         structure_constants=C,
@@ -1024,8 +1033,6 @@ def get_group(group_id: GroupId | str, params: GroupParams | None = None) -> Gro
         ),
         notes=notes,
     )
-    model.orientation = orient_tetrad(model)
-    return model
 
 
 def _scaled_error(lhs, rhs) -> np.ndarray:
@@ -1068,8 +1075,6 @@ def frame_bracket(xi, dxi, C) -> tuple[np.ndarray, int, dict]:
 
 
 def _duality_residual(cov_vals, con_vals) -> float:
-    # einsum, not matmul: every model build runs this, and in a simulate
-    # process it would be the first BLAS call (+0.35 MB peak RSS measured)
     prod = np.einsum("nai,nib->nab", con_vals, cov_vals)
     return float(np.max(np.abs(prod - np.eye(4))))
 

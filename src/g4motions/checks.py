@@ -111,13 +111,11 @@ def check_tetrad_duality(cloud: SampleCloud, tol: ToleranceConfig) -> CheckResul
     con = cloud.values("e_con")  # (n, alpha, i)
     prod = con @ cov
     resid = scaled_max(prod, np.eye(4)[None])
-    notes = ()
-    if cloud.model.orientation is not None:
-        o = cloud.model.orientation
-        notes = (
-            f"orientation {o.status}; rows_are_coordinates={o.rows_are_coordinates}; "
-            f"potential fit residual {o.potential_residual:.2e}",
-        )
+    o = cloud.model.orientation
+    notes = (
+        f"orientation {o.status}; rows_are_coordinates={o.rows_are_coordinates}; "
+        f"potential fit residual {o.potential_residual:.2e}",
+    )
     return CheckResult(
         "tetrad_duality", cloud.model.name, len(cloud), resid, tol.tol_exact, notes=notes
     )

@@ -16,7 +16,11 @@ straight-line plain-``math`` kernel per run (cross-checked against the
 batched sample-cloud gradients and the finite-difference oracle in the
 tests).  Its
 call at an accepted state records that state's H and Y and is also the next
-RK4 step's first stage; the stages run on Python floats.  Runs that leave
+RK4 step's first stage.  The step itself is straight-line scalar code: the
+eight state components and each stage's eight outputs are Python float
+locals, every stage argument and combine line is written out, and the box
+test is one chain of ``lo <= u <= hi`` comparisons (``tests/oracles.py``
+keeps the list-and-zip form it is pinned to, bit for bit).  Runs that leave
 the entry's sampling box stop early and are flagged rather than raising,
 since exponential blow-up in noncompact charts is expected.
 """
@@ -25,7 +29,6 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from operator import gt
 
 import numpy as np
 
@@ -197,36 +200,59 @@ def _finite(values, t: float):
 def integrate_trajectory(model: GroupModel, state0: PhasePoint, T: float, h: float) -> Trajectory:
     """Classical fixed-step RK4 for Hamilton's equations with the model's
     potential constants, recording H and Y_1..Y_4 each step.  Raises
-    ``ValueError`` unless ``round(T / h)`` is at least one step.  Stops early
-    (flagged, partial data) if the state leaves the entry's sampling box;
-    raises ``FloatingPointError`` if the state, H or Y becomes non-finite."""
+    ``ValueError`` unless ``T / h`` is finite and ``round(T / h)`` is at least
+    one step.  Stops early (flagged, partial data) if the state leaves the
+    entry's sampling box; raises ``FloatingPointError`` if the state, H or Y
+    becomes non-finite."""
     if h <= 0 or T <= 0:
         raise ValueError("step size and horizon must be positive")
+    if not math.isfinite(T / h):
+        raise ValueError(f"T={T!r} and h={h!r} give a non-finite step count T / h")
     n_steps = int(round(T / h))
     if n_steps < 1:
         raise ValueError(f"T={T!r} and h={h!r} give round(T / h) = 0 RK4 steps")
     kernel = _compiled_dynamics(model, model.params.alphas())
-    lo, hi = (b.tolist() for b in model.domain.bounds())
+    (lo1, lo2, lo3, lo4), (hi1, hi2, hi3, hi4) = (b.tolist() for b in model.domain.bounds())
 
     half, sixth = 0.5 * h, h / 6.0
-    y = [*state0.u.tolist(), *state0.p.tolist()]  # u1..u4, p1..p4
-    k1 = kernel(*y)  # du, dp, then H, Y: this state's observables and the first stage
+    u1, u2, u3, u4 = state0.u.tolist()
+    p1, p2, p3, p4 = state0.p.tolist()
+    y = (u1, u2, u3, u4, p1, p2, p3, p4)
+    k = kernel(*y)  # du, dp, then H, Y: this state's observables and the first stage
     states = array("d", y)
-    obs = array("d", _finite(k1[8:], 0.0))
+    obs = array("d", _finite(k[8:], 0.0))
     exited = False
 
     for step in range(1, n_steps + 1):
-        # zip stops after the 8 state components, so the stages' trailing H, Y go unused
-        k2 = kernel(*[a + half * b for a, b in zip(y, k1)])
-        k3 = kernel(*[a + half * b for a, b in zip(y, k2)])
-        k4 = kernel(*[a + h * b for a, b in zip(y, k3)])
-        y = [a + sixth * (b1 + 2 * b2 + 2 * b3 + b4) for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
-        _finite(y, step * h)
-        if any(map(gt, lo, y)) or any(map(gt, y, hi)):  # map stops after the 4 coordinates
+        # each stage's trailing H, Y go unused
+        a1, a2, a3, a4, a5, a6, a7, a8, _, _, _, _, _ = k
+        b1, b2, b3, b4, b5, b6, b7, b8, _, _, _, _, _ = kernel(
+            u1 + half * a1, u2 + half * a2, u3 + half * a3, u4 + half * a4,
+            p1 + half * a5, p2 + half * a6, p3 + half * a7, p4 + half * a8,
+        )
+        c1, c2, c3, c4, c5, c6, c7, c8, _, _, _, _, _ = kernel(
+            u1 + half * b1, u2 + half * b2, u3 + half * b3, u4 + half * b4,
+            p1 + half * b5, p2 + half * b6, p3 + half * b7, p4 + half * b8,
+        )
+        d1, d2, d3, d4, d5, d6, d7, d8, _, _, _, _, _ = kernel(
+            u1 + h * c1, u2 + h * c2, u3 + h * c3, u4 + h * c4,
+            p1 + h * c5, p2 + h * c6, p3 + h * c7, p4 + h * c8,
+        )
+        u1 = u1 + sixth * (a1 + 2 * b1 + 2 * c1 + d1)
+        u2 = u2 + sixth * (a2 + 2 * b2 + 2 * c2 + d2)
+        u3 = u3 + sixth * (a3 + 2 * b3 + 2 * c3 + d3)
+        u4 = u4 + sixth * (a4 + 2 * b4 + 2 * c4 + d4)
+        p1 = p1 + sixth * (a5 + 2 * b5 + 2 * c5 + d5)
+        p2 = p2 + sixth * (a6 + 2 * b6 + 2 * c6 + d6)
+        p3 = p3 + sixth * (a7 + 2 * b7 + 2 * c7 + d7)
+        p4 = p4 + sixth * (a8 + 2 * b8 + 2 * c8 + d8)
+        y = _finite((u1, u2, u3, u4, p1, p2, p3, p4), step * h)
+        # after _finite, so no comparison meets a nan
+        if not (lo1 <= u1 <= hi1 and lo2 <= u2 <= hi2 and lo3 <= u3 <= hi3 and lo4 <= u4 <= hi4):
             exited = True
             break
-        k1 = kernel(*y)  # the next step's first stage
-        obs.extend(_finite(k1[8:], step * h))
+        k = kernel(*y)  # the next step's first stage
+        obs.extend(_finite(k[8:], step * h))
         states.extend(y)
 
     phase = np.array(states).reshape(-1, 8)

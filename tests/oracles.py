@@ -3,10 +3,17 @@
 The finite-difference oracle works on any function of a chart point; the
 others are a few lines over a ``geometry.SampleCloud``, each written apart
 from the route the checks and the integrator take to the same quantity.
+``reference_rk4`` is the integrator's RK4 loop in its list-and-zip form,
+driving the same compiled kernel, against which the straight-line loop of
+``mechanics.integrate_trajectory`` is pinned bitwise.
 """
+from array import array
+from operator import gt
+
 import numpy as np
 
 from g4motions.adiff import CHART_DIM, as_point
+from g4motions.mechanics import Trajectory, _compiled_dynamics, _finite
 
 
 def finite_diff_gradient(f, u, h: float = 1e-5) -> np.ndarray:
@@ -46,3 +53,42 @@ def frame_metric_cov(cloud) -> np.ndarray:
     xi = cloud.values("xi")
     return xi @ g_cov @ xi.transpose(0, 2, 1)
 
+
+def reference_rk4(model, state0, T: float, h: float) -> Trajectory:
+    """Classical RK4 over lists of the eight state components, in the same
+    operation order as ``mechanics.integrate_trajectory``."""
+    n_steps = int(round(T / h))
+    kernel = _compiled_dynamics(model, model.params.alphas())
+    lo, hi = (b.tolist() for b in model.domain.bounds())
+
+    half, sixth = 0.5 * h, h / 6.0
+    y = [*state0.u.tolist(), *state0.p.tolist()]  # u1..u4, p1..p4
+    k1 = kernel(*y)  # du, dp, then H, Y: this state's observables and the first stage
+    states = array("d", y)
+    obs = array("d", _finite(k1[8:], 0.0))
+    exited = False
+
+    for step in range(1, n_steps + 1):
+        # zip stops after the 8 state components, so the stages' trailing H, Y go unused
+        k2 = kernel(*[a + half * b for a, b in zip(y, k1)])
+        k3 = kernel(*[a + half * b for a, b in zip(y, k2)])
+        k4 = kernel(*[a + h * b for a, b in zip(y, k3)])
+        y = [a + sixth * (b1 + 2 * b2 + 2 * b3 + b4) for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+        _finite(y, step * h)
+        if any(map(gt, lo, y)) or any(map(gt, y, hi)):  # map stops after the 4 coordinates
+            exited = True
+            break
+        k1 = kernel(*y)  # the next step's first stage
+        obs.extend(_finite(k1[8:], step * h))
+        states.extend(y)
+
+    phase = np.array(states).reshape(-1, 8)
+    integrals = np.array(obs).reshape(-1, 5)
+    return Trajectory(
+        t=np.arange(len(phase)) * h,
+        u=phase[:, :4],
+        p=phase[:, 4:],
+        H=integrals[:, 0],
+        Y=integrals[:, 1:],
+        domain_exit=exited,
+    )

@@ -173,7 +173,7 @@ def test_orientation_decisions(models):
 
 def test_orientation_identity_tetrad_is_ambiguous():
     flat = get_group(GroupId.G4_VI_1, GroupParams(k=0.0, l=0.0, eps01=0))
-    fixture = dataclasses.replace(flat, tetrad_printed=True, orientation=None)
+    fixture = dataclasses.replace(flat, tetrad_printed=True)
     decision = orient_tetrad(fixture)
     assert decision.status == "ambiguous"
 

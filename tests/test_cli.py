@@ -229,6 +229,40 @@ def test_report_config_records_every_parameter(capsys):
     assert {"alpha_angle", "k", "l", "eps01"} <= set(configs[0])
 
 
+@pytest.mark.parametrize("command", [["list"], ["simulate", "--group", "g4-iii", "--T", "0.01"]], ids=lambda c: c[0])
+def test_orientation_is_not_computed_outside_verify(command, tmp_path, capsys, monkeypatch):
+    def refuse(model):
+        raise AssertionError(f"{command[0]} computed the tetrad orientation of {model.name}")
+
+    monkeypatch.setattr(catalog, "orient_tetrad", refuse)
+    code, _, err = run_cli([*command, "--out", str(tmp_path / "out")], capsys)
+    assert code == 0, err
+
+
+def test_verify_orients_each_tetrad_once(capsys, monkeypatch):
+    """The tetrad_duality notes carry each entry's orientation decision,
+    computed once per entry and never for the alternate-eta cloud."""
+    orient = catalog.orient_tetrad
+    calls = []
+
+    def counted(model):
+        calls.append(model.name)
+        return orient(model)
+
+    monkeypatch.setattr(catalog, "orient_tetrad", counted)
+    code, out, _ = run_cli(["verify", "--group", "all", "--points", "20"], capsys)
+    assert code == 0
+    assert sorted(calls) == sorted(gid.value for gid in catalog.GroupId)
+    rows = [r for r in json.loads(out)["results"] if r["check"] == "tetrad_duality"]
+    assert len(rows) == 15
+    for r in rows:
+        status = "ambiguous" if r["group"] in ("g4-iv", "g4-v") else "resolved"
+        residual = orient(catalog.get_group(r["group"])).potential_residual
+        assert r["notes"] == [
+            f"orientation {status}; rows_are_coordinates=True; potential fit residual {residual:.2e}"
+        ]
+
+
 def test_simulate_rejects_zero_step(capsys):
     code, _, err = run_cli(["simulate", "--group", "g4-ii", "--h", "0"], capsys)
     assert code == 2
@@ -274,6 +308,7 @@ FAILURE_SURFACE = [
     (["simulate", "--group", "g4-ii", "--u0", "100,100,100,100"], 2, "outside the sampling box"),
     (["simulate", "--group", "g4-ii", "--T", "inf"], 2, "finite"),
     (["simulate", "--group", "g4-ii", "--u0", "0,0,0,0", "--T", "1e-4", "--h", "1e-3"], 2, "0 RK4 steps"),
+    (["simulate", "--group", "g4-ii", "--u0", "0,0,0,0", "--T", "1e300", "--h", "1e-300"], 2, "non-finite step count"),
     (["verify", "--group", "g4-ii", "--points", "5", "--param", "alpha1=1e308"], 2, "non-finite"),
     (["simulate", "--group", "g4-ii", "--u0=0,0,0,0", "--p0=1e200,1e200,0,0", "--T", "0.01", "--h", "1e-3"],
      2, "FloatingPointError"),

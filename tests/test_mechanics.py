@@ -18,7 +18,7 @@ from g4motions.mechanics import (
     drift_report,
     integrate_trajectory,
 )
-from oracles import finite_diff_gradient, hamiltonian, motion_integrals
+from oracles import finite_diff_gradient, hamiltonian, motion_integrals, reference_rk4
 
 FLAT_PARAMS = GroupParams(k=0.0, l=0.0, eps01=0)
 
@@ -186,6 +186,41 @@ def test_recorded_observables_belong_to_their_row(gid):
     assert np.allclose(traj.Y, motion_integrals(cloud), rtol=1e-12, atol=1e-13)
 
 
+def _bench_style_run(j, gid, alphas, p_scale=1.0):
+    """(model, start) as the benchmark draws them: a start within the middle
+    half of the entry's box, momenta uniform in [-1, 1]^4 times ``p_scale``."""
+    model = get_group(gid, GroupParams(em_alphas=tuple(alphas)))
+    lo, hi = model.domain.bounds()
+    rng = np.random.default_rng([2027, j])
+    u0 = (lo + hi) / 2 + (hi - lo) / 4 * rng.uniform(-1.0, 1.0, 4)
+    return model, PhasePoint(u=u0, p=p_scale * rng.uniform(-1.0, 1.0, 4))
+
+
+def _assert_bitwise_equal(traj, ref):
+    for field in ("t", "u", "p", "H", "Y"):
+        assert np.array_equal(getattr(traj, field), getattr(ref, field)), field
+    assert traj.domain_exit == ref.domain_exit
+
+
+@pytest.mark.parametrize("j, gid", list(enumerate(GroupId)), ids=[g.value for g in GroupId])
+def test_rk4_loop_matches_reference_bitwise(j, gid, models):
+    """The straight-line step is the list-and-zip RK4 loop, operation for
+    operation.  These starts all leave their box before T = 2."""
+    model, state0 = _bench_style_run(j, gid, admissible_alphas(models[gid]))
+    traj = integrate_trajectory(model, state0, T=2.0, h=1e-3)
+    _assert_bitwise_equal(traj, reference_rk4(model, state0, T=2.0, h=1e-3))
+    assert traj.domain_exit
+
+
+def test_rk4_loop_matches_reference_to_horizon():
+    # zero potential (admissible everywhere) and slow momenta stay in the box
+    gid = GroupId.G4_VII_B
+    model, state0 = _bench_style_run(list(GroupId).index(gid), gid, np.zeros(4), p_scale=0.1)
+    traj = integrate_trajectory(model, state0, T=2.0, h=1e-3)
+    _assert_bitwise_equal(traj, reference_rk4(model, state0, T=2.0, h=1e-3))
+    assert not traj.domain_exit and len(traj) == 2001
+
+
 @pytest.mark.parametrize("gid", [GroupId.G4_VIII_A, GroupId.G4_VIII_B])
 def test_integrate_singular_start_raises_domain_error(gid):
     # u1 = 0 is where sin(u1) vanishes in these charts
@@ -208,6 +243,8 @@ def test_integrate_rejects_bad_steps(models):
         integrate_trajectory(models[GroupId.G4_II], state0, T=-1.0, h=0.1)
     with pytest.raises(ValueError, match="0 RK4 steps"):
         integrate_trajectory(models[GroupId.G4_II], state0, T=1e-4, h=1e-3)  # round(T / h) = 0
+    with pytest.raises(ValueError, match="non-finite step count"):
+        integrate_trajectory(models[GroupId.G4_II], state0, T=1e300, h=1e-300)  # T / h = inf
 
 
 def test_drift_report_fixtures():
