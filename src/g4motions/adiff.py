@@ -98,10 +98,11 @@ class FieldExpr:
     A node names its child nodes in ``operands`` (empty for a leaf).
     ``eval(u, *values)`` receives the chart point(s) ``u``, of shape (4,) or
     (4, N), and the values of the operands in order; ``evaluate`` supplies
-    them.
+    them.  A node is immutable once built; ``gradient_exprs`` keeps its
+    partials on it.
     """
 
-    __slots__ = ()
+    __slots__ = ("_partials",)
     operands: tuple = ()
 
     def eval(self, u, *values):
@@ -444,9 +445,14 @@ def evaluate(exprs: Sequence[FieldExpr], u) -> list:
     return [values[id(e)] for e in exprs]
 
 
-def gradient_exprs(f: FieldExpr) -> list[FieldExpr]:
-    """Symbolic partials [df/du1, ..., df/du4]."""
-    return [f.diff(i) for i in range(CHART_DIM)]
+def gradient_exprs(f: FieldExpr) -> tuple[FieldExpr, ...]:
+    """Symbolic partials (df/du1, ..., df/du4), built on the first call and
+    kept on the node, so every later call returns the same trees."""
+    try:
+        return f._partials
+    except AttributeError:
+        f._partials = partials = tuple(f.diff(i) for i in range(CHART_DIM))
+        return partials
 
 
 _COORD_NAMES = ("u1", "u2", "u3", "u4")

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -93,7 +93,7 @@ BLOCK_ETA_IDS = frozenset({GroupId.G4_VII_A, GroupId.G4_VIII_A})
 PRINTED_TETRAD_IDS = frozenset(set(GroupId) - ABELIAN_SUBGROUP_IDS)
 
 
-@dataclass
+@dataclass(frozen=True)
 class GroupParams:
     """Free constants of a catalog entry.
 
@@ -101,7 +101,9 @@ class GroupParams:
     the third group (sin of it must not vanish), ``k``/``l``/``eps01`` the
     Abelian-subgroup family, ``em_alphas`` are the four potential constants
     and ``eta`` the constant frame metric (symmetric, nondegenerate,
-    arbitrary signature).
+    arbitrary signature).  The real constants are stored as floats, and
+    ``em_alphas`` and ``eta`` as (nested) tuples of floats, so equal
+    constants give equal, equally hashing params.
     """
 
     c: float = 2.0
@@ -114,9 +116,11 @@ class GroupParams:
 
     def __post_init__(self):
         for name in ("c", "alpha_angle", "k", "l", "em_alphas", "eta"):
-            value = getattr(self, name)
-            if not np.all(np.isfinite(np.asarray(value, dtype=float))):
-                raise InvalidParams(f"parameter {name!r} must be finite, got {value!r}")
+            given = getattr(self, name)
+            value = np.asarray(given, dtype=float)
+            if not np.all(np.isfinite(value)):
+                raise InvalidParams(f"parameter {name!r} must be finite, got {given!r}")
+            object.__setattr__(self, name, _tuples(value.tolist()))
 
     def eta_matrix(self) -> np.ndarray:
         return np.asarray(self.eta, dtype=float)
@@ -125,7 +129,7 @@ class GroupParams:
         return np.asarray(self.em_alphas, dtype=float)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SampleDomain:
     """Axis-aligned box in the chart; keeps all catalog denominators and
     exponentials tame (denominators stay >= 0.1 in magnitude inside it)."""
@@ -161,7 +165,18 @@ def sample_points(dom: SampleDomain, n: int, seed: int | np.random.Generator) ->
     return lo + (hi - lo) * rng.random((n, adiff.CHART_DIM))
 
 
-@dataclass
+def _tuples(x):
+    """Nested lists as nested tuples."""
+    return tuple(map(_tuples, x)) if isinstance(x, list) else x
+
+
+def _read_only(a: np.ndarray | None) -> np.ndarray | None:
+    if a is not None:
+        a.flags.writeable = False
+    return a
+
+
+@dataclass(frozen=True)
 class OrientationDecision:
     """Outcome of resolving which tetrad index labels matrix rows.
 
@@ -169,7 +184,7 @@ class OrientationDecision:
     potential table; harmless, the stored reading is used) or "failed"
     (neither does; the entry is flagged, the stored reading is used).
     ``relabel`` maps stored potential-constant bases onto tetrad bases when
-    the tables agree only up to a constant relabeling.
+    the tables agree only up to a constant relabeling (read-only).
     """
 
     status: str
@@ -180,20 +195,24 @@ class OrientationDecision:
     note: str = ""
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class GroupModel:
-    """One fully wired catalog entry; immutable after construction."""
+    """One fully wired catalog entry, immutable: ``get_group`` hands the same
+    model to every caller with equal constants, so its fields cannot be
+    reassigned, its tables are tuples and its arrays are read-only.  Models
+    compare and hash by identity."""
 
     group_id: GroupId
     params: GroupParams
     structure_constants: np.ndarray  # C[gamma][alpha][beta]
-    xi: list  # 4x4 FieldExpr, rows = group index, cols = coordinate index
-    dual: list  # 4x4 FieldExpr, rows = coordinate index, cols = group index
-    e_cov: list  # 4x4 FieldExpr, rows = coordinate index, cols = frame index
-    e_con: list  # 4x4 FieldExpr, rows = frame index, cols = coordinate index
-    holo_basis: list  # holo_basis[beta][i]: coefficient of alpha_beta in A_i
-    frame_basis: list  # frame_basis[beta][alpha]: recomputed xi . A
-    reference_frame: list | None  # source frame-potential table, if linear
+    # the tables are 4x4 FieldExpr, tuples of rows
+    xi: tuple  # rows = group index, cols = coordinate index
+    dual: tuple  # rows = coordinate index, cols = group index
+    e_cov: tuple  # rows = coordinate index, cols = frame index
+    e_con: tuple  # rows = frame index, cols = coordinate index
+    holo_basis: tuple  # holo_basis[beta][i]: coefficient of alpha_beta in A_i
+    frame_basis: tuple  # frame_basis[beta][alpha]: recomputed xi . A
+    reference_frame: tuple | None  # source frame-potential table, if linear
     eta_eff: np.ndarray  # 4x4 constant frame metric actually used
     domain: SampleDomain
     tetrad_printed: bool
@@ -975,7 +994,7 @@ def _effective_eta(group_id: GroupId, params: GroupParams) -> np.ndarray:
         eta = out
     if abs(np.linalg.det(eta)) < 1e-12:
         raise InvalidParams("eta must be nondegenerate")
-    return eta
+    return _read_only(eta)
 
 
 _BUILDERS = {
@@ -998,27 +1017,41 @@ _BUILDERS = {
 
 
 def get_group(group_id: GroupId | str, params: GroupParams | None = None) -> GroupModel:
-    """Build the fully wired model for one catalog entry.
+    """The fully wired model for one catalog entry.
 
-    The tetrad orientation decision (``orient_tetrad``) is not part of the
-    build: ``GroupModel.orientation`` computes it on first read, so only the
-    ``tetrad_duality`` check pays for it."""
+    A model is a pure function of the entry and its constants, so it is
+    built once per process: every call with an equal ``(group_id, params)``
+    returns the same immutable model object, from a memo of the 64 most
+    recently used ones.  What is computed from a model is kept on it too:
+    its tetrad orientation decision (``GroupModel.orientation``, computed
+    on first read, so only the ``tetrad_duality`` check pays for it) and
+    the symbolic partials of its tables (``adiff.gradient_exprs``)."""
     group_id = GroupId(group_id)
     params = params if params is not None else GroupParams()
+    # the repr tells -0.0 from 0.0, which compare and hash equal but print apart
+    return _memo_group(group_id, params, repr(params))
+
+
+@lru_cache(maxsize=64)
+def _memo_group(group_id: GroupId, params: GroupParams, _repr: str) -> GroupModel:
+    return _build_group(group_id, params)
+
+
+def _build_group(group_id: GroupId, params: GroupParams) -> GroupModel:
     xi, dual, C, e_cov, e_con, holo, reference_frame, notes = _BUILDERS[group_id](
         params
     )
     return GroupModel(
         group_id=group_id,
         params=params,
-        structure_constants=C,
-        xi=xi,
-        dual=dual,
-        e_cov=e_cov,
-        e_con=e_con,
-        holo_basis=holo,
-        frame_basis=_frame_from_holo(xi, holo),
-        reference_frame=reference_frame,
+        structure_constants=_read_only(C),
+        xi=_tuples(xi),
+        dual=_tuples(dual),
+        e_cov=_tuples(e_cov),
+        e_con=_tuples(e_con),
+        holo_basis=_tuples(holo),
+        frame_basis=_tuples(_frame_from_holo(xi, holo)),
+        reference_frame=_tuples(reference_frame),
         eta_eff=_effective_eta(group_id, params),
         domain=(
             SPHERICAL_DOMAIN
@@ -1026,7 +1059,7 @@ def get_group(group_id: GroupId | str, params: GroupParams | None = None) -> Gro
             else DEFAULT_DOMAIN
         ),
         tetrad_printed=group_id in PRINTED_TETRAD_IDS,
-        abelian_block=(
+        abelian_block=_read_only(
             _abelian_matrix(group_id, params)
             if group_id in ABELIAN_SUBGROUP_IDS
             else None
@@ -1152,7 +1185,7 @@ def orient_tetrad(model: GroupModel) -> OrientationDecision:
         rows_are_coordinates=use_stored,
         duality_residual=dual_stored if use_stored else dual_flipped,
         potential_residual=fit_stored if use_stored else fit_flipped,
-        relabel=R_stored if use_stored else R_flipped,
+        relabel=_read_only(R_stored if use_stored else R_flipped),
         note=note,
     )
 

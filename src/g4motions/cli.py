@@ -14,6 +14,7 @@ import errno
 import os
 import sys
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -139,7 +140,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default=None, help="write output to this path")
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; ``parse_args`` keeps no state in it."""
     parser = argparse.ArgumentParser(
         prog="g4motions",
         description="catalog of simply transitive four-parameter motion groups "
@@ -168,8 +171,11 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(p_sim)
     p_sim.add_argument("--u0", default="0,0,0,0", help="initial chart point, comma separated")
     p_sim.add_argument("--p0", default="0.1,0.2,0.3,0.4", help="initial momenta, comma separated")
-    p_sim.add_argument("--T", type=float, default=10.0)
-    p_sim.add_argument("--h", type=float, default=1e-3)
+    p_sim.add_argument(
+        "--T", type=float, default=10.0,
+        help=f"horizon; the run takes round(T / h) RK4 steps, at most {mechanics.MAX_STEPS}",
+    )
+    p_sim.add_argument("--h", type=float, default=1e-3, help="RK4 step size")
     return parser
 
 

@@ -12,23 +12,27 @@ drift is the measured quantity and fixed steps make convergence-order tests
 clean.  For the integrator's inner loop Hamilton's equations and the
 observables H, Y_a are written as expression trees over the chart point and
 the momenta, from the same symbolic partials, and compiled into one
-straight-line plain-``math`` kernel per run (cross-checked against the
+straight-line plain-``math`` kernel per model (cross-checked against the
 batched sample-cloud gradients and the finite-difference oracle in the
-tests).  Its
-call at an accepted state records that state's H and Y and is also the next
-RK4 step's first stage.  The step itself is straight-line scalar code: the
-eight state components and each stage's eight outputs are Python float
+tests).  The kernel is compiled on a model's first run and kept for its
+later runs, keyed on the model object: ``get_group`` shares one model per
+entry and constants, and a model copied with other tables compiles its own.
+Its call at an accepted state records that state's H and Y and is also the
+next RK4 step's first stage.  The step itself is straight-line scalar code:
+the eight state components and each stage's eight outputs are Python float
 locals, every stage argument and combine line is written out, and the box
 test is one chain of ``lo <= u <= hi`` comparisons (``tests/oracles.py``
 keeps the list-and-zip form it is pinned to, bit for bit).  Runs that leave
 the entry's sampling box stop early and are flagged rather than raising,
-since exponential blow-up in noncompact charts is expected.
+since exponential blow-up in noncompact charts is expected.  A run is at
+most ``MAX_STEPS`` steps, so its memory is bounded.
 """
 from __future__ import annotations
 
 import math
 from array import array
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -48,6 +52,7 @@ __all__ = [
     "drift_report",
     "export_csv",
     "TRAJECTORY_CSV_HEADER",
+    "MAX_STEPS",
 ]
 
 
@@ -189,6 +194,14 @@ def _compiled_dynamics(model: GroupModel, alphas: np.ndarray):
     return adiff.compile_values([*(2.0 * x for x in gP), *dp, H, *Y], _P)
 
 
+@lru_cache(maxsize=64)
+def _kernel(model: GroupModel):
+    """The model's kernel under its own potential constants, compiled on
+    first use.  Models hash by identity, and the memo holds each model it
+    keys, so an id is never reused while its kernel is kept."""
+    return _compiled_dynamics(model, model.params.alphas())
+
+
 def _finite(values, t: float):
     # plain float arithmetic overflows to inf/nan silently, where numpy
     # under the CLI's errstate would raise
@@ -197,13 +210,19 @@ def _finite(values, t: float):
     return values
 
 
+#: The most RK4 steps one trajectory may take.  A step keeps 13 floats, so
+#: a trajectory at the cap holds about 100 MB.
+MAX_STEPS = 10**6
+
+
 def integrate_trajectory(model: GroupModel, state0: PhasePoint, T: float, h: float) -> Trajectory:
     """Classical fixed-step RK4 for Hamilton's equations with the model's
     potential constants, recording H and Y_1..Y_4 each step.  Raises
-    ``ValueError`` unless ``T / h`` is finite and ``round(T / h)`` is at least
-    one step.  Stops early (flagged, partial data) if the state leaves the
-    entry's sampling box; raises ``FloatingPointError`` if the state, H or Y
-    becomes non-finite."""
+    ``ValueError`` unless ``T / h`` is finite and ``round(T / h)`` is between
+    one step and ``MAX_STEPS``.  Stops early (flagged, partial data) if the
+    state leaves the entry's sampling box; raises ``FloatingPointError`` if
+    the state, H or Y becomes non-finite.  The kernel is compiled once per
+    model object and reused by every later call on it."""
     if h <= 0 or T <= 0:
         raise ValueError("step size and horizon must be positive")
     if not math.isfinite(T / h):
@@ -211,7 +230,12 @@ def integrate_trajectory(model: GroupModel, state0: PhasePoint, T: float, h: flo
     n_steps = int(round(T / h))
     if n_steps < 1:
         raise ValueError(f"T={T!r} and h={h!r} give round(T / h) = 0 RK4 steps")
-    kernel = _compiled_dynamics(model, model.params.alphas())
+    if n_steps > MAX_STEPS:
+        raise ValueError(
+            f"T={T!r} and h={h!r} give round(T / h) = {n_steps} RK4 steps, "
+            f"above the cap of {MAX_STEPS}"
+        )
+    kernel = _kernel(model)
     (lo1, lo2, lo3, lo4), (hi1, hi2, hi3, hi4) = (b.tolist() for b in model.domain.bounds())
 
     half, sixth = 0.5 * h, h / 6.0

@@ -64,8 +64,8 @@ def test_criterion_02_frame_and_tetrad_duality(models, clouds, tol):
         worst = max(worst, checks.check_tetrad_duality(clouds[gid], tol).max_residual)
         o = model.orientation
         assert o is not None and o.rows_are_coordinates is not None
-        # deterministic: a rebuilt model resolves identically
-        o2 = catalog.get_group(gid).orientation
+        # deterministic: a rebuilt model (not the shared one) resolves identically
+        o2 = catalog._build_group(gid, model.params).orientation
         assert (o.status, o.rows_are_coordinates) == (o2.status, o2.rows_are_coordinates)
     ok = worst <= 1e-12
     _report(2, ok, f"duality residual {worst:.2e} <= 1e-12 at {N_POINTS} points, "

@@ -234,6 +234,7 @@ def test_orientation_is_not_computed_outside_verify(command, tmp_path, capsys, m
     def refuse(model):
         raise AssertionError(f"{command[0]} computed the tetrad orientation of {model.name}")
 
+    catalog._memo_group.cache_clear()  # a model oriented by an earlier test would hide a call
     monkeypatch.setattr(catalog, "orient_tetrad", refuse)
     code, _, err = run_cli([*command, "--out", str(tmp_path / "out")], capsys)
     assert code == 0, err
@@ -241,7 +242,8 @@ def test_orientation_is_not_computed_outside_verify(command, tmp_path, capsys, m
 
 def test_verify_orients_each_tetrad_once(capsys, monkeypatch):
     """The tetrad_duality notes carry each entry's orientation decision,
-    computed once per entry and never for the alternate-eta cloud."""
+    computed once per entry and never for the alternate-eta cloud; a second
+    run reads it from the same models."""
     orient = catalog.orient_tetrad
     calls = []
 
@@ -249,10 +251,14 @@ def test_verify_orients_each_tetrad_once(capsys, monkeypatch):
         calls.append(model.name)
         return orient(model)
 
+    catalog._memo_group.cache_clear()  # earlier tests built and oriented the models
     monkeypatch.setattr(catalog, "orient_tetrad", counted)
     code, out, _ = run_cli(["verify", "--group", "all", "--points", "20"], capsys)
     assert code == 0
     assert sorted(calls) == sorted(gid.value for gid in catalog.GroupId)
+    calls.clear()
+    assert run_cli(["verify", "--group", "all", "--points", "20"], capsys)[:2] == (0, out)
+    assert calls == []
     rows = [r for r in json.loads(out)["results"] if r["check"] == "tetrad_duality"]
     assert len(rows) == 15
     for r in rows:
@@ -309,6 +315,8 @@ FAILURE_SURFACE = [
     (["simulate", "--group", "g4-ii", "--T", "inf"], 2, "finite"),
     (["simulate", "--group", "g4-ii", "--u0", "0,0,0,0", "--T", "1e-4", "--h", "1e-3"], 2, "0 RK4 steps"),
     (["simulate", "--group", "g4-ii", "--u0", "0,0,0,0", "--T", "1e300", "--h", "1e-300"], 2, "non-finite step count"),
+    (["simulate", "--group", "g4-ii", "--u0", "0,0,0,0", "--T", "1e9", "--h", "1e-3"],
+     2, "T=1000000000.0 and h=0.001 give round(T / h) = 1000000000000 RK4 steps, above the cap of 1000000"),
     (["verify", "--group", "g4-ii", "--points", "5", "--param", "alpha1=1e308"], 2, "non-finite"),
     (["simulate", "--group", "g4-ii", "--u0=0,0,0,0", "--p0=1e200,1e200,0,0", "--T", "0.01", "--h", "1e-3"],
      2, "FloatingPointError"),

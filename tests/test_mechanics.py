@@ -245,6 +245,8 @@ def test_integrate_rejects_bad_steps(models):
         integrate_trajectory(models[GroupId.G4_II], state0, T=1e-4, h=1e-3)  # round(T / h) = 0
     with pytest.raises(ValueError, match="non-finite step count"):
         integrate_trajectory(models[GroupId.G4_II], state0, T=1e300, h=1e-300)  # T / h = inf
+    with pytest.raises(ValueError, match=r"1000000000000 RK4 steps, above the cap of 1000000"):
+        integrate_trajectory(models[GroupId.G4_II], state0, T=1e9, h=1e-3)
 
 
 def test_drift_report_fixtures():
