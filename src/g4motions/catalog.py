@@ -43,7 +43,6 @@ __all__ = [
     "InvalidParams",
     "get_group",
     "sample_points",
-    "frame_bracket",
     "orient_tetrad",
     "catalog_entry",
 ]
@@ -1066,40 +1065,6 @@ def _build_group(group_id: GroupId, params: GroupParams) -> GroupModel:
         ),
         notes=notes,
     )
-
-
-def _scaled_error(lhs, rhs) -> np.ndarray:
-    """|lhs - rhs| / (1 + max(|lhs|, |rhs|)) elementwise: the relative
-    residual of every identity check."""
-    lhs = np.asarray(lhs, float)
-    rhs = np.asarray(rhs, float)
-    # in place: the residual arrays are the largest arrays of a check
-    scale = np.abs(lhs)
-    np.maximum(scale, np.abs(rhs), out=scale)
-    scale += 1.0
-    err = lhs - rhs
-    np.abs(err, out=err)
-    err /= scale
-    return err
-
-
-def frame_bracket(xi, dxi, C) -> tuple[np.ndarray, int, dict]:
-    """The frame Lie bracket and the overall sign it closes with.
-
-    ``xi`` is (n, a, i) and ``dxi`` (n, j, a, i) = d_j xi_a^i.  Returns
-    [xi_a, xi_b]^i = xi_a^j d_j xi_b^i - xi_b^j d_j xi_a^i as (n, a, b, i),
-    the sign s that fits [xi_a, xi_b] = s C^g_ab xi_g best (+1 on a tie), and
-    the scaled residual max |lhs - rhs| / (1 + max(|lhs|, |rhs|)) of each
-    sign.  Raises ``FloatingPointError`` if a residual is not finite.
-    """
-    n = len(xi)
-    bracket = (xi @ dxi.reshape(n, 4, 16)).reshape(n, 4, 4, 4)  # xi_a^j d_j xi_b^i
-    bracket = bracket - bracket.transpose(0, 2, 1, 3)
-    target = (C.reshape(4, 16).T @ xi).reshape(n, 4, 4, 4)  # C^g_ab xi_g^i
-    res = {s: float(np.max(_scaled_error(bracket, s * target))) for s in (1, -1)}
-    if not all(map(math.isfinite, res.values())):
-        raise FloatingPointError(f"non-finite bracket residuals {res}")
-    return bracket, min(res, key=res.get), res
 
 
 # --------------------------------------------------------------------------

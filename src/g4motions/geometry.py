@@ -2,11 +2,14 @@
 check reads.
 
 All index gymnastics used by the verification suite lives here.
-``metric_batch`` assembles the metric on (n, 4) point arrays together with
-its coordinate gradient; ``SampleCloud`` evaluates one entry's tables, metric,
-frame metric, frame bracket and potential on a fixed set of points, with the
-coordinate gradients the identity checks need (the symbolic partials of the
-expression tables, evaluated with their values).
+``metric_batch`` assembles the metric g^{ij} on (n, 4) point arrays together
+with its coordinate gradient, and ``frame_metric_batch`` the frame metric
+G^{ab} with its gradient from them; both are per-point products, so they
+give the same bits on any slice of the points.  ``SampleCloud`` evaluates
+one entry's tables, metric, frame metric, frame bracket and potential on a
+fixed set of points, with the coordinate gradients the identity checks need
+(the symbolic partials of the expression tables, evaluated with their
+values).
 """
 from __future__ import annotations
 
@@ -14,9 +17,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .catalog import GroupModel, eval_table, eval_table_jet, frame_bracket
+from .catalog import GroupModel, eval_table, eval_table_jet
 
-__all__ = ["SingularMetric", "SampleCloud", "metric_batch"]
+__all__ = ["SingularMetric", "SampleCloud", "metric_batch", "frame_metric_batch"]
 
 _DET_GUARD = 1e-12
 
@@ -29,32 +32,46 @@ class SingularMetric(ArithmeticError):
     """The assembled metric is (numerically) degenerate."""
 
 
-def _invert(g: np.ndarray) -> np.ndarray:
-    dets = np.linalg.det(g)
-    if np.any(np.abs(dets) < _DET_GUARD):
-        raise SingularMetric(f"metric determinant below guard ({np.min(np.abs(dets)):.3e})")
-    return np.linalg.inv(g)
-
-
-def metric_batch(
-    model: GroupModel, points, tetrad=None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(g_con, g_cov, dg_con) at points (n, 4).
+def metric_batch(model: GroupModel, points, tetrad=None) -> tuple[np.ndarray, np.ndarray]:
+    """(g_con, dg_con) at points (n, 4).
 
     g_con is assembled from the contravariant tetrad, g^{ij} =
     eta^{ab} e_a^i e_b^j (for the flat-fourth-direction entries eta is the
-    embedded 3x3 block completed by 1); g_cov by matrix inversion.  dg_con
-    has shape (n, 4, 4, 4) with axis 1 the derivative direction.  The
-    contractions are pairwise batched matmuls over the 4x4 index blocks.
-    ``tetrad`` is the (values, gradients) pair of ``model.e_con`` at the
-    points, when it has been evaluated already.
+    embedded 3x3 block completed by 1).  dg_con has shape (n, 4, 4, 4) with
+    axis 1 the derivative direction.  The contractions are pairwise batched
+    matmuls over the 4x4 index blocks.  ``tetrad`` is the (values,
+    gradients) pair of ``model.e_con`` at the points, when it has been
+    evaluated already.  Raises ``SingularMetric`` where det g^{ij} is below
+    the guard.
     """
     econ, decon = eval_table_jet(model.e_con, points) if tetrad is None else tetrad
     t = model.eta_con() @ econ  # eta^{ab} e_b^j, (n,a,j)
     g = econ.transpose(0, 2, 1) @ t
+    dets = np.linalg.det(g)
+    if np.any(np.abs(dets) < _DET_GUARD):
+        raise SingularMetric(f"metric determinant below guard ({np.min(np.abs(dets)):.3e})")
     dg = decon.transpose(0, 1, 3, 2) @ t[:, None]
     dg = dg + dg.transpose(0, 1, 3, 2)
-    return g, _invert(g), dg
+    return g, dg
+
+
+def frame_metric_batch(g, dg, dual, ddual) -> tuple[np.ndarray, np.ndarray]:
+    """G^{ab} = xi^a_i xi^b_j g^{ij} (n, a, b) and d_l G^{ab} (n, l, a, b)
+    from the metric (n, i, j), its gradient (n, l, i, j), the dual frame
+    xi^a_i as (n, i, a) and its gradient (n, l, i, a).
+
+    Pairwise batched matmuls; the two dual-derivative terms of the gradient
+    are one product and its (a, b) transpose, since g is symmetric.  The
+    right factor of xi^a_i d_l g^{ij} xi^b_j is one (16x4)(4x4) product per
+    point.
+    """
+    n = len(dual)
+    dual_t = dual.transpose(0, 2, 1)
+    gd = g @ dual  # g^{ij} xi^b_j
+    dG = ddual.transpose(0, 1, 3, 2) @ gd[:, None]  # d_l xi^a_i g^{ij} xi^b_j
+    dG = dG + dG.transpose(0, 1, 3, 2)
+    dG += ((dual_t[:, None] @ dg).reshape(n, 16, 4) @ dual).reshape(n, 4, 4, 4)
+    return dual_t @ gd, dG
 
 
 class SampleCloud:
@@ -64,8 +81,9 @@ class SampleCloud:
     tolerances.  Everything is evaluated on first use, and the cloud keeps
     only what two or more checks read: the jets of the tables in
     ``_SHARED_JETS``, the values of the other tables asked for through
-    ``values``, the metric g^{ij}, g_{ij}, d_l g^{ij}, and the frame Lie
-    bracket with its sign.  The jets of the other tables, the frame metric
+    ``values``, the metric g^{ij} with d_l g^{ij}, and the frame Lie bracket
+    with its sign.  g_{ij} (``metric_cov``) is inverted on first read; no
+    check reads it.  The jets of the other tables, the frame metric
     G^{ab} with its gradient, the potential A_i, d_l A_i (two small
     contractions of the shared ``holo_basis`` jets) and the gradients of H
     are computed on each call, so no table's jets are evaluated twice.
@@ -110,35 +128,28 @@ class SampleCloud:
         return self._memo(("values", table), lambda: eval_table(getattr(self.model, table), self.points))
 
     @cached_property
-    def metric(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(g^{ij}, g_{ij}, d_l g^{ij}) under the model's frame metric."""
+    def metric(self) -> tuple[np.ndarray, np.ndarray]:
+        """(g^{ij}, d_l g^{ij}) under the model's frame metric."""
         return metric_batch(self.model, self.points, tetrad=self.jet("e_con"))
+
+    @cached_property
+    def metric_cov(self) -> np.ndarray:
+        """g_{ij} (n, i, j), the inverse of g^{ij}."""
+        return np.linalg.inv(self.metric[0])
 
     @property
     def bracket(self) -> tuple[np.ndarray, int, dict]:
         """The frame Lie bracket (n, a, b, i), its closure sign and the
-        residual of each sign (``catalog.frame_bracket``)."""
+        residual of each sign (``checks.frame_bracket``)."""
+        from .checks import frame_bracket  # deferred: checks reads this module
+
         return self._memo(
             "bracket", lambda: frame_bracket(*self.jet("xi"), self.model.structure_constants)
         )
 
     def frame_metric(self) -> tuple[np.ndarray, np.ndarray]:
-        """G^{ab} = xi^a_i xi^b_j g^{ij} (n, a, b) and d_l G^{ab} (n, l, a, b).
-
-        Pairwise batched matmuls; the two dual-derivative terms of the
-        gradient are one product and its (a, b) transpose, since g is
-        symmetric.  The right factor of xi^a_i d_l g^{ij} xi^b_j is one
-        (16x4)(4x4) product per point.
-        """
-        g, _, dg = self.metric
-        dual, ddual = self.jet("dual")  # (n,i,a), (n,l,i,a)
-        n = len(dual)
-        dual_t = dual.transpose(0, 2, 1)
-        gd = g @ dual  # g^{ij} xi^b_j
-        dG = ddual.transpose(0, 1, 3, 2) @ gd[:, None]  # d_l xi^a_i g^{ij} xi^b_j
-        dG = dG + dG.transpose(0, 1, 3, 2)
-        dG += ((dual_t[:, None] @ dg).reshape(n, 16, 4) @ dual).reshape(n, 4, 4, 4)
-        return dual_t @ gd, dG
+        """G^{ab} (n, a, b) and d_l G^{ab} (n, l, a, b) (``frame_metric_batch``)."""
+        return frame_metric_batch(*self.metric, *self.jet("dual"))
 
     def potential(self, alphas, basis: str = "holo_basis") -> tuple[np.ndarray, np.ndarray]:
         """A_i = alpha_b T^b_i (n, 4) and d_l A_i (n, 4, 4) for the potential
@@ -153,7 +164,7 @@ class SampleCloud:
 
         The potential term is contracted pairwise as d_l A_i (g^{ij} P_j).
         """
-        g, _, dg = self.metric
+        g, dg = self.metric
         A, dA = self.potential(alphas)
         P = self.momenta + A
         gP = np.einsum("nij,nj->ni", g, P)

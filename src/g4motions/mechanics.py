@@ -144,16 +144,12 @@ class Trajectory:
 @dataclass
 class Drift:
     max_abs: float
-    relative: float
 
 
 @dataclass
 class DriftStats:
     H: Drift
     Y: tuple
-
-    def worst(self) -> float:
-        return max(self.H.max_abs, *(d.max_abs for d in self.Y))
 
 
 _P = ("p1", "p2", "p3", "p4")  # extra kernel arguments: the canonical momenta
@@ -292,13 +288,12 @@ def integrate_trajectory(model: GroupModel, state0: PhasePoint, T: float, h: flo
 
 
 def drift_report(traj: Trajectory) -> DriftStats:
-    """Per-observable max |value(t) - value(0)| and a (1 + |v0|)-relative form."""
+    """Per-observable max |value(t) - value(0)|."""
     if len(traj) == 0:
         raise ValueError("empty trajectory")
 
     def drift(series):
-        d = float(np.max(np.abs(series - series[0])))
-        return Drift(max_abs=d, relative=d / (1.0 + abs(float(series[0]))))
+        return Drift(max_abs=float(np.max(np.abs(series - series[0]))))
 
     return DriftStats(
         H=drift(traj.H), Y=tuple(drift(traj.Y[:, a]) for a in range(4))

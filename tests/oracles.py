@@ -3,6 +3,8 @@
 The finite-difference oracle works on any function of a chart point; the
 others are a few lines over a ``geometry.SampleCloud``, each written apart
 from the route the checks and the integrator take to the same quantity.
+The ``unblocked_*`` residuals are the checks' formulas over the whole cloud
+at once, against which the checks' per-block reduction is pinned bitwise.
 ``reference_rk4`` is the integrator's RK4 loop in its list-and-zip form,
 driving the same compiled kernel, against which the straight-line loop of
 ``mechanics.integrate_trajectory`` is pinned bitwise.
@@ -35,7 +37,7 @@ def finite_diff_gradient(f, u, h: float = 1e-5) -> np.ndarray:
 
 def hamiltonian(cloud, alphas) -> np.ndarray:
     """H = P_i g^{ij} P_j with P = p + A, at the cloud's (points, momenta)."""
-    g, _, _ = cloud.metric
+    g, _ = cloud.metric
     A, _ = cloud.potential(alphas)
     P = cloud.momenta + A
     return np.einsum("ni,nij,nj->n", P, g, P)
@@ -49,9 +51,57 @@ def motion_integrals(cloud) -> np.ndarray:
 def frame_metric_cov(cloud) -> np.ndarray:
     """G_{ab} = xi_a^i g_{ij} xi_b^j (n, a, b): the frame metric by the
     second route, through the frame and the inverted metric."""
-    _, g_cov, _ = cloud.metric
+    g_cov = cloud.metric_cov
     xi = cloud.values("xi")
     return xi @ g_cov @ xi.transpose(0, 2, 1)
+
+
+def _scaled_max(lhs, rhs) -> float:
+    """max |lhs - rhs| / (1 + max(|lhs|, |rhs|)) over whole arrays."""
+    return float(np.max(np.abs(lhs - rhs) / (1.0 + np.maximum(np.abs(lhs), np.abs(rhs)))))
+
+
+def unblocked_bracket(xi, dxi, C) -> dict:
+    """The scaled residual of [xi_a, xi_b] = s C^g_ab xi_g for s = +1 and -1."""
+    n = len(xi)
+    bracket = (xi @ dxi.reshape(n, 4, 16)).reshape(n, 4, 4, 4)
+    bracket = bracket - bracket.transpose(0, 2, 1, 3)
+    target = (C.reshape(4, 16).T @ xi).reshape(n, 4, 4, 4)
+    return {s: _scaled_max(bracket, s * target) for s in (1, -1)}
+
+
+def unblocked_killing(cloud) -> float:
+    g, dg = cloud.metric
+    xi, dxi = cloud.jet("xi")
+    n = len(xi)
+    lhs = (g @ dxi.reshape(n, 4, 16)).reshape(n, 4, 4, 4).transpose(0, 2, 1, 3)
+    lhs = lhs + lhs.transpose(0, 1, 3, 2)
+    rhs = (xi @ dg.reshape(n, 4, 16)).reshape(n, 4, 4, 4)
+    return _scaled_max(lhs, rhs)
+
+
+def unblocked_frame_killing(cloud) -> float:
+    G, dG = cloud.frame_metric()
+    _, s, _ = cloud.bracket
+    n = len(G)
+    lhs = (cloud.values("xi") @ dG.reshape(n, 4, 16)).reshape(n, 4, 4, 4)
+    C = cloud.model.structure_constants.transpose(1, 0, 2).reshape(4, 16)
+    rhs = (G.reshape(4 * n, 4) @ C).reshape(n, 4, 4, 4).transpose(0, 3, 1, 2)
+    rhs = rhs + rhs.transpose(0, 1, 3, 2)
+    return _scaled_max(lhs, s * rhs)
+
+
+def unblocked_admissibility(cloud, table: str) -> list[float]:
+    """The admissibility residual of each basis potential of ``table``."""
+    xi, dxi = cloud.jet("xi")
+    xi_t = np.ascontiguousarray(xi.transpose(0, 2, 1))
+    vals, grads = cloud.jet(table)
+    out = []
+    for b in range(4):
+        A, dA = vals[:, b], grads[:, :, b]
+        F = dA - dA.transpose(0, 2, 1)
+        out.append(_scaled_max(np.einsum("niaj,nj->nia", dxi, A) + dA @ xi_t, F @ xi_t))
+    return out
 
 
 def reference_rk4(model, state0, T: float, h: float) -> Trajectory:

@@ -4,7 +4,7 @@ Each reference below is the index expression written out as a single
 ``np.einsum``; the library computes the same quantity as batched or flat
 matmuls.  Both are compared at one seeded cloud per catalog entry and frame
 metric.  The two sides of each identity check are read where the check hands
-them to its residual (``checks.scaled_max``, and ``catalog._scaled_error``
+them to its residual (``checks.scaled_max``, and ``checks.scaled_max_signs``
 for the frame bracket), so they are compared in the layout the check uses.
 """
 import numpy as np
@@ -61,7 +61,7 @@ def test_contractions_match_einsum(gid, eta_models, samples):
 
     econ, decon = eval_table_jet(model.e_con, pts)
     eta_con = model.eta_con()
-    g, _, dg = geometry.metric_batch(model, pts)
+    g, dg = geometry.metric_batch(model, pts)
     assert_matches(g, einsum_ref("ab,nai,nbj->nij", eta_con, econ, econ))
     half, half_scale = einsum_ref("ab,nlai,nbj->nlij", eta_con, decon, econ)
     sym = (0, 1, 3, 2)
@@ -114,14 +114,14 @@ def test_check_sides_match_einsum(gid, eta_models, samples, monkeypatch):
     C = model.structure_constants
     xi, dxi = cloud.jet("xi")
     dual = cloud.values("dual")
-    g, _, dg = cloud.metric
+    g, dg = cloud.metric
     sym = (0, 1, 3, 2)
 
-    bracket_sides = record_sides(monkeypatch, catalog, "_scaled_error")
-    bracket, s, _ = catalog.frame_bracket(xi, dxi, C)
+    bracket_sides = record_sides(monkeypatch, checks, "scaled_max_signs")
+    bracket, s, _ = checks.frame_bracket(xi, dxi, C)
     half = einsum_ref("naj,njbi->nabi", xi, dxi)
     assert_matches(bracket, add(half, scaled(transposed(half, (0, 2, 1, 3)), -1)))
-    target = bracket_sides[0][1]  # the sign +1 is tried first
+    (_, target), = bracket_sides  # one block; the target of the sign +1
     assert_matches(target, einsum_ref("gab,ngi->nabi", C, xi))
 
     sides = record_sides(monkeypatch, checks, "scaled_max")

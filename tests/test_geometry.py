@@ -4,7 +4,6 @@ import math
 import numpy as np
 import pytest
 
-from g4motions import geometry
 from g4motions.catalog import GroupId, GroupParams, get_group
 from g4motions.geometry import SampleCloud, SingularMetric
 from oracles import frame_metric_cov
@@ -25,13 +24,14 @@ def faraday(model, points, alphas=None, basis="holo_basis"):
 
 
 def test_identity_tetrad_gives_eta():
-    g_con, g_cov, _ = SampleCloud(flat_model(), np.array([[0.3, -0.2, 0.9, 1.1]])).metric
+    cloud = SampleCloud(flat_model(), np.array([[0.3, -0.2, 0.9, 1.1]]))
+    g_con, g_cov = cloud.metric[0], cloud.metric_cov
     assert np.allclose(g_cov[0], ETA_LORENTZ, atol=1e-15)
     assert np.allclose(g_con[0], ETA_LORENTZ, atol=1e-15)
 
 
 def test_g4_i_metric_is_eta_at_origin(models):
-    _, g_cov, _ = SampleCloud(models[GroupId.G4_I_CNE1], np.zeros((1, 4))).metric
+    g_cov = SampleCloud(models[GroupId.G4_I_CNE1], np.zeros((1, 4))).metric_cov
     assert np.allclose(g_cov[0], ETA_LORENTZ, atol=1e-15)
 
 
@@ -53,13 +53,14 @@ def test_g4_viii_metric_against_independent_transcription(models):
     expected = np.zeros((4, 4))
     expected[3, 3] = 1.0
     expected[:, :] += np.einsum("ab,ai,bj->ij", eta3_con, e_con[:3], e_con[:3])
-    g_con, _, _ = SampleCloud(models[GroupId.G4_VIII_A], u[None]).metric
+    g_con, _ = SampleCloud(models[GroupId.G4_VIII_A], u[None]).metric
     assert np.allclose(g_con[0], expected, atol=1e-14)
 
 
 def test_metric_inversion_residual_all_entries(models, samples):
     for gid, model in models.items():
-        g, ginv, _ = geometry.metric_batch(model, samples[gid][0])
+        cloud = SampleCloud(model, samples[gid][0])
+        g, ginv = cloud.metric[0], cloud.metric_cov
         resid = np.max(np.abs(np.einsum("nij,njk->nik", g, ginv) - np.eye(4)))
         assert resid <= 1e-10, gid
 
@@ -68,7 +69,8 @@ def test_metric_inversion_residual_euclidean_eta(samples):
     eta = tuple(tuple(float(i == j) for j in range(4)) for i in range(4))
     for gid in GroupId:
         model = get_group(gid, GroupParams(eta=eta))
-        g, ginv, _ = geometry.metric_batch(model, samples[gid][0][:60])
+        cloud = SampleCloud(model, samples[gid][0][:60])
+        g, ginv = cloud.metric[0], cloud.metric_cov
         resid = np.max(np.abs(np.einsum("nij,njk->nik", g, ginv) - np.eye(4)))
         assert resid <= 1e-10, gid
 
@@ -106,7 +108,7 @@ def test_faraday_g4_i_single_constant():
 def test_frame_metric_identity_frame():
     model = flat_model()
     cloud = SampleCloud(model, np.array([[0.1, 0.2, 0.3, 0.4]]))
-    g_con, g_cov, _ = cloud.metric
+    g_con, g_cov = cloud.metric[0], cloud.metric_cov
     G_con, _ = cloud.frame_metric()
     assert np.allclose(G_con, g_con, atol=1e-14)
     assert np.allclose(frame_metric_cov(cloud), g_cov, atol=1e-14)
