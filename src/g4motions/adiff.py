@@ -8,20 +8,22 @@ the exact partial along one chart axis as another such tree (constants fold,
 zeros vanish, and a partial refers back to the nodes of its field where the
 chain and product rules reuse them).
 
-``evaluate`` is the one evaluator, for values and partials alike: it
-evaluates each distinct node of a list of trees once per call and drops
-each value after its last use.  The independent check on the partials is
-the central finite-difference oracle of the verification suite
-(``checks.check_fd_oracle``).  A small source-level compiler,
-``compile_values``, turns one list of trees over the chart point and named
-kernel arguments (``Var`` leaves, the integrator's momenta) into a
-straight-line plain-``math`` function for the trajectory integrator's hot
-loop: each distinct subtree is evaluated once, as a temporary, or written
-into its reader when it has exactly one.
+``evaluate`` is the one evaluator, for values and partials alike.  It runs
+a plan built on first use for each list of trees and kept in a bounded
+memo: structurally equal subtrees share one value, even when built as
+separate objects, and each value is dropped after its last use.  The
+independent check on the partials is the central finite-difference oracle
+of the verification suite (``checks.check_fd_oracle``).  A small
+source-level compiler, ``compile_values``, turns one list of trees over the
+chart point and named kernel arguments (``Var`` leaves, the integrator's
+momenta) into a straight-line plain-``math`` function for the trajectory
+integrator's hot loop: each distinct subtree is evaluated once, as a
+temporary, or written into its reader when it has exactly one.
 """
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -404,45 +406,53 @@ def evaluate(exprs: Sequence[FieldExpr], u) -> list:
 
     ``u`` may be a single point of shape (4,) or a batch of shape (4, N);
     each value is then a float or an (N,) array (a constant stays a float
-    either way).  Every distinct node object reachable from ``exprs`` is
-    evaluated once per call, so trees that share nodes (a table's entries
-    and their ``gradient_exprs``) share the values, and a value is dropped
-    as soon as its last reader has run.
+    either way).  The call runs the plan built on the first call with these
+    roots: structurally equal subtrees, and so trees that share nodes (a
+    table's entries and their ``gradient_exprs``), share one value, and a
+    value is dropped as soon as its last reader has run.
     """
     u = np.asarray(u, dtype=float)
-    uses: dict[int, int] = {}  # readers per node; a root counts as one more
-    order: list[FieldExpr] = []  # operands before the nodes that read them
-
-    def visit(e):
-        key = id(e)
-        n = uses.get(key)
-        if n is None:
-            uses[key] = 1
-            for o in e.operands:
-                visit(o)
-            order.append(e)
+    steps, outs = _plan(tuple(exprs))
+    values = []
+    for fn, args, drop in steps:
+        if len(args) == 2:  # the library's arities spelled out: no argument list per step
+            values.append(fn(u, values[args[0]], values[args[1]]))
+        elif len(args) == 1:
+            values.append(fn(u, values[args[0]]))
         else:
-            uses[key] = n + 1
+            values.append(fn(u, *map(values.__getitem__, args)))
+        for i in drop:
+            values[i] = None
+    return [values[i] for i in outs]
 
-    for e in exprs:
-        visit(e)
-    values: dict[int, object] = {}
-    for e in order:
-        ops = e.operands
-        if not ops:
-            values[id(e)] = e.eval(u)
-            continue
-        args = []
-        for o in ops:
-            key = id(o)
-            args.append(values[key])
-            n = uses[key] - 1
-            if n:
-                uses[key] = n
-            else:
-                del values[key]
-        values[id(e)] = e.eval(u, *args)
-    return [values[id(e)] for e in exprs]
+
+@lru_cache(maxsize=1024)  # about ten tables per model: room for all 64 memoized models
+def _plan(roots: tuple) -> tuple:
+    """One step per distinct ``_key``, in first-encounter order: (eval,
+    operand slots, the operand slots it is the last reader of); and the
+    slot of each root."""
+    slot_of, by_key = {}, {}  # the slot of each node object, of each key
+    fns, operands = [], []  # per slot
+
+    def slot(e):
+        out = slot_of.get(id(e))
+        if out is None:
+            args = tuple(map(slot, e.operands))
+            out = by_key.setdefault(_key(e, args), len(fns))
+            if out == len(fns):
+                fns.append(e.eval)
+                operands.append(args)
+            slot_of[id(e)] = out
+        return out
+
+    outs = tuple(map(slot, roots))
+    last = {i: k for k, args in enumerate(operands) for i in args}
+    last.update(dict.fromkeys(outs))  # a root is kept to the end
+    drops = [()] * len(fns)
+    for i, k in last.items():
+        if k is not None:
+            drops[k] += (i,)
+    return tuple(zip(fns, operands, drops)), outs
 
 
 def gradient_exprs(f: FieldExpr) -> tuple[FieldExpr, ...]:
@@ -463,14 +473,28 @@ _SOURCE = {
 _COMMUTATIVE = (Add, Mul)
 
 
+def _key(e: FieldExpr, ops: tuple):
+    """The structural key of ``e`` given the keys (slots or names) of its
+    operands: nodes with equal keys have equal values at every point.  A
+    node type from outside the library is keyed by its identity."""
+    kind = type(e)
+    if kind is Const or kind is Coord or kind is Var:
+        return kind, repr(e)  # the axis, the name or the constant; repr tells -0.0 from 0.0
+    if kind not in _SOURCE:
+        return id(e)
+    if kind in _COMMUTATIVE and ops[1] < ops[0]:
+        return kind, ops[1], ops[0]  # IEEE a + b == b + a and a * b == b * a exactly
+    return (kind, *ops)
+
+
 class _SSA:
     """Hash-consing emitter: one temporary per distinct subtree.
 
     Leaves render inline (coordinates and ``Var`` arguments by name,
-    constants as literals).  A node's key is its type plus the names of its
-    operands, so structurally equal subtrees built as separate objects still
-    share one temporary.  ``reads`` counts the readers of each name; a
-    guarded denominator's guard is one of them.
+    constants as literals).  A node's key is ``_key`` of its operands' names,
+    the rule ``evaluate``'s plans use, so structurally equal subtrees built
+    as separate objects still share one temporary.  ``reads`` counts the
+    readers of each name; a guarded denominator's guard is one of them.
     """
 
     def __init__(self):
@@ -498,9 +522,7 @@ class _SSA:
         if kind not in _SOURCE:
             raise TypeError(f"cannot compile {kind.__name__}")
         ops = tuple(map(self.name, e.operands))
-        key = (kind, *ops)
-        if kind in _COMMUTATIVE and ops[1] < ops[0]:
-            key = (kind, ops[1], ops[0])  # IEEE a + b == b + a and a * b == b * a exactly
+        key = _key(e, ops)
         out = self.temps.get(key)
         if out is not None:
             for o in ops:  # read by the existing temporary, not by a new one

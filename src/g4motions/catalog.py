@@ -277,36 +277,49 @@ def _frame_from_holo(xi, holo_basis) -> list:
     return out
 
 
-def _stack(values, n: int, shape: tuple) -> np.ndarray:
-    """Field values (floats or (n,) arrays) as one (n, *shape) array.  Most
-    entries of a table, and most of its partials, are constants: they are
-    written in one broadcast, the rest column by column."""
-    out = np.empty((n, len(values)))
-    out[:] = [v if isinstance(v, float) else 0.0 for v in values]
-    for k, v in enumerate(values):
-        if not isinstance(v, float):
-            out[:, k] = v
-    return out.reshape(n, *shape)
+@lru_cache(maxsize=1024)  # as adiff._plan: about ten tables per memoized model
+def _layout(table: tuple, jet: bool) -> tuple:
+    """The entries of a table of rows, then with ``jet`` their partials, that
+    are not constants; and for the values and the gradients each, the
+    constant row, the columns the others go to and the shape per point."""
+    flat = [e for row in table for e in row]
+    parts = [(flat, (len(table), len(table[0])))]
+    if jet:
+        partials = [p[l] for l in range(adiff.CHART_DIM) for p in map(adiff.gradient_exprs, flat)]
+        parts.append((partials, (adiff.CHART_DIM, *parts[0][1])))
+    roots, arrays = [], []
+    for exprs, shape in parts:
+        cols = [k for k, e in enumerate(exprs) if type(e) is not adiff.Const]
+        roots += [exprs[k] for k in cols]
+        const = _read_only(np.array([e.c if type(e) is adiff.Const else 0.0 for e in exprs]))
+        arrays.append((const, tuple(cols), shape))
+    return tuple(roots), tuple(arrays)
+
+
+def _eval_layout(exprs, points, jet: bool) -> list:
+    pts = np.asarray(points, float).T  # (4, n)
+    roots, arrays = _layout(tuple(map(tuple, exprs)), jet)
+    values = iter(adiff.evaluate(roots, pts))
+    out = []
+    for const, cols, shape in arrays:
+        a = np.empty((pts.shape[1], len(const)))
+        a[:] = const
+        for k, v in zip(cols, values):  # zip reads cols first: it takes no value past them
+            a[:, k] = v
+        out.append(a.reshape(-1, *shape))
+    return out
 
 
 def eval_table(exprs, points) -> np.ndarray:
     """Evaluate a table of FieldExpr at points (n, 4) -> (n, r, c)."""
-    pts = np.asarray(points, float).T  # (4, n)
-    values = adiff.evaluate([e for row in exprs for e in row], pts)
-    return _stack(values, pts.shape[1], (len(exprs), len(exprs[0])))
+    return _eval_layout(exprs, points, False)[0]
 
 
 def eval_table_jet(exprs, points) -> tuple[np.ndarray, np.ndarray]:
     """Values (n, r, c) and gradients (n, 4, r, c) of a FieldExpr table,
     the gradients from the entries' symbolic partials (one evaluation of
     the entries and partials together)."""
-    pts = np.asarray(points, float).T
-    n, shape = pts.shape[1], (len(exprs), len(exprs[0]))
-    flat = [e for row in exprs for e in row]
-    partials = [adiff.gradient_exprs(e) for e in flat]
-    values = adiff.evaluate([*flat, *(p[l] for l in range(adiff.CHART_DIM) for p in partials)], pts)
-    m = len(flat)
-    return _stack(values[:m], n, shape), _stack(values[m:], n, (adiff.CHART_DIM, *shape))
+    return tuple(_eval_layout(exprs, points, True))
 
 
 # --------------------------------------------------------------------------

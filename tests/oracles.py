@@ -8,6 +8,9 @@ at once, against which the checks' per-block reduction is pinned bitwise.
 ``reference_rk4`` is the integrator's RK4 loop in its list-and-zip form,
 driving the same compiled kernel, against which the straight-line loop of
 ``mechanics.integrate_trajectory`` is pinned bitwise.
+``unplanned_evaluate`` is ``adiff.evaluate`` without a plan: it walks the
+trees on every call and evaluates each distinct node object, against which
+the planned, hash-consed evaluator is pinned bitwise.
 """
 from array import array
 from operator import gt
@@ -33,6 +36,46 @@ def finite_diff_gradient(f, u, h: float = 1e-5) -> np.ndarray:
         step[i] = h
         grad[i] = (f(u + step) - f(u - step)) / (2.0 * h)
     return grad
+
+
+def unplanned_evaluate(exprs, u) -> list:
+    """Values of ``exprs`` at the chart point(s) ``u``: every distinct node
+    object reachable from ``exprs`` evaluated once, operands first, each
+    value dropped after its last reader."""
+    u = np.asarray(u, dtype=float)
+    uses: dict[int, int] = {}  # readers per node; a root counts as one more
+    order = []  # operands before the nodes that read them
+
+    def visit(e):
+        key = id(e)
+        n = uses.get(key)
+        if n is None:
+            uses[key] = 1
+            for o in e.operands:
+                visit(o)
+            order.append(e)
+        else:
+            uses[key] = n + 1
+
+    for e in exprs:
+        visit(e)
+    values: dict[int, object] = {}
+    for e in order:
+        ops = e.operands
+        if not ops:
+            values[id(e)] = e.eval(u)
+            continue
+        args = []
+        for o in ops:
+            key = id(o)
+            args.append(values[key])
+            n = uses[key] - 1
+            if n:
+                uses[key] = n
+            else:
+                del values[key]
+        values[id(e)] = e.eval(u, *args)
+    return [values[id(e)] for e in exprs]
 
 
 def hamiltonian(cloud, alphas) -> np.ndarray:

@@ -1,15 +1,18 @@
 """Symbolic partials and the one evaluator against hand values and the
 finite-difference oracle."""
 import math
+import weakref
 
 import numpy as np
 import pytest
 
-from g4motions import adiff
+from g4motions import adiff, catalog
 from g4motions.adiff import (
+    Add,
     Const,
     DomainError,
     FieldExpr,
+    Var,
     compile_values,
     coords,
     cos,
@@ -18,8 +21,8 @@ from g4motions.adiff import (
     gradient_exprs,
     sin,
 )
-from g4motions.catalog import eval_table_jet
-from oracles import finite_diff_gradient
+from g4motions.catalog import eval_table, eval_table_jet
+from oracles import finite_diff_gradient, unplanned_evaluate
 
 U1, U2, U3, U4 = coords()
 
@@ -268,3 +271,167 @@ def test_node_type_defined_outside_the_library():
     for k, u in enumerate(pts):
         value, grad = value_and_grad(f, u)
         assert vals[k, 0, 0] == value and np.array_equal(grads[k, :, 0, 0], grad)
+
+
+# --------------------------------------------------------------------------
+# The plan against the unplanned walk
+# --------------------------------------------------------------------------
+
+TABLES = ("xi", "dual", "e_cov", "e_con", "holo_basis", "frame_basis", "reference_frame",
+          "tetrad_basis")
+
+
+def _identical(got, want) -> bool:
+    """The same values bit for bit: equal, with the same shape and the same
+    signs of zeros."""
+    got, want = np.asarray(got), np.asarray(want)
+    return (got.shape == want.shape and np.array_equal(got, want)
+            and np.array_equal(np.signbit(got), np.signbit(want)))
+
+
+def _jet_roots(table) -> list:
+    """A table's entries, then their partials in ``eval_table_jet``'s order."""
+    flat = [e for row in table for e in row]
+    return [*flat, *(p[l] for l in range(adiff.CHART_DIM) for p in map(gradient_exprs, flat))]
+
+
+def _unplanned_table_jet(table, pts):
+    n, r, c = len(pts), len(table), len(table[0])
+    out = np.empty((n, 5 * r * c))
+    for k, v in enumerate(unplanned_evaluate(_jet_roots(table), pts.T)):
+        out[:, k] = v
+    return out[:, : r * c].reshape(n, r, c), out[:, r * c :].reshape(n, adiff.CHART_DIM, r, c)
+
+
+@pytest.mark.parametrize("n", [1, 2, 257])
+def test_plan_matches_unplanned_walk_on_every_table(models, n):
+    for gid, model in models.items():
+        pts = catalog.sample_points(model.domain, n, 5)
+        for name in TABLES:
+            table = getattr(model, name)
+            if table is None:
+                continue
+            want_vals, want_grads = _unplanned_table_jet(table, pts)
+            vals, grads = eval_table_jet(table, pts)
+            assert _identical(vals, want_vals) and _identical(grads, want_grads), (gid, name)
+            assert vals.flags.c_contiguous and grads.flags.c_contiguous
+            assert _identical(eval_table(table, pts), want_vals), (gid, name)
+            roots = _jet_roots(table)
+            got, want = evaluate(roots, pts.T), unplanned_evaluate(roots, pts.T)
+            assert len(got) == len(want)
+            assert all(_identical(a, b) for a, b in zip(got, want)), (gid, name)
+
+
+def test_plan_matches_unplanned_walk_at_a_single_point(models):
+    for gid, model in models.items():
+        u = catalog.sample_points(model.domain, 1, 9)[0]  # shape (4,)
+        for name in TABLES:
+            table = getattr(model, name)
+            if table is None:
+                continue
+            roots = _jet_roots(table)
+            got, want = evaluate(roots, u), unplanned_evaluate(roots, u)
+            assert all(isinstance(v, float) for v in got), (gid, name)
+            assert all(_identical(a, b) for a, b in zip(got, want)), (gid, name)
+
+
+def test_plan_keeps_the_sign_of_a_zero_constant():
+    """0.0 == -0.0, so a key by value would merge them, and 0.0 + -0.0 would
+    come out as -0.0."""
+    u = [0.1, 0.2, 0.3, 0.4]
+    for roots in ([Add(Const(-0.0), Const(-0.0)), Add(Const(0.0), Const(-0.0))],
+                  [Add(Const(0.0), Const(-0.0)), Add(Const(-0.0), Const(-0.0))]):
+        got = dict(zip(map(repr, roots), evaluate(roots, u)))
+        assert math.copysign(1.0, got["(-0.0 + -0.0)"]) == -1.0
+        assert math.copysign(1.0, got["(0.0 + -0.0)"]) == 1.0
+
+
+def test_plan_shares_one_step_between_equal_subtrees():
+    a, b = sin(U1), U2 * U3
+    steps, outs = adiff._plan((Add(a, b), Add(b, a), sin(U1) + U3 * U2, a - b, b - a))
+    assert outs[0] == outs[1] == outs[2]  # Add and Mul operands in either order
+    assert len(set(outs)) == 3  # a - b and b - a are not the same value
+    assert len(steps) == 8  # u1, sin, u2, u3, *, +, the two -
+    pts = np.random.default_rng(4).uniform(-1.0, 1.0, size=(4, 3))
+    got = evaluate([Add(a, b), Add(b, a)], pts)
+    assert got[0] is got[1] and _identical(got[0], np.sin(pts[0]) + pts[1] * pts[2])
+
+
+def test_plan_evaluates_an_outside_node_type_once_per_object():
+    first, second = _Tally(U1 * U2), _Tally(U2 * U1)  # structurally equal, two objects
+    roots = [first, second, first + second, first * U3, _Square(first), _Square(first)]
+    _Tally.log.clear()
+    values = evaluate(roots, np.random.default_rng(6).uniform(-1.0, 1.0, size=(4, 5)))
+    assert sorted(_Tally.log) == sorted([id(first), id(second)])
+    assert _identical(values[4], values[1] ** 2)
+    _, outs = adiff._plan(tuple(roots))
+    assert len(set(outs)) == len(roots)  # each outside node is its own value
+
+
+class _Watched(FieldExpr):
+    """Copies its operand's value and keeps a weak reference to the copy."""
+
+    refs: list = []
+
+    def __init__(self, f):
+        self.operands = (f,)
+
+    def eval(self, u, f):
+        out = f + 0.0
+        _Watched.refs.append(weakref.ref(out))
+        return out
+
+    def diff(self, axis):
+        raise NotImplementedError
+
+
+class _Census(FieldExpr):
+    """A leaf that records which watched values are alive when it runs."""
+
+    alive: list = []
+
+    def eval(self, u):
+        _Census.alive.append([r() is not None for r in _Watched.refs])
+        return u[0]
+
+
+def test_plan_drops_a_value_after_its_last_reader():
+    read_once, root = _Watched(U1 * U2), _Watched(U3 + U4)
+    _Watched.refs.clear()
+    _Census.alive.clear()
+    evaluate([sin(read_once), root, _Census()], np.ones((4, 3)))
+    assert _Census.alive == [[False, True]]  # sin has read the first; the root is kept
+
+
+def test_plan_raises_on_a_var_as_the_walk_does():
+    f = Var("p1") * U1
+    for ev in (evaluate, unplanned_evaluate):
+        with pytest.raises(NotImplementedError):
+            ev([f], [0.1, 0.2, 0.3, 0.4])
+
+
+def _raised(ev, roots, u):
+    with pytest.raises(Exception) as info:
+        ev(roots, u)
+    return type(info.value), str(info.value)
+
+
+def test_error_mid_plan_matches_the_walk_and_leaves_the_plan_usable():
+    """A denominator that vanishes at one point, and an exp that overflows
+    under ``errstate(over="raise")``: the same error as the unplanned walk,
+    and the next call on the same plan gives the same values as the walk."""
+    roots = [U2 + U3, exp(U4) * U3 / sin(U1), exp(800.0 * U4) + U2]
+    good = np.random.default_rng(12).uniform(0.1, 0.5, size=(4, 6)) * [[1], [1], [1], [0.1]]
+    singular = good.copy()
+    singular[0, 3] = 0.0  # sin(u1) = 0 at the fourth point
+    overflowing = good.copy()
+    overflowing[3, 2] = 1.0  # exp(800) at the third point
+    for u, kind in ((singular, DomainError), (overflowing, FloatingPointError)):
+        with np.errstate(over="raise"):
+            got = _raised(evaluate, roots, u)
+            assert got == _raised(unplanned_evaluate, roots, u)
+            assert got[0] is kind
+            misses = adiff._plan.cache_info().misses
+            values = evaluate(roots, good)
+            assert adiff._plan.cache_info().misses == misses
+            assert all(_identical(a, b) for a, b in zip(values, unplanned_evaluate(roots, good)))

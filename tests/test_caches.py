@@ -1,7 +1,7 @@
 """What is built once per process: catalog models (with their orientation
-and symbolic partials), simulate kernels and the CLI parser.  A shared
-object must give the same results as a fresh one, and must not be
-changeable by the caller it was handed to."""
+and symbolic partials), table evaluation plans, simulate kernels and the
+CLI parser.  A shared object must give the same results as a fresh one,
+and must not be changeable by the caller it was handed to."""
 import dataclasses
 import os
 import subprocess
@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from g4motions import adiff, cli
+from g4motions import adiff, catalog, cli
 from g4motions.catalog import GroupId, GroupParams, get_group
 from g4motions.mechanics import PhasePoint, integrate_trajectory
 
@@ -64,6 +64,25 @@ def test_cache_partials_are_built_once_per_node():
     for table in (model.xi, model.e_con):
         for e in (e for row in table for e in row):
             assert adiff.gradient_exprs(e) is adiff.gradient_exprs(e)
+
+
+def _plan_misses() -> tuple[int, int]:
+    return adiff._plan.cache_info().misses, catalog._layout.cache_info().misses
+
+
+def test_cache_plan_built_on_first_evaluation_only(tmp_path, capsys):
+    """A model no plan was built for: building it builds no plan, its first
+    verify builds them, and a second verify with other points builds none."""
+    before = _plan_misses()
+    get_group(GroupId.G4_VI_2, GroupParams(em_alphas=(0.625, 1.0, 1.0, 1.0)))
+    assert _plan_misses() == before
+    argv = ["verify", "--group", "g4-vi-2", "--param", "alpha1=0.625",
+            "--out", str(tmp_path / "verify.json")]
+    assert cli.main([*argv, "--points", "40", "--seed", "1"]) in (0, 1)
+    first = _plan_misses()
+    assert first[0] > before[0] and first[1] > before[1]
+    assert cli.main([*argv, "--points", "90", "--seed", "2"]) in (0, 1)
+    assert _plan_misses() == first
 
 
 def _count_compiles(monkeypatch) -> list:
