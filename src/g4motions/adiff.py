@@ -114,7 +114,8 @@ class FieldExpr:
         raise NotImplementedError
 
     def __call__(self, u):
-        return evaluate([self], u)[0]
+        # an unmemoized plan: one-off expressions would evict the tables' plans
+        return _run(_plan.__wrapped__((self,)), u)[0]
 
     # Operator sugar: every overload routes through the folding constructors
     # so that catalog tables stay small trees (zeros vanish, constants fold).
@@ -411,8 +412,12 @@ def evaluate(exprs: Sequence[FieldExpr], u) -> list:
     table's entries and their ``gradient_exprs``), share one value, and a
     value is dropped as soon as its last reader has run.
     """
+    return _run(_plan(tuple(exprs)), u)
+
+
+def _run(plan: tuple, u) -> list:
     u = np.asarray(u, dtype=float)
-    steps, outs = _plan(tuple(exprs))
+    steps, outs = plan
     values = []
     for fn, args, drop in steps:
         if len(args) == 2:  # the library's arities spelled out: no argument list per step

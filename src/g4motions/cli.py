@@ -18,7 +18,7 @@ from functools import cache
 
 import numpy as np
 
-from . import __version__, catalog, checks, geometry, mechanics
+from . import __version__, catalog, checks, mechanics
 from .catalog import GroupId, GroupParams, InvalidParams
 
 __all__ = ["main", "build_report", "render_json", "RunConfig", "VerificationReport"]
@@ -92,7 +92,7 @@ def render_json(value, indent: int = 0) -> str:
 
 def _parse_params(pairs: list[str]) -> GroupParams:
     kwargs = {}
-    alphas = list(GroupParams().em_alphas)
+    alphas = list(GroupParams.em_alphas)  # the field's default
     for pair in pairs:
         if "=" not in pair:
             raise InvalidParams(f"--param expects key=value, got {pair!r}")
@@ -248,8 +248,8 @@ def build_report(config: RunConfig) -> VerificationReport:
     Metric-dependent checks run under the configured frame metric and once
     more under the alternate signature (all-plus, or the default mixed one if
     all-plus was configured) to confirm the identities are signature-blind.
-    Each entry gets one sample cloud; the alternate-signature checks reuse
-    its eta-independent evaluations and recompute only the metric.
+    Each entry's sample is checked a chunk at a time
+    (``checks.verify_group``).
     """
     results: list[checks.CheckResult] = []
     inconsistencies: list[str] = []
@@ -257,27 +257,12 @@ def build_report(config: RunConfig) -> VerificationReport:
 
     alt_eta = _ETA_ALT
     if np.array_equal(config.params.eta_matrix(), np.asarray(_ETA_ALT, float)):
-        alt_eta = GroupParams().eta
+        alt_eta = GroupParams.eta  # the field's default
 
     for gid in config.groups:
         model = catalog.get_group(gid, config.params)
-        cloud = geometry.SampleCloud(
-            model, *mechanics.sample_phase_points(model, config.n_points, config.seed)
-        )
-        group_results = checks.run_group_checks(
-            cloud, config.tol, eta_label=_eta_label(model.eta_eff)
-        )
-
-        # rebinding drops the main-signature metric before the alternate one is built
-        cloud = cloud.with_eta(alt_eta)
-        for res in (
-            checks.check_killing(cloud, config.tol),
-            checks.check_frame_killing(cloud, config.tol),
-            mechanics.check_hamiltonian_commutes(cloud, config.tol),
-        ):
-            res.name += f"[eta={_eta_label(cloud.model.eta_eff)}]"
-            group_results.append(res)
-
+        points, momenta = mechanics.sample_phase_points(model, config.n_points, config.seed)
+        group_results = checks.verify_group(model, points, momenta, config.tol, alt_eta)
         results.extend(group_results)
         summary[model.name] = {
             "passed": sum(r.passed and r.asserted for r in group_results),
@@ -314,13 +299,6 @@ def build_report(config: RunConfig) -> VerificationReport:
         inconsistencies=inconsistencies,
         exit_code=1 if failed else 0,
     )
-
-
-def _eta_label(eta: np.ndarray) -> str:
-    diag = np.diag(eta)
-    if np.allclose(eta, np.diag(diag)):
-        return "".join("+" if d > 0 else "-" for d in diag)
-    return "general"
 
 
 def report_document(report: VerificationReport) -> dict:

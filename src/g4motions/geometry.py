@@ -9,7 +9,9 @@ give the same bits on any slice of the points.  ``SampleCloud`` evaluates
 one entry's tables, metric, frame metric, frame bracket and potential on a
 fixed set of points, with the coordinate gradients the identity checks need
 (the symbolic partials of the expression tables, evaluated with their
-values).
+values).  A cloud of any size works; ``verify`` builds one per chunk of
+``checks.CHUNK`` sample points, so what a cloud keeps is bounded by the
+chunk.
 """
 from __future__ import annotations
 
@@ -24,8 +26,10 @@ __all__ = ["SingularMetric", "SampleCloud", "metric_batch", "frame_metric_batch"
 _DET_GUARD = 1e-12
 
 #: Tables whose gradients two or more checks read (both frame metrics read
-#: those of e_con and dual); the sample cloud keeps their jets.
-_SHARED_JETS = frozenset({"xi", "dual", "e_con", "holo_basis"})
+#: those of e_con and dual), or whose values and gradients are both read
+#: (frame_basis); the sample cloud keeps their jets, and their values are
+#: those of the jets, so no table is evaluated twice.
+_SHARED_JETS = frozenset({"xi", "dual", "e_con", "holo_basis", "frame_basis"})
 
 
 class SingularMetric(ArithmeticError):
@@ -89,8 +93,8 @@ class SampleCloud:
     are computed on each call, so no table's jets are evaluated twice.
 
     ``with_eta`` gives the cloud of the same points under another frame
-    metric: it shares every eta-independent evaluation and recomputes only
-    the metric.
+    metric, and ``with_model`` under a model built for it: it shares every
+    eta-independent evaluation and recomputes only the metric.
     """
 
     def __init__(self, model: GroupModel, points, momenta=None):
@@ -103,7 +107,12 @@ class SampleCloud:
         return len(self.points)
 
     def with_eta(self, eta) -> SampleCloud:
-        other = SampleCloud(self.model.with_eta(eta), self.points, self.momenta)
+        return self.with_model(self.model.with_eta(eta))
+
+    def with_model(self, model: GroupModel) -> SampleCloud:
+        """The cloud of the same points under ``model``, this cloud's entry
+        under another frame metric (``GroupModel.with_eta``)."""
+        other = SampleCloud(model, self.points, self.momenta)
         other._shared = self._shared
         return other
 

@@ -38,7 +38,14 @@ import numpy as np
 
 from . import adiff
 from .catalog import GroupModel, sample_points
-from .checks import CheckResult, ToleranceConfig, admissible_alphas, scaled_max
+from .checks import (
+    CheckResult,
+    ToleranceConfig,
+    admissible_alphas,
+    scaled_max,
+    scaled_max_signs,
+    signed_result,
+)
 from .geometry import SampleCloud
 
 __all__ = [
@@ -92,17 +99,15 @@ def check_integral_algebra(cloud: SampleCloud, tol: ToleranceConfig) -> CheckRes
     p . xi is an antihomomorphism, so the closure sign here is the
     opposite of the vector-field bracket sign; both are recorded.
     """
-    bracket, s, _ = cloud.bracket
-    pb = -np.einsum("nabi,ni->nab", bracket, cloud.momenta)  # {Y_a, Y_b}
+    pb = -np.einsum("nabi,ni->nab", cloud.bracket[0], cloud.momenta)  # {Y_a, Y_b}
     Y = np.einsum("nai,ni->na", cloud.values("xi"), cloud.momenta)
     target = (Y @ cloud.model.structure_constants.reshape(4, 16)).reshape(-1, 4, 4)  # C^g_ab Y_g
-    return CheckResult(
+    return signed_result(
+        cloud,
         "integral_algebra",
-        cloud.model.name,
-        len(cloud),
-        scaled_max(pb, -s * target),
+        scaled_max_signs(pb, -target),  # {Y_a, Y_b} = -s C^g_ab Y_g
         tol.tol_deriv,
-        notes=(f"poisson closure sign {-s:+d} (vector-field bracket sign {s:+d})",),
+        lambda s: (f"poisson closure sign {-s:+d} (vector-field bracket sign {s:+d})",),
     )
 
 

@@ -118,7 +118,7 @@ def test_check_sides_match_einsum(gid, eta_models, samples, monkeypatch):
     sym = (0, 1, 3, 2)
 
     bracket_sides = record_sides(monkeypatch, checks, "scaled_max_signs")
-    bracket, s, _ = checks.frame_bracket(xi, dxi, C)
+    bracket, _, _ = checks.frame_bracket(xi, dxi, C)
     half = einsum_ref("naj,njbi->nabi", xi, dxi)
     assert_matches(bracket, add(half, scaled(transposed(half, (0, 2, 1, 3)), -1)))
     (_, target), = bracket_sides  # one block; the target of the sign +1
@@ -140,12 +140,15 @@ def test_check_sides_match_einsum(gid, eta_models, samples, monkeypatch):
     assert_matches(lhs, add(half, transposed(half, sym)))
     assert_matches(rhs, einsum_ref("nlij,nal->naij", dg, xi))
 
+    # the sign-reading checks compare both signs: their rhs is that of s = +1
+    signed_sides = record_sides(monkeypatch, checks, "scaled_max_signs")
     checks.check_frame_killing(cloud, tol)
-    lhs, rhs = sides.pop()
+    (lhs, rhs), _ = signed_sides  # then the cloud's bracket, on its first read
+    signed_sides.clear()
     G, dG = cloud.frame_metric()
     assert_matches(lhs, einsum_ref("ngl,nlab->ngab", xi, dG))
     half = einsum_ref("nat,btg->ngab", G, C)
-    assert_matches(rhs, scaled(add(half, transposed(half, sym)), s))
+    assert_matches(rhs, add(half, transposed(half, sym)))
 
     for mode, table in (("holonomic", "holo_basis"), ("tetrad", "tetrad_basis")):
         checks.check_admissibility(cloud, tol, mode)
@@ -161,12 +164,12 @@ def test_check_sides_match_einsum(gid, eta_models, samples, monkeypatch):
 
     checks.check_frame_defining(cloud, tol)
     vals, grads = cloud.jet("frame_basis")
-    for b, (lhs, rhs) in enumerate(sides):
+    for b, (lhs, rhs) in enumerate(signed_sides):
         assert_matches(lhs, einsum_ref("nbi,nia->nab", xi, grads[:, :, b]))
-        assert_matches(rhs, scaled(einsum_ref("gba,ng->nab", C, vals[:, b]), s))
-    assert len(sides) == 4
+        assert_matches(rhs, einsum_ref("gba,ng->nab", C, vals[:, b]))
+    assert len(signed_sides) == 4
 
-    mech_sides = record_sides(monkeypatch, mechanics, "scaled_max")
+    mech_sides = record_sides(monkeypatch, mechanics, "scaled_max_signs")
     mechanics.check_integral_algebra(cloud, tol)
     Y = np.einsum("nai,ni->na", xi, momenta)
-    assert_matches(mech_sides.pop()[1], scaled(einsum_ref("gab,ng->nab", C, Y), -s))
+    assert_matches(mech_sides.pop()[1], scaled(einsum_ref("gab,ng->nab", C, Y), -1))
