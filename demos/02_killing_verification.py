@@ -3,8 +3,8 @@
 Every identity becomes a residual over a cloud of seeded sample points,
 evaluated once per entry and shared by all checks.
 The frame metric version of the Killing equations closes on the structure
-constants, with a single overall bracket sign resolved empirically per
-entry; swapping the frame-metric signature leaves every residual at the
+constants, in the catalog's one bracket convention
+[xi_a, xi_b] = C^g_ab xi_g; swapping the frame-metric signature leaves every residual at the
 rounding floor, because none of the identities care about signatures.
 """
 import numpy as np

@@ -6,7 +6,9 @@ Each entry packages, as closed-form expression tables over the chart
 
 * the Killing frame ``xi`` (rows = group index) and its dual ``dual``
   (rows = coordinate index), inverse matrices of one another,
-* the nonzero structure constants ``C`` closing the frame's Lie brackets,
+* the nonzero structure constants ``C`` closing the frame's Lie brackets
+  in the one convention of the catalog, [xi_a, xi_b] = C^g_ab xi_g with
+  [X, Y]^i = X^j d_j Y^i - Y^j d_j X^i,
 * a tetrad pair ``e_cov``/``e_con`` from which the invariant metric is
   built as g_ij = eta_ab e^a_i e^b_j,
 * the admissible electromagnetic potential, stored basis-wise in the four
@@ -19,6 +21,10 @@ label slips), the stored entry is the corrected form that satisfies the
 defining identities, and the discrepancy is recorded in ``notes`` so reports
 can surface it; the uncorrected frame-potential tables are kept alongside
 (``reference_frame``) for cross-checking where they are expressible.
+
+The checks fit no bracket sign, so a source table written in the other
+convention, [xi_a, xi_b] = -C^g_ab xi_g, gets its C negated when it is
+transcribed, with a note in the entry's ``notes`` saying so.
 """
 from __future__ import annotations
 

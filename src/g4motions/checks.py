@@ -16,12 +16,15 @@ computed and reduced in blocks of ``BLOCK`` points by one reducer,
 their sides is per point, and a max is exact under any grouping, so the
 result is the same as over the whole cloud.  The same holds for the chunks:
 ``CHUNK`` is a multiple of ``BLOCK``, so a blocked residual sees the same
-blocks in a chunk as on one whole cloud.  The checks that read the bracket
-sign carry their maxima under both signs, and the frame-table crosscheck
-its per-component maxima, so that the merge writes the residual and the
-notes of the whole sample.  Results carry an ``asserted`` flag: flagged
-results document known source-table quirks and never gate a verification
-run.
+blocks in a chunk as on one whole cloud.  The frame-table crosscheck
+carries its per-component maxima, so that the merge writes the notes of the
+whole sample.  Results carry an ``asserted`` flag: flagged results document
+known source-table quirks and never gate a verification run.
+
+The checks that read the structure constants (``lie_closure``,
+``frame_killing``, ``frame_defining`` and the motion integrals' algebra)
+hold the catalog to its one bracket convention, [xi_a, xi_b] = C^g_ab xi_g
+(see ``catalog``); no sign is fitted, so a table with C negated fails.
 """
 from __future__ import annotations
 
@@ -45,7 +48,6 @@ __all__ = [
     "BLOCK",
     "CHUNK",
     "scaled_max",
-    "scaled_max_signs",
     "blocked_max",
     "frame_bracket",
     "check_duality",
@@ -60,7 +62,6 @@ __all__ = [
     "check_frame_table_crosscheck",
     "check_abelian_zero_field",
     "check_fd_oracle",
-    "signed_result",
     "run_group_checks",
     "merge_chunks",
     "verify_group",
@@ -92,9 +93,6 @@ class CheckResult:
     passed: bool = field(init=False)
     asserted: bool = True
     notes: tuple = ()
-    #: a check that reads the bracket sign: {s: (max_residual, notes)} for
-    #: s = +1 and -1 (``signed_result``)
-    by_sign: dict | None = field(default=None, repr=False)
     #: the frame-table crosscheck: its 16 per-component maxima, (b, a) in
     #: row order
     components: tuple = field(default=(), repr=False)
@@ -118,22 +116,19 @@ BLOCK = 256
 CHUNK = 1024
 
 
-def _scaled_errors(lhs, rhs, both_signs: bool = False) -> list[np.ndarray]:
+def _scaled_errors(lhs, rhs) -> np.ndarray:
     """|lhs - rhs| / (1 + max(|lhs|, |rhs|)) elementwise: the relative
-    residual of every identity check.  With ``both_signs`` also
-    |lhs + rhs| over the same scale, which is the residual against -rhs
-    exactly: |-rhs| = |rhs| and lhs - (-rhs) = lhs + rhs."""
+    residual of every identity check."""
     lhs = np.asarray(lhs, float)
     rhs = np.asarray(rhs, float)
     # in place: the residual arrays are the largest arrays of a check
     scale = np.abs(lhs)
     np.maximum(scale, np.abs(rhs), out=scale)
     scale += 1.0
-    errs = [lhs - rhs, lhs + rhs] if both_signs else [lhs - rhs]
-    for err in errs:
-        np.abs(err, out=err)
-        err /= scale
-    return errs
+    err = lhs - rhs
+    np.abs(err, out=err)
+    err /= scale
+    return err
 
 
 def _peak(err: np.ndarray) -> float:
@@ -150,60 +145,31 @@ def scaled_max(lhs, rhs) -> float:
 
     Raises ``FloatingPointError`` if the residual is not finite.
     """
-    return _peak(_scaled_errors(lhs, rhs)[0])
+    return _peak(_scaled_errors(lhs, rhs))
 
 
-def scaled_max_signs(lhs, rhs) -> tuple[float, float]:
-    """``scaled_max(lhs, rhs)`` and ``scaled_max(lhs, -rhs)``, bit for bit,
-    over one shared scale.
-
-    Raises ``FloatingPointError`` if either residual is not finite.
-    """
-    plus, minus = _scaled_errors(lhs, rhs, both_signs=True)
-    return _peak(plus), _peak(minus)
-
-
-def blocked_max(sides, *arrays, signs: bool = False):
+def blocked_max(sides, *arrays) -> float:
     """The scaled residual of ``sides`` over per-point arrays, ``BLOCK``
     points at a time.
 
     ``sides`` maps one block of each array (its leading axis is the sample
-    point) to the block's (lhs, rhs), which go to ``scaled_max``, or with
-    ``signs`` to ``scaled_max_signs`` (the result is then the pair).  Each
+    point) to the block's (lhs, rhs), which go to ``scaled_max``.  Each
     block raises ``FloatingPointError`` on a non-finite residual before it is
     merged, and a max of finite maxima is exact under any grouping.
     """
-    worst = (0.0, 0.0) if signs else 0.0
+    worst = 0.0
     for k in range(0, len(arrays[0]), BLOCK):
-        lhs, rhs = sides(*(a[k : k + BLOCK] for a in arrays))
-        if signs:
-            worst = tuple(map(max, worst, scaled_max_signs(lhs, rhs)))
-        else:
-            worst = max(worst, scaled_max(lhs, rhs))
+        worst = max(worst, scaled_max(*sides(*(a[k : k + BLOCK] for a in arrays))))
     return worst
 
 
-def frame_bracket(xi, dxi, C) -> tuple[np.ndarray, int, dict]:
-    """The frame Lie bracket and the overall sign it closes with.
-
-    ``xi`` is (n, a, i) and ``dxi`` (n, j, a, i) = d_j xi_a^i.  Returns
-    [xi_a, xi_b]^i = xi_a^j d_j xi_b^i - xi_b^j d_j xi_a^i as (n, a, b, i),
-    the sign s that fits [xi_a, xi_b] = s C^g_ab xi_g best (+1 on a tie), and
-    the scaled residual max |lhs - rhs| / (1 + max(|lhs|, |rhs|)) of each
-    sign, both signs reduced per block over one scale.  Raises
-    ``FloatingPointError`` if a residual is not finite.
-    """
+def frame_bracket(xi, dxi) -> np.ndarray:
+    """The frame Lie bracket [xi_a, xi_b]^i = xi_a^j d_j xi_b^i -
+    xi_b^j d_j xi_a^i as (n, a, b, i), from ``xi`` (n, a, i) and ``dxi``
+    (n, j, a, i) = d_j xi_a^i."""
     n = len(xi)
     bracket = (xi @ dxi.reshape(n, 4, 16)).reshape(n, 4, 4, 4)  # xi_a^j d_j xi_b^i
-    bracket = bracket - bracket.transpose(0, 2, 1, 3)
-    Ct = C.reshape(4, 16).T
-
-    def sides(bracket, xi):
-        return bracket, (Ct @ xi).reshape(len(xi), 4, 4, 4)  # C^g_ab xi_g^i
-
-    plus, minus = blocked_max(sides, bracket, xi, signs=True)
-    res = {1: plus, -1: minus}
-    return bracket, min(res, key=res.get), res
+    return bracket - bracket.transpose(0, 2, 1, 3)
 
 
 # --------------------------------------------------------------------------
@@ -232,28 +198,21 @@ def check_tetrad_duality(cloud: SampleCloud, tol: ToleranceConfig) -> CheckResul
     )
 
 
-def signed_result(
-    cloud: SampleCloud, name: str, resids, tolerance: float, notes, **kwargs
-) -> CheckResult:
-    """The result of a check that reads the bracket sign, under the sign s
-    of ``cloud.bracket``.  ``resids`` are the check's residuals under
-    s = +1 and s = -1, and ``notes(s)`` its notes under s; the result keeps
-    both signs' (residual, notes) in ``by_sign``, so that ``merge_chunks``
-    can write them under the sign of a whole sample."""
-    by_sign = {s: (resid, notes(s)) for s, resid in zip((1, -1), resids)}
-    resid, note = by_sign[cloud.bracket[1]]
-    return CheckResult(
-        name, cloud.model.name, len(cloud), resid, tolerance, notes=note, by_sign=by_sign, **kwargs
-    )
-
-
-def _sign_note(s: int) -> tuple:
-    return (f"bracket sign s={s:+d}",)
+#: The note of the checks that read C: the catalog's bracket convention.
+_BRACKET_NOTE = ("bracket sign s=+1",)
 
 
 def check_lie_closure(cloud: SampleCloud, tol: ToleranceConfig) -> CheckResult:
-    res = cloud.bracket[2]
-    return signed_result(cloud, "lie_closure", (res[1], res[-1]), tol.tol_deriv, _sign_note)
+    """[xi_a, xi_b] = C^g_ab xi_g, reduced per block."""
+    Ct = cloud.model.structure_constants.reshape(4, 16).T
+
+    def sides(bracket, xi):
+        return bracket, (Ct @ xi).reshape(len(xi), 4, 4, 4)  # C^g_ab xi_g^i
+
+    resid = blocked_max(sides, cloud.bracket, cloud.values("xi"))
+    return CheckResult(
+        "lie_closure", cloud.model.name, len(cloud), resid, tol.tol_deriv, notes=_BRACKET_NOTE
+    )
 
 
 def check_jacobi(C: np.ndarray, tol: ToleranceConfig, group: str = "-") -> CheckResult:
@@ -285,7 +244,7 @@ def check_killing(cloud: SampleCloud, tol: ToleranceConfig) -> CheckResult:
 
 def check_frame_killing(cloud: SampleCloud, tol: ToleranceConfig) -> CheckResult:
     """Frame form of the Killing equations,
-    G^{ab}_{|g} = s (G^{at} C^b_{tg} + G^{bt} C^a_{tg}), under both signs."""
+    G^{ab}_{|g} = G^{at} C^b_{tg} + G^{bt} C^a_{tg}."""
     C = cloud.model.structure_constants.transpose(1, 0, 2).reshape(4, 16)  # (t, (b, g))
 
     def sides(g, dg, dual, ddual, xi):
@@ -295,8 +254,10 @@ def check_frame_killing(cloud: SampleCloud, tol: ToleranceConfig) -> CheckResult
         rhs = (G.reshape(4 * n, 4) @ C).reshape(n, 4, 4, 4).transpose(0, 3, 1, 2)  # G^{at} C^b_{tg}
         return lhs, rhs + rhs.transpose(0, 1, 3, 2)
 
-    resids = blocked_max(sides, *cloud.metric, *cloud.jet("dual"), cloud.values("xi"), signs=True)
-    return signed_result(cloud, "frame_killing", resids, tol.tol_deriv, _sign_note)
+    resid = blocked_max(sides, *cloud.metric, *cloud.jet("dual"), cloud.values("xi"))
+    return CheckResult(
+        "frame_killing", cloud.model.name, len(cloud), resid, tol.tol_deriv, notes=_BRACKET_NOTE
+    )
 
 
 # --------------------------------------------------------------------------
@@ -397,8 +358,7 @@ def check_admissibility(
 
 def check_frame_defining(cloud: SampleCloud, tol: ToleranceConfig) -> list[CheckResult]:
     """Basis-wise residual of the frame-form defining equations
-    A_{a|b} = s C^g_{ba} A_g for the recomputed frame potential, under both
-    signs."""
+    A_{a|b} = C^g_{ba} A_g for the recomputed frame potential."""
     model = cloud.model
     xi = cloud.values("xi")
     vals, grads = cloud.jet("frame_basis")  # (n,c,a), (n,l,c,a)
@@ -412,13 +372,14 @@ def check_frame_defining(cloud: SampleCloud, tol: ToleranceConfig) -> list[Check
         rhs = (Av @ C).reshape(n, 4, 4).transpose(0, 2, 1)  # C^g_ba A_g, as (n, a, b)
         asserted, notes = _asserted_basis(model, b, "mixed components do not close")
         results.append(
-            signed_result(
-                cloud,
+            CheckResult(
                 f"frame_defining[alpha{b + 1}]",
-                scaled_max_signs(lhs, rhs),
+                model.name,
+                len(cloud),
+                scaled_max(lhs, rhs),
                 tol.tol_deriv,
-                lambda s, notes=notes: notes,
                 asserted=asserted,
+                notes=notes,
             )
         )
     return results
@@ -441,7 +402,7 @@ def check_frame_table_crosscheck(cloud: SampleCloud, tol: ToleranceConfig) -> Ch
         return None
     ref = eval_table(model.reference_frame, cloud.points)
     rec = cloud.values("frame_basis")
-    comps = np.max(_scaled_errors(ref, rec)[0], axis=0)  # (b, a), over the sample points
+    comps = np.max(_scaled_errors(ref, rec), axis=0)  # (b, a), over the sample points
     _peak(comps)
     return _crosscheck_result(model.name, len(cloud), tuple(comps.ravel().tolist()), tol.tol_deriv)
 
@@ -520,8 +481,8 @@ def check_fd_oracle(cloud: SampleCloud, tol: ToleranceConfig) -> CheckResult:
 def run_group_checks(
     cloud: SampleCloud, tol: ToleranceConfig | None = None, eta_label: str = ""
 ) -> list[CheckResult]:
-    """All checks for one entry on one sample cloud, under the bracket sign
-    of that cloud (``verify_group`` runs it per chunk of a sample).
+    """All checks for one entry on one sample cloud (``verify_group`` runs
+    it per chunk of a sample).
 
     A cloud with momenta also runs the motion-integral checks; ``eta_label``
     tags metric-dependent results when a run sweeps several frame metrics.
@@ -560,16 +521,12 @@ def run_group_checks(
     return results
 
 
-def _merge(parts, s: int) -> CheckResult:
+def _merge(parts) -> CheckResult:
     first = parts[0]
     n = sum(p.n_points for p in parts)
     if first.components:
         merged = tuple(map(max, zip(*(p.components for p in parts))))
         return _crosscheck_result(first.group, n, merged, first.tolerance)
-    if first.by_sign:
-        by_sign = {t: (max(p.by_sign[t][0] for p in parts), first.by_sign[t][1]) for t in (1, -1)}
-        resid, notes = by_sign[s]
-        return replace(first, n_points=n, max_residual=resid, notes=notes, by_sign=by_sign)
     return replace(first, n_points=n, max_residual=max(p.max_residual for p in parts))
 
 
@@ -578,19 +535,12 @@ def merge_chunks(chunks: list[list[CheckResult]]) -> list[CheckResult]:
     same battery run on each chunk of it.
 
     A residual is the max of the chunks' maxima, which is exact under any
-    grouping, and ``n_points`` is the sum.  The bracket sign s is picked
-    from the merged maxima of ``lie_closure``, +1 on a tie, as
-    ``frame_bracket`` picks it on one cloud; every result that reads the
-    sign gets its residual and notes under that s, and the crosscheck its
-    notes from the merged per-component maxima.
+    grouping, and ``n_points`` is the sum; the crosscheck gets its notes
+    from the merged per-component maxima.
     """
     if len(chunks) == 1:
         return chunks[0]  # one cloud's results are already the whole sample's
-    columns = list(zip(*chunks))
-    closure = next(col for col in columns if col[0].name == "lie_closure")
-    res = {t: max(p.by_sign[t][0] for p in closure) for t in (1, -1)}
-    s = min(res, key=res.get)
-    return [_merge(col, s) for col in columns]
+    return [_merge(col) for col in zip(*chunks)]
 
 
 def _eta_label(eta: np.ndarray) -> str:

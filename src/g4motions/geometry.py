@@ -85,12 +85,12 @@ class SampleCloud:
     tolerances.  Everything is evaluated on first use, and the cloud keeps
     only what two or more checks read: the jets of the tables in
     ``_SHARED_JETS``, the values of the other tables asked for through
-    ``values``, the metric g^{ij} with d_l g^{ij}, and the frame Lie bracket
-    with its sign.  g_{ij} (``metric_cov``) is inverted on first read; no
-    check reads it.  The jets of the other tables, the frame metric
-    G^{ab} with its gradient, the potential A_i, d_l A_i (two small
-    contractions of the shared ``holo_basis`` jets) and the gradients of H
-    are computed on each call, so no table's jets are evaluated twice.
+    ``values``, the metric g^{ij} with d_l g^{ij}, and the frame Lie bracket.
+    g_{ij} (``metric_cov``) is inverted on first read; no check reads it.
+    The jets of the other tables, the frame metric G^{ab} with its
+    gradient, the potential A_i, d_l A_i (two small contractions of the
+    shared ``holo_basis`` jets) and the gradients of H are computed on each
+    call, so no table's jets are evaluated twice.
 
     ``with_eta`` gives the cloud of the same points under another frame
     metric, and ``with_model`` under a model built for it: it shares every
@@ -147,14 +147,11 @@ class SampleCloud:
         return np.linalg.inv(self.metric[0])
 
     @property
-    def bracket(self) -> tuple[np.ndarray, int, dict]:
-        """The frame Lie bracket (n, a, b, i), its closure sign and the
-        residual of each sign (``checks.frame_bracket``)."""
+    def bracket(self) -> np.ndarray:
+        """The frame Lie bracket [xi_a, xi_b]^i (n, a, b, i) (``checks.frame_bracket``)."""
         from .checks import frame_bracket  # deferred: checks reads this module
 
-        return self._memo(
-            "bracket", lambda: frame_bracket(*self.jet("xi"), self.model.structure_constants)
-        )
+        return self._memo("bracket", lambda: frame_bracket(*self.jet("xi")))
 
     def frame_metric(self) -> tuple[np.ndarray, np.ndarray]:
         """G^{ab} (n, a, b) and d_l G^{ab} (n, l, a, b) (``frame_metric_batch``)."""

@@ -104,13 +104,13 @@ def _scaled_max(lhs, rhs) -> float:
     return float(np.max(np.abs(lhs - rhs) / (1.0 + np.maximum(np.abs(lhs), np.abs(rhs)))))
 
 
-def unblocked_bracket(xi, dxi, C) -> dict:
-    """The scaled residual of [xi_a, xi_b] = s C^g_ab xi_g for s = +1 and -1."""
+def unblocked_bracket(xi, dxi, C) -> float:
+    """The scaled residual of [xi_a, xi_b] = C^g_ab xi_g."""
     n = len(xi)
     bracket = (xi @ dxi.reshape(n, 4, 16)).reshape(n, 4, 4, 4)
     bracket = bracket - bracket.transpose(0, 2, 1, 3)
     target = (C.reshape(4, 16).T @ xi).reshape(n, 4, 4, 4)
-    return {s: _scaled_max(bracket, s * target) for s in (1, -1)}
+    return _scaled_max(bracket, target)
 
 
 def unblocked_killing(cloud) -> float:
@@ -125,13 +125,12 @@ def unblocked_killing(cloud) -> float:
 
 def unblocked_frame_killing(cloud) -> float:
     G, dG = cloud.frame_metric()
-    _, s, _ = cloud.bracket
     n = len(G)
     lhs = (cloud.values("xi") @ dG.reshape(n, 4, 16)).reshape(n, 4, 4, 4)
     C = cloud.model.structure_constants.transpose(1, 0, 2).reshape(4, 16)
     rhs = (G.reshape(4 * n, 4) @ C).reshape(n, 4, 4, 4).transpose(0, 3, 1, 2)
     rhs = rhs + rhs.transpose(0, 1, 3, 2)
-    return _scaled_max(lhs, s * rhs)
+    return _scaled_max(lhs, rhs)
 
 
 def unblocked_admissibility(cloud, table: str) -> list[float]:

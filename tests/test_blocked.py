@@ -11,7 +11,7 @@ import pytest
 
 from g4motions import checks, mechanics
 from g4motions.catalog import GroupId, get_group
-from g4motions.checks import BLOCK, blocked_max, frame_bracket
+from g4motions.checks import BLOCK, blocked_max
 from g4motions.geometry import SampleCloud
 from oracles import (
     unblocked_admissibility,
@@ -39,9 +39,8 @@ def test_blocked_checks_equal_unblocked(n, tol):
     for gid in GroupId:
         cloud = _cloud(gid, n)
         C = cloud.model.structure_constants
-        _, s, res = cloud.bracket
-        assert res == unblocked_bracket(*cloud.jet("xi"), C), gid
-        assert checks.check_lie_closure(cloud, tol).max_residual == res[s]
+        want = unblocked_bracket(*cloud.jet("xi"), C)
+        assert checks.check_lie_closure(cloud, tol).max_residual == want, gid
         for c in (cloud, cloud.with_eta(EUCLIDEAN)):
             assert checks.check_killing(c, tol).max_residual == unblocked_killing(c), gid
             assert checks.check_frame_killing(c, tol).max_residual == unblocked_frame_killing(c), gid
@@ -65,19 +64,17 @@ def test_reducer_visits_every_block(monkeypatch):
     assert seen == [BLOCK, BLOCK, 37]
 
 
-@pytest.mark.parametrize("signs", [False, True])
-def test_peak_in_last_partial_block_is_found(signs):
+@pytest.mark.parametrize("rhs_peak", [False, True])
+def test_peak_in_last_partial_block_is_found(rhs_peak):
     n = 2 * BLOCK + 37
     lhs, rhs = np.zeros((n, 4, 4, 4)), np.zeros((n, 4, 4, 4))
     lhs[5, 1, 2, 3] = 1.0  # 1 / (1 + 1) = 0.5 in the first block
     lhs[n - 1, 3, 0, 2] = 3.0  # 3 / (1 + 3) = 0.75 in the last
-    rhs[n - 1, 0, 0, 0] = -7.0  # the -rhs sign's peak: 7 / 8 = 0.875
-    if signs:
-        assert blocked_max(_pairs, lhs, rhs, signs=True) == (0.875, 0.875)
-        rhs[n - 1, 0, 0, 0] = 0.0
-        assert blocked_max(_pairs, lhs, rhs, signs=True) == (0.75, 0.75)
-    else:
+    if rhs_peak:
+        rhs[n - 1, 0, 0, 0] = -7.0  # 7 / (1 + 7) = 0.875, also in the last
         assert blocked_max(_pairs, lhs, rhs) == 0.875
+    else:
+        assert blocked_max(_pairs, lhs, rhs) == 0.75
 
 
 def test_planted_killing_peak_in_last_block_is_found(tol):
@@ -104,20 +101,17 @@ def test_negative_control_nonfinite_in_any_block_raises(at, bad, tol):
     planted = zeros.copy()
     planted[at, 1, 2] = bad
     with np.errstate(all="ignore"):  # the residual must raise, not the ufunc
-        for signs in (False, True):
-            with pytest.raises(FloatingPointError):
-                blocked_max(_pairs, planted, zeros, signs=signs)
-            with pytest.raises(FloatingPointError):
-                blocked_max(_pairs, zeros, planted, signs=signs)
+        with pytest.raises(FloatingPointError):
+            blocked_max(_pairs, planted, zeros)
+        with pytest.raises(FloatingPointError):
+            blocked_max(_pairs, zeros, planted)
+
+        bracket_cloud = _cloud(GroupId.G4_II, n)
+        bracket_cloud.jet("xi")[1][at, 0, 1, 2] = bad  # the kept jets, before the bracket is read
+        with pytest.raises(FloatingPointError):
+            checks.check_lie_closure(bracket_cloud, tol)
 
         cloud = _cloud(GroupId.G4_II, n)
-        xi, dxi = cloud.jet("xi")
-        bad_dxi = dxi.copy()
-        bad_dxi[at, 0, 1, 2] = bad
-        with pytest.raises(FloatingPointError):
-            frame_bracket(xi, bad_dxi, cloud.model.structure_constants)
-
-        _ = cloud.bracket  # the sign, from the clean jets
         _, dg = cloud.metric
         dg[at, 1, 2, 3] = bad
         with pytest.raises(FloatingPointError):

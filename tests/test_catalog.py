@@ -185,12 +185,6 @@ def test_orientation_relabeling_recorded_for_g4_iii(models):
     assert not np.allclose(R, np.eye(4))
 
 
-def test_bracket_sign_is_plus_one_for_all_entries(clouds):
-    for gid, cloud in clouds.items():
-        _, s, res = cloud.bracket
-        assert s == 1 and res[s] <= 1e-8, gid
-
-
 def test_abelian_frame_table_solves_transport_equation(models, samples):
     """dA_a/du4 = -C_a^b A_b for the stored frame table of the vi-* entries
     (cross-checked against the matrix exponential in test_checks)."""

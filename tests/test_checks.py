@@ -9,7 +9,7 @@ import pytest
 
 from g4motions import catalog, checks
 from g4motions.adiff import FieldExpr, coords, exp
-from g4motions.catalog import ABELIAN_SUBGROUP_IDS, GroupId, GroupParams, get_group
+from g4motions.catalog import ABELIAN_SUBGROUP_IDS, GroupId, GroupParams, eval_table, get_group
 from g4motions.checks import (
     ASSERTED_HOLO_ADMISSIBILITY,
     ToleranceConfig,
@@ -312,9 +312,8 @@ def test_negative_control_zero_field(models, samples, tol):
 
 
 def test_negative_control_unclosed_bracket_fails_without_raising(samples, tol):
-    """A model whose frame closes under neither bracket sign fails the
-    sign-dependent checks instead of raising: each check reads the sign of
-    its cloud's own bracket."""
+    """A model whose frame does not close on its structure constants fails
+    the checks that read C instead of raising."""
     from g4motions.mechanics import check_integral_algebra
 
     model = get_group(GroupId.G4_I_CNE1)
@@ -323,6 +322,66 @@ def test_negative_control_unclosed_bracket_fails_without_raising(samples, tol):
     assert not check_integral_algebra(cloud, tol).passed
     assert not check_frame_killing(cloud, tol).passed
     assert not check_frame_defining(cloud, tol)[0].passed
+
+
+def _negate_row(table, row):
+    return tuple(tuple(-e for e in r) if k == row else r for k, r in enumerate(table))
+
+
+def _negate_c_row(C, row):
+    C = C.copy()
+    C[row] = -C[row]
+    return C
+
+
+#: Slips made when a source table is transcribed: each rebuilds one field
+#: (or two, kept dual to each other) of a model.
+TRANSCRIPTION_MUTANTS = {
+    "C-negated": lambda m: {"structure_constants": -m.structure_constants},
+    "C0-negated": lambda m: {"structure_constants": _negate_c_row(m.structure_constants, 0)},
+    "xi0-negated": lambda m: {"xi": _negate_row(m.xi, 0)},
+    "leg0-negated": lambda m: {
+        "xi": _negate_row(m.xi, 0),
+        "dual": tuple(zip(*_negate_row(tuple(zip(*m.dual)), 0))),  # column 0 of dual
+    },
+    "xi01-swapped": lambda m: {"xi": (m.xi[1], m.xi[0], *m.xi[2:])},
+    "holo0-negated": lambda m: {"holo_basis": _negate_row(m.holo_basis, 0)},
+}
+_EUCLIDEAN = tuple(tuple(float(i == j) for j in range(4)) for i in range(4))
+
+
+def _battery(model, sample, tol):
+    return checks.verify_group(model, *sample, tol, _EUCLIDEAN)
+
+
+@pytest.fixture(scope="module")
+def clean_batteries(models, samples, tol):
+    return {gid: _battery(model, samples[gid], tol) for gid, model in models.items()}
+
+
+@pytest.mark.parametrize("mutant", list(TRANSCRIPTION_MUTANTS))
+def test_negative_control_transcription_mutants(mutant, models, samples, clean_batteries, tol):
+    """Every mutant fails, on every entry, an asserted check that passes on
+    the clean model; a negated C fails ``lie_closure`` itself."""
+    uncaught = []
+    for gid, model in models.items():
+        fields = TRANSCRIPTION_MUTANTS[mutant](model)
+        for name, value in fields.items():  # the mutant differs from the entry
+            old = getattr(model, name)
+            if name == "structure_constants":
+                assert not np.array_equal(value, old), (gid, name)
+            else:
+                pts = samples[gid][0][:8]
+                assert not np.array_equal(eval_table(value, pts), eval_table(old, pts)), (gid, name)
+        got = _battery(dataclasses.replace(model, **fields), samples[gid], tol)
+        clean = clean_batteries[gid]
+        assert [r.name for r in got] == [r.name for r in clean], gid
+        caught = {
+            r.name for r, c in zip(got, clean) if r.asserted and c.passed and not r.passed
+        }
+        if not caught or (mutant == "C-negated" and "lie_closure" not in caught):
+            uncaught.append(gid.value)
+    assert not uncaught, f"{mutant} passes every asserted check on {uncaught}"
 
 
 class _SkewedGradient(FieldExpr):

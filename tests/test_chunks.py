@@ -3,8 +3,8 @@
 An entry's sample is checked ``CHUNK`` points at a time and the chunks'
 results are merged.  Every residual is a max, so the merged results must
 equal those of one cloud over the whole sample, bit for bit, with the
-bracket sign and the notes of the whole sample; and the battery's memory
-must not grow with the number of points.
+notes of the whole sample; and the battery's memory must not grow with the
+number of points.
 """
 import tracemalloc
 
@@ -16,7 +16,6 @@ from g4motions.catalog import GroupId, GroupModel, GroupParams, get_group
 from g4motions.checks import (
     BLOCK,
     CHUNK,
-    CheckResult,
     merge_chunks,
     run_group_checks,
     verify_group,
@@ -68,48 +67,6 @@ def test_one_chunk_is_the_battery_on_one_cloud(models, samples, tol):
             "frame_killing[eta=++++]",
             "hamiltonian_commutes[eta=++++]",
         ]
-
-
-def _signed(name, plus, minus, n):
-    """A sign-reading result under its own chunk's sign, as ``signed_result``
-    builds it."""
-    by_sign = {1: (plus, (f"{name} s=+1",)), -1: (minus, (f"{name} s=-1",))}
-    own = min(by_sign, key=lambda s: by_sign[s][0])
-    resid, notes = by_sign[own]
-    return CheckResult(name, "g", n, resid, 0.5, notes=notes, by_sign=by_sign)
-
-
-def test_sign_comes_from_the_whole_sample():
-    """Chunk 0 alone closes best with s = +1, but over both chunks s = -1
-    fits better: every sign-reading result takes s = -1."""
-    chunk0 = [
-        _signed("lie_closure", 0.1, 0.2, 10),
-        _signed("frame_killing", 0.3, 0.05, 10),
-        CheckResult("killing", "g", 10, 0.01, 0.5),
-        CheckResult("jacobi", "g", 0, 1e-17, 0.5),
-    ]
-    chunk1 = [
-        _signed("lie_closure", 0.9, 0.3, 7),
-        _signed("frame_killing", 0.2, 0.07, 7),
-        CheckResult("killing", "g", 7, 0.02, 0.5),
-        CheckResult("jacobi", "g", 0, 1e-17, 0.5),
-    ]
-    assert merge_chunks([chunk0])[0].notes == ("lie_closure s=+1",)
-    closure, frame, killing, jacobi = merge_chunks([chunk0, chunk1])
-    assert (closure.max_residual, closure.notes) == (0.3, ("lie_closure s=-1",))
-    assert closure.passed
-    assert (frame.max_residual, frame.notes) == (0.07, ("frame_killing s=-1",))
-    assert frame.by_sign == {
-        1: (0.3, ("frame_killing s=+1",)),
-        -1: (0.07, ("frame_killing s=-1",)),
-    }
-    assert (killing.max_residual, killing.n_points) == (0.02, 17)
-    assert closure.n_points == frame.n_points == 17 and jacobi.n_points == 0
-
-
-def test_sign_tie_picks_plus():
-    chunks = [[_signed("lie_closure", 0.2, 0.1, 5)], [_signed("lie_closure", 0.1, 0.2, 5)]]
-    assert merge_chunks(chunks)[0].notes == ("lie_closure s=+1",)
 
 
 def test_crosscheck_merges_components_before_its_notes(tol):

@@ -4,8 +4,8 @@ Each reference below is the index expression written out as a single
 ``np.einsum``; the library computes the same quantity as batched or flat
 matmuls.  Both are compared at one seeded cloud per catalog entry and frame
 metric.  The two sides of each identity check are read where the check hands
-them to its residual (``checks.scaled_max``, and ``checks.scaled_max_signs``
-for the frame bracket), so they are compared in the layout the check uses.
+them to its residual (``checks.scaled_max``), so they are compared in the
+layout the check uses.
 """
 import numpy as np
 import pytest
@@ -117,14 +117,14 @@ def test_check_sides_match_einsum(gid, eta_models, samples, monkeypatch):
     g, dg = cloud.metric
     sym = (0, 1, 3, 2)
 
-    bracket_sides = record_sides(monkeypatch, checks, "scaled_max_signs")
-    bracket, _, _ = checks.frame_bracket(xi, dxi, C)
+    sides = record_sides(monkeypatch, checks, "scaled_max")
+    checks.check_lie_closure(cloud, tol)
+    (bracket, target), = sides  # one block
+    sides.clear()
     half = einsum_ref("naj,njbi->nabi", xi, dxi)
     assert_matches(bracket, add(half, scaled(transposed(half, (0, 2, 1, 3)), -1)))
-    (_, target), = bracket_sides  # one block; the target of the sign +1
     assert_matches(target, einsum_ref("gab,ngi->nabi", C, xi))
 
-    sides = record_sides(monkeypatch, checks, "scaled_max")
     checks.check_duality(cloud, tol)
     assert_matches(sides.pop()[0], einsum_ref("nai,nib->nab", xi, dual))
     checks.check_tetrad_duality(cloud, tol)
@@ -140,11 +140,8 @@ def test_check_sides_match_einsum(gid, eta_models, samples, monkeypatch):
     assert_matches(lhs, add(half, transposed(half, sym)))
     assert_matches(rhs, einsum_ref("nlij,nal->naij", dg, xi))
 
-    # the sign-reading checks compare both signs: their rhs is that of s = +1
-    signed_sides = record_sides(monkeypatch, checks, "scaled_max_signs")
     checks.check_frame_killing(cloud, tol)
-    (lhs, rhs), _ = signed_sides  # then the cloud's bracket, on its first read
-    signed_sides.clear()
+    lhs, rhs = sides.pop()
     G, dG = cloud.frame_metric()
     assert_matches(lhs, einsum_ref("ngl,nlab->ngab", xi, dG))
     half = einsum_ref("nat,btg->ngab", G, C)
@@ -164,12 +161,12 @@ def test_check_sides_match_einsum(gid, eta_models, samples, monkeypatch):
 
     checks.check_frame_defining(cloud, tol)
     vals, grads = cloud.jet("frame_basis")
-    for b, (lhs, rhs) in enumerate(signed_sides):
+    for b, (lhs, rhs) in enumerate(sides):
         assert_matches(lhs, einsum_ref("nbi,nia->nab", xi, grads[:, :, b]))
         assert_matches(rhs, einsum_ref("gba,ng->nab", C, vals[:, b]))
-    assert len(signed_sides) == 4
+    assert len(sides) == 4
 
-    mech_sides = record_sides(monkeypatch, mechanics, "scaled_max_signs")
+    mech_sides = record_sides(monkeypatch, mechanics, "scaled_max")
     mechanics.check_integral_algebra(cloud, tol)
     Y = np.einsum("nai,ni->na", xi, momenta)
     assert_matches(mech_sides.pop()[1], scaled(einsum_ref("gab,ng->nab", C, Y), -1))
