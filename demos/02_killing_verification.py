@@ -27,7 +27,7 @@ for gid in GroupId:
     killing = checks.check_killing(cloud, tol)
     frame = checks.check_frame_killing(cloud, tol)
     # same points under eta = ++++: only the metric is recomputed
-    killing_pp = checks.check_killing(cloud.with_eta(EUCLIDEAN), tol)
+    killing_pp = checks.check_killing(cloud.with_model(model.with_eta(EUCLIDEAN)), tol)
     print(
         f"{model.name:12s} {closure.max_residual:10.2e} {jacobi.max_residual:10.2e} "
         f"{killing.max_residual:10.2e} {frame.max_residual:10.2e} "

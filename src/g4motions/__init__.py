@@ -14,6 +14,6 @@ from .catalog import (  # noqa: F401
     get_group,
     sample_points,
 )
-from .checks import CheckResult, ToleranceConfig, run_group_checks  # noqa: F401
+from .checks import CheckResult, ToleranceConfig, verify_group  # noqa: F401
 from .geometry import SampleCloud, SingularMetric  # noqa: F401
 from .mechanics import PhasePoint, Trajectory, drift_report, integrate_trajectory  # noqa: F401

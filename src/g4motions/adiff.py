@@ -113,10 +113,6 @@ class FieldExpr:
     def diff(self, axis: int) -> "FieldExpr":
         raise NotImplementedError
 
-    def __call__(self, u):
-        # an unmemoized plan: one-off expressions would evict the tables' plans
-        return _run(_plan.__wrapped__((self,)), u)[0]
-
     # Operator sugar: every overload routes through the folding constructors
     # so that catalog tables stay small trees (zeros vanish, constants fold).
     def __add__(self, other):

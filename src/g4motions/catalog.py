@@ -197,7 +197,6 @@ class OrientationDecision:
     duality_residual: float
     potential_residual: float
     relabel: np.ndarray | None = None
-    note: str = ""
 
 
 @dataclass(frozen=True, eq=False)
@@ -1130,7 +1129,6 @@ def orient_tetrad(model: GroupModel) -> OrientationDecision:
             rows_are_coordinates=True,
             duality_residual=_duality_residual(cov, con),
             potential_residual=0.0,
-            note="derived tetrad; orientation fixed by construction",
         )
     cov = eval_table(model.e_cov, pts)  # (n, i, alpha)
     con = eval_table(model.e_con, pts)  # (n, alpha, i)
@@ -1150,19 +1148,11 @@ def orient_tetrad(model: GroupModel) -> OrientationDecision:
     ok_stored = dual_stored <= 1e-10 and fit_stored <= tol
     ok_flipped = dual_flipped <= 1e-10 and fit_flipped <= tol
     if ok_stored and ok_flipped:
-        status, note = "ambiguous", "both row conventions reproduce the potential table"
-    elif ok_stored:
-        status, note = "resolved", ""
-    elif ok_flipped:
-        status, note = (
-            "resolved",
-            "transposed reading selected by the potential table",
-        )
+        status = "ambiguous"  # both row conventions reproduce the potential table
+    elif ok_stored or ok_flipped:
+        status = "resolved"  # by the potential table, if only the transposed reading fits
     else:
-        status, note = (
-            "failed",
-            "no row convention reproduces the stored potential table",
-        )
+        status = "failed"  # no row convention reproduces the stored potential table
     use_stored = ok_stored or not ok_flipped
     return OrientationDecision(
         status=status,
@@ -1170,7 +1160,6 @@ def orient_tetrad(model: GroupModel) -> OrientationDecision:
         duality_residual=dual_stored if use_stored else dual_flipped,
         potential_residual=fit_stored if use_stored else fit_flipped,
         relabel=_read_only(R_stored if use_stored else R_flipped),
-        note=note,
     )
 
 

@@ -2,10 +2,15 @@
 computation with pass/fail against tolerances.
 
 Every check is a pure function of a ``geometry.SampleCloud`` (sample points
-of one entry, evaluated once) and the tolerances.  ``verify_group`` runs an
-entry's battery, under both frame-metric signatures, over chunks of
-``CHUNK`` points, one cloud per chunk, so its memory is bounded by the chunk
-and not by the sample size; ``merge_chunks`` merges the chunks' results.
+of one entry, with momenta, evaluated once) and the tolerances: the frame
+algebra, the Killing equations, admissibility of the potential, and the
+motion integrals' brackets {Y_a, Y_b} and {H, Y_a}.  ``BATTERY`` lists
+them once, in report order, with whether each reads the frame metric.
+``verify_group``, the battery's one entry point, runs every row and then
+the metric-reading rows under a second frame-metric signature, over chunks
+of ``CHUNK`` points, one cloud per chunk, so its memory is bounded by the
+chunk and not by the sample size; ``merge_chunks`` merges the chunks'
+results.
 
 Residuals are max-norms over all free indices and sample points, scaled
 relatively by (1 + magnitude of the compared terms) since the exponential
@@ -30,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -37,6 +43,7 @@ from .catalog import (  # noqa: F401  eval_table_jet: read by bench/selftest.py
     ABELIAN_SUBGROUP_IDS,
     GroupId,
     GroupModel,
+    GroupParams,
     eval_table,
     eval_table_jet,
 )
@@ -62,7 +69,9 @@ __all__ = [
     "check_frame_table_crosscheck",
     "check_abelian_zero_field",
     "check_fd_oracle",
-    "run_group_checks",
+    "check_integral_algebra",
+    "check_hamiltonian_commutes",
+    "BATTERY",
     "merge_chunks",
     "verify_group",
     "ASSERTED_HOLO_ADMISSIBILITY",
@@ -430,12 +439,13 @@ def _crosscheck_result(
     )
 
 
-def check_abelian_zero_field(cloud: SampleCloud, tol: ToleranceConfig) -> CheckResult:
+def check_abelian_zero_field(cloud: SampleCloud, tol: ToleranceConfig) -> CheckResult | None:
     """For the Abelian-subgroup family the tabulated potential construction
-    yields an identically vanishing field strength, for generic constants."""
+    yields an identically vanishing field strength, for generic constants;
+    ``None`` for the other entries."""
     model = cloud.model
     if model.group_id not in ABELIAN_SUBGROUP_IDS:
-        raise ValueError("zero-field theorem applies to the g4-vi-* entries only")
+        return None
     dA = cloud.potential(model.params.alphas())[1]
     F = dA - dA.transpose(0, 2, 1)
     resid = scaled_max(F, np.zeros_like(F))
@@ -474,51 +484,72 @@ def check_fd_oracle(cloud: SampleCloud, tol: ToleranceConfig) -> CheckResult:
 
 
 # --------------------------------------------------------------------------
-# Orchestration
+# Motion integrals
 # --------------------------------------------------------------------------
 
+#: The note of ``integral_algebra``: the closure sign under the catalog's
+#: bracket convention [xi_a, xi_b] = C^g_ab xi_g.
+_CLOSURE_NOTE = ("poisson closure sign -1 (vector-field bracket sign +1)",)
 
-def run_group_checks(
-    cloud: SampleCloud, tol: ToleranceConfig | None = None, eta_label: str = ""
-) -> list[CheckResult]:
-    """All checks for one entry on one sample cloud (``verify_group`` runs
-    it per chunk of a sample).
 
-    A cloud with momenta also runs the motion-integral checks; ``eta_label``
-    tags metric-dependent results when a run sweeps several frame metrics.
+def check_integral_algebra(cloud: SampleCloud, tol: ToleranceConfig) -> CheckResult:
+    """{Y_a, Y_b} = -C^g_ab Y_g for the linear integrals Y_a = xi_a^i p_i.
+
+    With the canonical bracket normalized by {u^i, p_i} = +1 the map
+    p . xi is an antihomomorphism, so the Poisson bracket closes with the
+    opposite sign of the vector-field bracket; the note records both.
     """
-    from . import mechanics  # deferred: mechanics imports this module's types
+    pb = -np.einsum("nabi,ni->nab", cloud.bracket, cloud.momenta)  # {Y_a, Y_b}
+    Y = np.einsum("nai,ni->na", cloud.values("xi"), cloud.momenta)
+    target = (Y @ cloud.model.structure_constants.reshape(4, 16)).reshape(-1, 4, 4)  # C^g_ab Y_g
+    resid = scaled_max(pb, -target)
+    return CheckResult(
+        "integral_algebra", cloud.model.name, len(cloud), resid, tol.tol_deriv, notes=_CLOSURE_NOTE
+    )
 
-    tol = tol or ToleranceConfig()
+
+def check_hamiltonian_commutes(cloud: SampleCloud, tol: ToleranceConfig) -> CheckResult:
+    """{H, Y_a} = 0 for H = g^{ij} (p_i + A_i)(p_j + A_j) with the
+    verified-admissible potential configuration."""
     model = cloud.model
-    suffix = f"[eta={eta_label}]" if eta_label else ""
-    results = [
-        check_duality(cloud, tol),
-        check_tetrad_duality(cloud, tol),
-        check_lie_closure(cloud, tol),
-        check_jacobi(model.structure_constants, tol, group=model.name),
-        check_potential_consistency(cloud, tol),
-    ]
-    for res, name in (
-        (check_killing(cloud, tol), "killing"),
-        (check_frame_killing(cloud, tol), "frame_killing"),
-    ):
-        res.name = name + suffix
-        results.append(res)
-    results.extend(check_admissibility(cloud, tol, mode="holonomic"))
-    results.extend(check_admissibility(cloud, tol, mode="tetrad"))
-    results.extend(check_frame_defining(cloud, tol))
-    cross = check_frame_table_crosscheck(cloud, tol)
-    if cross is not None:
-        results.append(cross)
-    if model.group_id in ABELIAN_SUBGROUP_IDS:
-        results.append(check_abelian_zero_field(cloud, tol))
-    if cloud.momenta is not None:
-        results.append(mechanics.check_integral_algebra(cloud, tol))
-        res = mechanics.check_hamiltonian_commutes(cloud, tol)
-        res.name += suffix
-        results.append(res)
-    return results
+    alphas = admissible_alphas(model)
+    xi, dxi = cloud.jet("xi")
+    dH, dHdp = cloud.hamiltonian_grads(alphas)
+    dYdu = np.einsum("nial,nl->nia", dxi, cloud.momenta)  # d_i (xi_a^l p_l)
+    pb = np.einsum("nl,nal->na", dH, xi) - np.einsum("ni,nia->na", dHdp, dYdu)
+    resid = scaled_max(pb, np.zeros_like(pb))
+    note = ()
+    if not np.array_equal(alphas, model.params.alphas()):
+        note = (f"admissible configuration alphas={alphas.tolist()}",)
+    return CheckResult(
+        "hamiltonian_commutes", model.name, len(cloud), resid, tol.tol_deriv, notes=note
+    )
+
+
+# --------------------------------------------------------------------------
+# The battery
+# --------------------------------------------------------------------------
+
+#: Every check of an entry, in report order: (check, whether it reads the
+#: frame metric).  A check maps (cloud, tol) to a result, a list of results,
+#: or ``None`` where it does not apply to the entry; ``verify_group`` runs
+#: the metric-reading rows once more under a second signature.
+BATTERY = (
+    (check_duality, False),
+    (check_tetrad_duality, False),
+    (check_lie_closure, False),
+    (lambda cloud, tol: check_jacobi(cloud.model.structure_constants, tol, cloud.model.name), False),
+    (check_potential_consistency, False),
+    (check_killing, True),
+    (check_frame_killing, True),
+    (partial(check_admissibility, mode="holonomic"), False),
+    (partial(check_admissibility, mode="tetrad"), False),
+    (check_frame_defining, False),
+    (check_frame_table_crosscheck, False),
+    (check_abelian_zero_field, False),
+    (check_integral_algebra, False),
+    (check_hamiltonian_commutes, True),
+)
 
 
 def _merge(parts) -> CheckResult:
@@ -550,35 +581,41 @@ def _eta_label(eta: np.ndarray) -> str:
     return "general"
 
 
-def verify_group(
-    model: GroupModel, points, momenta, tol: ToleranceConfig, alt_eta
-) -> list[CheckResult]:
-    """The battery of one entry on its sample points and momenta: every
-    check under the model's frame metric, and the metric-dependent ones once
-    more under the frame metric ``alt_eta``, each tagged with its signature.
+_ALL_PLUS = tuple(tuple(float(i == j) for j in range(4)) for i in range(4))
+
+
+def verify_group(model: GroupModel, points, momenta, tol: ToleranceConfig) -> list[CheckResult]:
+    """The battery of one entry on its sample points and momenta: every row
+    of ``BATTERY`` under the model's frame metric, then the metric-reading
+    rows under a second signature, each of those tagged ``[eta=...]`` with
+    its signature.  The second signature is all-plus, or the default
+    ``GroupParams.eta`` where the model's own is all-plus.
 
     The battery runs on ``CHUNK`` points at a time, one ``SampleCloud`` per
-    chunk, so memory is bounded by the chunk; the alternate-signature checks
-    run on the chunk's cloud under the other metric, which shares its
-    eta-independent evaluations.  ``merge_chunks`` gives the results over
-    the whole sample.
+    chunk, so memory is bounded by the chunk; the second pass rebinds the
+    chunk's cloud to the other model, which shares its eta-independent
+    evaluations and drops the first metric before the second is built.
+    ``merge_chunks`` gives the results over the whole sample.
     """
-    from . import mechanics  # deferred: mechanics imports this module's types
-
-    alt_model = model.with_eta(alt_eta)
-    label, alt_suffix = _eta_label(model.eta_eff), f"[eta={_eta_label(alt_model.eta_eff)}]"
+    label = _eta_label(model.eta_eff)
+    alt = model.with_eta(GroupParams.eta if label == "++++" else _ALL_PLUS)
+    passes = (
+        (model, BATTERY, f"[eta={label}]"),
+        (alt, [row for row in BATTERY if row[1]], f"[eta={_eta_label(alt.eta_eff)}]"),
+    )
     chunks = []
     for k in range(0, len(points), CHUNK):
         cloud = SampleCloud(model, points[k : k + CHUNK], momenta[k : k + CHUNK])
-        results = run_group_checks(cloud, tol, eta_label=label)
-        # rebinding drops the main-signature metric before the alternate one is built
-        cloud = cloud.with_model(alt_model)
-        for res in (
-            check_killing(cloud, tol),
-            check_frame_killing(cloud, tol),
-            mechanics.check_hamiltonian_commutes(cloud, tol),
-        ):
-            res.name += alt_suffix
-            results.append(res)
+        results = []
+        for m, rows, tag in passes:
+            cloud = cloud.with_model(m)
+            for check, reads_metric in rows:
+                res = check(cloud, tol)
+                if isinstance(res, CheckResult):
+                    res = [res]
+                for r in res or ():
+                    if reads_metric:
+                        r.name += tag
+                    results.append(r)
         chunks.append(results)
     return merge_chunks(chunks)

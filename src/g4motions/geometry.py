@@ -6,12 +6,13 @@ All index gymnastics used by the verification suite lives here.
 with its coordinate gradient, and ``frame_metric_batch`` the frame metric
 G^{ab} with its gradient from them; both are per-point products, so they
 give the same bits on any slice of the points.  ``SampleCloud`` evaluates
-one entry's tables, metric, frame metric, frame bracket and potential on a
-fixed set of points, with the coordinate gradients the identity checks need
-(the symbolic partials of the expression tables, evaluated with their
-values).  A cloud of any size works; ``verify`` builds one per chunk of
-``checks.CHUNK`` sample points, so what a cloud keeps is bounded by the
-chunk.
+one entry's tables, metric, frame bracket, potential and Hamiltonian
+gradients on a fixed set of points, with the coordinate gradients the
+identity checks need (the symbolic partials of the expression tables,
+evaluated with their values).  A cloud of any size works;
+``checks.verify_group`` builds one per chunk of ``checks.CHUNK`` sample
+points, so what a cloud keeps is bounded by the chunk.  No check reads
+g_{ij}, so nothing here inverts the metric.
 """
 from __future__ import annotations
 
@@ -86,15 +87,14 @@ class SampleCloud:
     only what two or more checks read: the jets of the tables in
     ``_SHARED_JETS``, the values of the other tables asked for through
     ``values``, the metric g^{ij} with d_l g^{ij}, and the frame Lie bracket.
-    g_{ij} (``metric_cov``) is inverted on first read; no check reads it.
-    The jets of the other tables, the frame metric G^{ab} with its
-    gradient, the potential A_i, d_l A_i (two small contractions of the
-    shared ``holo_basis`` jets) and the gradients of H are computed on each
-    call, so no table's jets are evaluated twice.
+    The jets of the other tables, the potential A_i, d_l A_i (two small
+    contractions of the shared ``holo_basis`` jets) and the gradients of H
+    are computed on each call, so no table's jets are evaluated twice; the
+    frame-Killing check builds G^{ab} per block with ``frame_metric_batch``.
 
-    ``with_eta`` gives the cloud of the same points under another frame
-    metric, and ``with_model`` under a model built for it: it shares every
-    eta-independent evaluation and recomputes only the metric.
+    ``with_model(model.with_eta(eta))`` gives the cloud of the same points
+    under another frame metric: it shares every eta-independent evaluation
+    and recomputes only the metric.
     """
 
     def __init__(self, model: GroupModel, points, momenta=None):
@@ -105,9 +105,6 @@ class SampleCloud:
 
     def __len__(self) -> int:
         return len(self.points)
-
-    def with_eta(self, eta) -> SampleCloud:
-        return self.with_model(self.model.with_eta(eta))
 
     def with_model(self, model: GroupModel) -> SampleCloud:
         """The cloud of the same points under ``model``, this cloud's entry
@@ -141,21 +138,12 @@ class SampleCloud:
         """(g^{ij}, d_l g^{ij}) under the model's frame metric."""
         return metric_batch(self.model, self.points, tetrad=self.jet("e_con"))
 
-    @cached_property
-    def metric_cov(self) -> np.ndarray:
-        """g_{ij} (n, i, j), the inverse of g^{ij}."""
-        return np.linalg.inv(self.metric[0])
-
     @property
     def bracket(self) -> np.ndarray:
         """The frame Lie bracket [xi_a, xi_b]^i (n, a, b, i) (``checks.frame_bracket``)."""
         from .checks import frame_bracket  # deferred: checks reads this module
 
         return self._memo("bracket", lambda: frame_bracket(*self.jet("xi")))
-
-    def frame_metric(self) -> tuple[np.ndarray, np.ndarray]:
-        """G^{ab} (n, a, b) and d_l G^{ab} (n, l, a, b) (``frame_metric_batch``)."""
-        return frame_metric_batch(*self.metric, *self.jet("dual"))
 
     def potential(self, alphas, basis: str = "holo_basis") -> tuple[np.ndarray, np.ndarray]:
         """A_i = alpha_b T^b_i (n, 4) and d_l A_i (n, 4, 4) for the potential

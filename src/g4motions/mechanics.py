@@ -2,12 +2,10 @@
 
 The Hamiltonian is H = g^{ij} (p_i + A_i)(p_j + A_j); the linear motion
 integrals are the frame contractions Y_a = xi_a^i p_i (the gauge in which
-they carry no potential term).  Their values and gradients on a sample of
-phase points come from a ``geometry.SampleCloud``; the bracket checks read
-its batched gradients: coordinate gradients from the tables' symbolic
-partials, momentum gradients analytic (H is quadratic in p, Y linear).
-Under the catalog's convention [xi_a, xi_b] = C^g_ab xi_g the integrals
-close as {Y_a, Y_b} = -C^g_ab Y_g, with no sign fitted.
+they carry no potential term).  This module draws the seeded phase points
+that ``verify`` samples (``sample_phase_points``) and integrates
+trajectories; the bracket checks {Y_a, Y_b} and {H, Y_a} on a sample of
+phase points live in ``checks`` with the rest of the battery.
 
 Trajectories are integrated with fixed-step classical RK4 — conservation
 drift is the measured quantity and fixed steps make convergence-order tests
@@ -40,15 +38,11 @@ import numpy as np
 
 from . import adiff
 from .catalog import GroupModel, sample_points
-from .checks import CheckResult, ToleranceConfig, admissible_alphas, scaled_max
-from .geometry import SampleCloud
 
 __all__ = [
     "PhasePoint",
     "Trajectory",
     "DriftStats",
-    "check_integral_algebra",
-    "check_hamiltonian_commutes",
     "sample_phase_points",
     "integrate_trajectory",
     "drift_report",
@@ -73,7 +67,7 @@ class PhasePoint:
 
 
 # --------------------------------------------------------------------------
-# Batched bracket checks
+# Phase-space sampling
 # --------------------------------------------------------------------------
 
 
@@ -85,44 +79,6 @@ def sample_phase_points(
     rng = np.random.default_rng(seed)
     u = sample_points(model.domain, n, rng)
     return u, -1.0 + 2.0 * rng.random((n, 4))
-
-
-#: The note of ``integral_algebra``: the closure sign under the catalog's
-#: bracket convention [xi_a, xi_b] = C^g_ab xi_g.
-_CLOSURE_NOTE = ("poisson closure sign -1 (vector-field bracket sign +1)",)
-
-
-def check_integral_algebra(cloud: SampleCloud, tol: ToleranceConfig) -> CheckResult:
-    """{Y_a, Y_b} = -C^g_ab Y_g.
-
-    With the canonical bracket normalized by {u^i, p_i} = +1 the map
-    p . xi is an antihomomorphism, so the Poisson bracket closes with the
-    opposite sign of the vector-field bracket; the note records both.
-    """
-    pb = -np.einsum("nabi,ni->nab", cloud.bracket, cloud.momenta)  # {Y_a, Y_b}
-    Y = np.einsum("nai,ni->na", cloud.values("xi"), cloud.momenta)
-    target = (Y @ cloud.model.structure_constants.reshape(4, 16)).reshape(-1, 4, 4)  # C^g_ab Y_g
-    resid = scaled_max(pb, -target)
-    return CheckResult(
-        "integral_algebra", cloud.model.name, len(cloud), resid, tol.tol_deriv, notes=_CLOSURE_NOTE
-    )
-
-
-def check_hamiltonian_commutes(cloud: SampleCloud, tol: ToleranceConfig) -> CheckResult:
-    """{H, Y_a} = 0 for the verified-admissible potential configuration."""
-    model = cloud.model
-    alphas = admissible_alphas(model)
-    xi, dxi = cloud.jet("xi")
-    dH, dHdp = cloud.hamiltonian_grads(alphas)
-    dYdu = np.einsum("nial,nl->nia", dxi, cloud.momenta)  # d_i (xi_a^l p_l)
-    pb = np.einsum("nl,nal->na", dH, xi) - np.einsum("ni,nia->na", dHdp, dYdu)
-    resid = scaled_max(pb, np.zeros_like(pb))
-    note = ()
-    if not np.array_equal(alphas, model.params.alphas()):
-        note = (f"admissible configuration alphas={alphas.tolist()}",)
-    return CheckResult(
-        "hamiltonian_commutes", model.name, len(cloud), resid, tol.tol_deriv, notes=note
-    )
 
 
 # --------------------------------------------------------------------------

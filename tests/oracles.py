@@ -3,6 +3,8 @@
 The finite-difference oracle works on any function of a chart point; the
 others are a few lines over a ``geometry.SampleCloud``, each written apart
 from the route the checks and the integrator take to the same quantity.
+``metric_cov`` and ``frame_metric`` give the tests g_{ij} and G^{ab} with
+its gradient on a whole cloud; no check reads either in that form.
 The ``unblocked_*`` residuals are the checks' formulas over the whole cloud
 at once, against which the checks' per-block reduction is pinned bitwise.
 ``reference_rk4`` is the integrator's RK4 loop in its list-and-zip form,
@@ -17,18 +19,22 @@ from operator import gt
 
 import numpy as np
 
-from g4motions.adiff import CHART_DIM, as_point
+from g4motions.adiff import CHART_DIM, FieldExpr, as_point
+from g4motions.geometry import frame_metric_batch
 from g4motions.mechanics import Trajectory, _compiled_dynamics, _finite
 
 
 def finite_diff_gradient(f, u, h: float = 1e-5) -> np.ndarray:
     """Central-difference gradient estimate, the independent oracle.
 
-    ``f`` may be a FieldExpr or any callable of a (4,) point.  The estimate
-    is (f(u + h e_i) - f(u - h e_i)) / (2 h) per axis.
+    ``f`` may be a FieldExpr (evaluated by ``unplanned_evaluate``) or any
+    callable of a (4,) point.  The estimate is (f(u + h e_i) - f(u - h e_i))
+    / (2 h) per axis.
     """
     if h <= 0:
         raise ValueError("finite-difference step must be positive")
+    if isinstance(f, FieldExpr):
+        f = lambda x, e=f: unplanned_evaluate((e,), x)[0]  # noqa: E731
     u = as_point(u)
     grad = np.empty(CHART_DIM)
     for i in range(CHART_DIM):
@@ -91,10 +97,22 @@ def motion_integrals(cloud) -> np.ndarray:
     return np.einsum("nai,ni->na", cloud.values("xi"), cloud.momenta)
 
 
+def metric_cov(cloud) -> np.ndarray:
+    """g_{ij} (n, i, j), the inverse of the cloud's g^{ij}."""
+    return np.linalg.inv(cloud.metric[0])
+
+
+def frame_metric(cloud) -> tuple[np.ndarray, np.ndarray]:
+    """G^{ab} (n, a, b) and d_l G^{ab} (n, l, a, b) over the whole cloud,
+    through ``geometry.frame_metric_batch`` as the frame-Killing check
+    builds them per block."""
+    return frame_metric_batch(*cloud.metric, *cloud.jet("dual"))
+
+
 def frame_metric_cov(cloud) -> np.ndarray:
     """G_{ab} = xi_a^i g_{ij} xi_b^j (n, a, b): the frame metric by the
     second route, through the frame and the inverted metric."""
-    g_cov = cloud.metric_cov
+    g_cov = metric_cov(cloud)
     xi = cloud.values("xi")
     return xi @ g_cov @ xi.transpose(0, 2, 1)
 
@@ -124,7 +142,7 @@ def unblocked_killing(cloud) -> float:
 
 
 def unblocked_frame_killing(cloud) -> float:
-    G, dG = cloud.frame_metric()
+    G, dG = frame_metric(cloud)
     n = len(G)
     lhs = (cloud.values("xi") @ dG.reshape(n, 4, 16)).reshape(n, 4, 4, 4)
     C = cloud.model.structure_constants.transpose(1, 0, 2).reshape(4, 16)

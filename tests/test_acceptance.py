@@ -121,8 +121,8 @@ def test_criterion_05_abelian_zero_field(clouds, tol):
 def test_criterion_06_motion_integral_algebra(clouds, tol):
     worst_hy, worst_yy = 0.0, 0.0
     for cloud in clouds.values():
-        hy = mechanics.check_hamiltonian_commutes(cloud, tol)
-        yy = mechanics.check_integral_algebra(cloud, tol)
+        hy = checks.check_hamiltonian_commutes(cloud, tol)
+        yy = checks.check_integral_algebra(cloud, tol)
         worst_hy = max(worst_hy, hy.max_residual)
         worst_yy = max(worst_yy, yy.max_residual)
     ok = worst_hy <= 1e-9 and worst_yy <= 1e-9
@@ -213,7 +213,7 @@ def test_criterion_09_negative_controls(models, samples, tol):
     failures.append(
         checks.check_abelian_zero_field(SampleCloud(bad_vi, samples[GroupId.G4_VI_1][0]), tol)
     )
-    failures.append(mechanics.check_integral_algebra(cloud(zero_c), tol))
+    failures.append(checks.check_integral_algebra(cloud(zero_c), tol))
 
     floor = min(r.max_residual for r in failures)
     ok = all(not r.passed for r in failures) and floor >= 1e-4

@@ -2,6 +2,7 @@
 each check can fail."""
 import copy
 import dataclasses
+import importlib
 import itertools
 
 import numpy as np
@@ -12,6 +13,7 @@ from g4motions.adiff import FieldExpr, coords, exp
 from g4motions.catalog import ABELIAN_SUBGROUP_IDS, GroupId, GroupParams, eval_table, get_group
 from g4motions.checks import (
     ASSERTED_HOLO_ADMISSIBILITY,
+    BATTERY,
     ToleranceConfig,
     check_abelian_zero_field,
     check_admissibility,
@@ -19,11 +21,12 @@ from g4motions.checks import (
     check_fd_oracle,
     check_frame_defining,
     check_frame_killing,
+    check_integral_algebra,
     check_jacobi,
     check_killing,
     check_lie_closure,
     check_potential_consistency,
-    run_group_checks,
+    verify_group,
 )
 from g4motions.geometry import SampleCloud
 
@@ -145,8 +148,7 @@ def test_abelian_zero_field(clouds, tol):
     for gid in ABELIAN_SUBGROUP_IDS:
         res = check_abelian_zero_field(clouds[gid], tol)
         assert res.passed, (gid, res.max_residual)
-    with pytest.raises(ValueError):
-        check_abelian_zero_field(clouds[GroupId.G4_II], tol)
+    assert check_abelian_zero_field(clouds[GroupId.G4_II], tol) is None
 
 
 def test_abelian_flow_matches_matrix_exponential(models):
@@ -215,19 +217,41 @@ def test_frame_table_crosscheck_nonfinite_raises(models, samples, tol):
         checks.check_frame_table_crosscheck(SampleCloud(bad, samples[GroupId.G4_I_CNE1][0]), tol)
 
 
-def test_run_group_checks_asserted_all_green(clouds, tol):
-    for gid, cloud in clouds.items():
-        for res in run_group_checks(cloud, tol):
+def test_verify_group_asserted_all_green(models, samples, tol):
+    for gid, model in models.items():
+        for res in verify_group(model, *samples[gid], tol):
             if res.asserted:
                 assert res.passed, (gid, res.name, res.max_residual)
 
 
 def test_results_deterministic(models, samples, tol):
     model = models[GroupId.G4_III]
-    pts = samples[GroupId.G4_III][0]
-    a = [r.max_residual for r in run_group_checks(SampleCloud(model, pts), tol)]
-    b = [r.max_residual for r in run_group_checks(SampleCloud(model, pts), tol)]
+    a = [r.max_residual for r in verify_group(model, *samples[GroupId.G4_III], tol)]
+    b = [r.max_residual for r in verify_group(model, *samples[GroupId.G4_III], tol)]
     assert a == b
+
+
+_ALL_PLUS = tuple(tuple(float(i == j) for j in range(4)) for i in range(4))
+
+
+def test_battery_metric_flags(models, clouds, tol):
+    """A row not marked as reading the frame metric gives the same result
+    under all-plus on every entry; a marked row differs on at least one."""
+    differs = [0] * len(BATTERY)
+    for gid, cloud in clouds.items():
+        alt = cloud.with_model(models[gid].with_eta(_ALL_PLUS))
+        for k, (check, reads_metric) in enumerate(BATTERY):
+            same = check(cloud, tol) == check(alt, tol)
+            assert same or reads_metric, (gid, k)
+            differs[k] += not same
+    assert [bool(d) for d in differs] == [reads_metric for _, reads_metric in BATTERY], differs
+
+
+@pytest.mark.parametrize("module", ["adiff", "catalog", "checks", "cli", "geometry", "mechanics"])
+def test_every_exported_name_resolves(module):
+    mod = importlib.import_module(f"g4motions.{module}")
+    missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+    assert not missing, missing
 
 
 def test_tolerance_config_validation():
@@ -314,8 +338,6 @@ def test_negative_control_zero_field(models, samples, tol):
 def test_negative_control_unclosed_bracket_fails_without_raising(samples, tol):
     """A model whose frame does not close on its structure constants fails
     the checks that read C instead of raising."""
-    from g4motions.mechanics import check_integral_algebra
-
     model = get_group(GroupId.G4_I_CNE1)
     bad = dataclasses.replace(model, structure_constants=np.zeros((4, 4, 4)))
     cloud = SampleCloud(bad, *samples[GroupId.G4_I_CNE1])
@@ -347,11 +369,10 @@ TRANSCRIPTION_MUTANTS = {
     "xi01-swapped": lambda m: {"xi": (m.xi[1], m.xi[0], *m.xi[2:])},
     "holo0-negated": lambda m: {"holo_basis": _negate_row(m.holo_basis, 0)},
 }
-_EUCLIDEAN = tuple(tuple(float(i == j) for j in range(4)) for i in range(4))
 
 
 def _battery(model, sample, tol):
-    return checks.verify_group(model, *sample, tol, _EUCLIDEAN)
+    return checks.verify_group(model, *sample, tol)
 
 
 @pytest.fixture(scope="module")

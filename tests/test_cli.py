@@ -279,6 +279,20 @@ def test_simulate_requires_single_group(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("group, eta", [("g4-ii", "diag:2,2,2,2"), ("g4-vii-a", "diag:1,1,1,-1")])
+def test_second_signature_differs_from_the_first(group, eta, capsys):
+    """An all-plus frame metric, configured (g4-ii) or reached by the block
+    completion (g4-vii-a), gets the default signature as its second one."""
+    code, out, _ = run_cli(
+        ["verify", "--group", group, "--points", "3", "--param", f"eta={eta}", "--format", "csv"], capsys
+    )
+    assert code == 0
+    names = [row.split(",")[0] for row in out.splitlines()[1:]]
+    assert len(names) == len(set(names))
+    labels = {name[name.index("[eta=") :] for name in names if "[eta=" in name}
+    assert labels == {"[eta=++++]", "[eta=+---]" if group == "g4-ii" else "[eta=+--+]"}
+
+
 def test_verify_rejects_zero_points(capsys):
     code, _, err = run_cli(["verify", "--group", "g4-ii", "--points", "0"], capsys)
     assert code == 2

@@ -6,7 +6,7 @@ import pytest
 
 from g4motions.catalog import GroupId, GroupParams, get_group
 from g4motions.geometry import SampleCloud, SingularMetric
-from oracles import frame_metric_cov
+from oracles import frame_metric, frame_metric_cov, metric_cov
 
 ETA_LORENTZ = np.diag([1.0, -1.0, -1.0, -1.0])
 
@@ -25,13 +25,13 @@ def faraday(model, points, alphas=None, basis="holo_basis"):
 
 def test_identity_tetrad_gives_eta():
     cloud = SampleCloud(flat_model(), np.array([[0.3, -0.2, 0.9, 1.1]]))
-    g_con, g_cov = cloud.metric[0], cloud.metric_cov
+    g_con, g_cov = cloud.metric[0], metric_cov(cloud)
     assert np.allclose(g_cov[0], ETA_LORENTZ, atol=1e-15)
     assert np.allclose(g_con[0], ETA_LORENTZ, atol=1e-15)
 
 
 def test_g4_i_metric_is_eta_at_origin(models):
-    g_cov = SampleCloud(models[GroupId.G4_I_CNE1], np.zeros((1, 4))).metric_cov
+    g_cov = metric_cov(SampleCloud(models[GroupId.G4_I_CNE1], np.zeros((1, 4))))
     assert np.allclose(g_cov[0], ETA_LORENTZ, atol=1e-15)
 
 
@@ -60,7 +60,7 @@ def test_g4_viii_metric_against_independent_transcription(models):
 def test_metric_inversion_residual_all_entries(models, samples):
     for gid, model in models.items():
         cloud = SampleCloud(model, samples[gid][0])
-        g, ginv = cloud.metric[0], cloud.metric_cov
+        g, ginv = cloud.metric[0], metric_cov(cloud)
         resid = np.max(np.abs(np.einsum("nij,njk->nik", g, ginv) - np.eye(4)))
         assert resid <= 1e-10, gid
 
@@ -70,7 +70,7 @@ def test_metric_inversion_residual_euclidean_eta(samples):
     for gid in GroupId:
         model = get_group(gid, GroupParams(eta=eta))
         cloud = SampleCloud(model, samples[gid][0][:60])
-        g, ginv = cloud.metric[0], cloud.metric_cov
+        g, ginv = cloud.metric[0], metric_cov(cloud)
         resid = np.max(np.abs(np.einsum("nij,njk->nik", g, ginv) - np.eye(4)))
         assert resid <= 1e-10, gid
 
@@ -108,8 +108,8 @@ def test_faraday_g4_i_single_constant():
 def test_frame_metric_identity_frame():
     model = flat_model()
     cloud = SampleCloud(model, np.array([[0.1, 0.2, 0.3, 0.4]]))
-    g_con, g_cov = cloud.metric[0], cloud.metric_cov
-    G_con, _ = cloud.frame_metric()
+    g_con, g_cov = cloud.metric[0], metric_cov(cloud)
+    G_con, _ = frame_metric(cloud)
     assert np.allclose(G_con, g_con, atol=1e-14)
     assert np.allclose(frame_metric_cov(cloud), g_cov, atol=1e-14)
 
@@ -117,7 +117,7 @@ def test_frame_metric_identity_frame():
 def test_frame_metric_symmetric_and_inverse_pair(models, samples):
     for gid, model in models.items():
         cloud = SampleCloud(model, samples[gid][0][:60])
-        G_con, G_cov = cloud.frame_metric()[0], frame_metric_cov(cloud)
+        G_con, G_cov = frame_metric(cloud)[0], frame_metric_cov(cloud)
         assert np.allclose(G_con, G_con.transpose(0, 2, 1), atol=1e-12), gid
         prod = np.einsum("nab,nbc->nac", G_con, G_cov)
         assert np.max(np.abs(prod - np.eye(4))) <= 1e-10, gid
@@ -127,5 +127,5 @@ def test_frame_metric_two_route_consistency(models, samples):
     """G^{ab} via the dual frame vs inverting G_{ab} built from xi."""
     model = models[GroupId.G4_I_CNE1]
     cloud = SampleCloud(model, samples[GroupId.G4_I_CNE1][0][:80])
-    G_con, G_cov = cloud.frame_metric()[0], frame_metric_cov(cloud)
+    G_con, G_cov = frame_metric(cloud)[0], frame_metric_cov(cloud)
     assert np.max(np.abs(G_con - np.linalg.inv(G_cov))) <= 1e-10

@@ -8,13 +8,11 @@ import pytest
 from g4motions import catalog, mechanics
 from g4motions.adiff import DomainError
 from g4motions.catalog import GroupId, GroupParams, get_group
-from g4motions.checks import admissible_alphas
+from g4motions.checks import admissible_alphas, check_hamiltonian_commutes, check_integral_algebra
 from g4motions.geometry import SampleCloud
 from g4motions.mechanics import (
     PhasePoint,
     Trajectory,
-    check_hamiltonian_commutes,
-    check_integral_algebra,
     drift_report,
     integrate_trajectory,
 )
