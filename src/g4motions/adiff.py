@@ -18,7 +18,9 @@ source-level compiler, ``compile_values``, turns one list of trees over the
 chart point and named kernel arguments (``Var`` leaves, the integrator's
 momenta) into a straight-line plain-``math`` function for the trajectory
 integrator's hot loop: each distinct subtree is evaluated once, as a
-temporary, or written into its reader when it has exactly one.
+temporary, or written into its reader when it has exactly one.  The plans
+and the compiler read one hash-consing walk, ``_graph``, which gives each
+distinct structural key (``_key``) one slot.
 """
 from __future__ import annotations
 
@@ -197,6 +199,11 @@ class _Op(FieldExpr):
     def __init__(self, *operands):
         self.operands = operands
 
+    def __repr__(self):
+        fmt = _SOURCE[type(self)]
+        src = fmt.format(*map(repr, self.operands))
+        return src if fmt.endswith(")") else f"({src})"  # exp(x), but (a + b) and (-a)
+
 
 class Add(_Op):
     __slots__ = ()
@@ -207,9 +214,6 @@ class Add(_Op):
     def diff(self, axis):
         a, b = self.operands
         return _add(a.diff(axis), b.diff(axis))
-
-    def __repr__(self):
-        return "({!r} + {!r})".format(*self.operands)
 
 
 class Sub(_Op):
@@ -222,9 +226,6 @@ class Sub(_Op):
         a, b = self.operands
         return _sub(a.diff(axis), b.diff(axis))
 
-    def __repr__(self):
-        return "({!r} - {!r})".format(*self.operands)
-
 
 class Mul(_Op):
     __slots__ = ()
@@ -235,9 +236,6 @@ class Mul(_Op):
     def diff(self, axis):
         a, b = self.operands
         return _add(_mul(a.diff(axis), b), _mul(a, b.diff(axis)))
-
-    def __repr__(self):
-        return "({!r} * {!r})".format(*self.operands)
 
 
 class Div(_Op):
@@ -252,9 +250,6 @@ class Div(_Op):
         a, b = self.operands
         return _sub(_div(a.diff(axis), b), _div(_mul(a, b.diff(axis)), _mul(b, b)))
 
-    def __repr__(self):
-        return "({!r} / {!r})".format(*self.operands)
-
 
 class Neg(_Op):
     __slots__ = ()
@@ -265,9 +260,6 @@ class Neg(_Op):
     def diff(self, axis):
         return _neg(self.operands[0].diff(axis))
 
-    def __repr__(self):
-        return f"(-{self.operands[0]!r})"
-
 
 class Exp(_Op):
     __slots__ = ()
@@ -277,9 +269,6 @@ class Exp(_Op):
 
     def diff(self, axis):
         return _mul(self.operands[0].diff(axis), self)
-
-    def __repr__(self):
-        return f"exp({self.operands[0]!r})"
 
 
 class Sin(_Op):
@@ -292,9 +281,6 @@ class Sin(_Op):
         a = self.operands[0]
         return _mul(a.diff(axis), Cos(a))
 
-    def __repr__(self):
-        return f"sin({self.operands[0]!r})"
-
 
 class Cos(_Op):
     __slots__ = ()
@@ -305,9 +291,6 @@ class Cos(_Op):
     def diff(self, axis):
         a = self.operands[0]
         return _neg(_mul(a.diff(axis), Sin(a)))
-
-    def __repr__(self):
-        return f"cos({self.operands[0]!r})"
 
 
 ZERO = Const(0.0)
@@ -429,31 +412,16 @@ def _run(plan: tuple, u) -> list:
 
 @lru_cache(maxsize=1024)  # about ten tables per model: room for all 64 memoized models
 def _plan(roots: tuple) -> tuple:
-    """One step per distinct ``_key``, in first-encounter order: (eval,
-    operand slots, the operand slots it is the last reader of); and the
-    slot of each root."""
-    slot_of, by_key = {}, {}  # the slot of each node object, of each key
-    fns, operands = [], []  # per slot
-
-    def slot(e):
-        out = slot_of.get(id(e))
-        if out is None:
-            args = tuple(map(slot, e.operands))
-            out = by_key.setdefault(_key(e, args), len(fns))
-            if out == len(fns):
-                fns.append(e.eval)
-                operands.append(args)
-            slot_of[id(e)] = out
-        return out
-
-    outs = tuple(map(slot, roots))
-    last = {i: k for k, args in enumerate(operands) for i in args}
+    """One step per node of ``_graph(roots)``: (eval, operand slots, the
+    operand slots it is the last reader of); and the slot of each root."""
+    nodes, outs = _graph(roots)
+    last = {i: k for k, (_, args) in enumerate(nodes) for i in args}
     last.update(dict.fromkeys(outs))  # a root is kept to the end
-    drops = [()] * len(fns)
+    drops = [()] * len(nodes)
     for i, k in last.items():
         if k is not None:
             drops[k] += (i,)
-    return tuple(zip(fns, operands, drops)), outs
+    return tuple((e.eval, args, drop) for (e, args), drop in zip(nodes, drops)), outs
 
 
 def gradient_exprs(f: FieldExpr) -> tuple[FieldExpr, ...]:
@@ -475,8 +443,7 @@ _COMMUTATIVE = (Add, Mul)
 
 
 def _key(e: FieldExpr, ops: tuple):
-    """The structural key of ``e`` given the keys (slots or names) of its
-    operands: nodes with equal keys have equal values at every point.  A
+    """The structural key of ``e`` given the slots of its operands: nodes with equal keys have equal values at every point.  A
     node type from outside the library is keyed by its identity."""
     kind = type(e)
     if kind is Const or kind is Coord or kind is Var:
@@ -488,70 +455,25 @@ def _key(e: FieldExpr, ops: tuple):
     return (kind, *ops)
 
 
-class _SSA:
-    """Hash-consing emitter: one temporary per distinct subtree.
+def _graph(roots) -> tuple[list, tuple]:
+    """The hash-consing walk: the first node of each distinct ``_key`` with
+    its operand slots, in first-encounter post-order (operands first), and
+    the slot of each root.  Structurally equal subtrees built as separate
+    objects get one slot; a node object is walked once however often it is
+    read."""
+    slot_of, by_key, nodes = {}, {}, []  # the slot of each node object, of each key
 
-    Leaves render inline (coordinates and ``Var`` arguments by name,
-    constants as literals).  A node's key is ``_key`` of its operands' names,
-    the rule ``evaluate``'s plans use, so structurally equal subtrees built
-    as separate objects still share one temporary.  ``reads`` counts the
-    readers of each name; a guarded denominator's guard is one of them.
-    """
-
-    def __init__(self):
-        self.steps: list = []  # guard lines and (temp, source format, operand names)
-        self.temps: dict[tuple, str] = {}
-        self.reads: dict[str, int] = {}
-        self.by_id: dict[int, str] = {}  # shared node objects: skip the re-walk
-
-    def name(self, e: FieldExpr) -> str:
-        """The temporary or literal of ``e``, counted as one more read."""
-        out = self.by_id.get(id(e))
+    def slot(e):
+        out = slot_of.get(id(e))
         if out is None:
-            if isinstance(e, Const):
-                out = repr(e.c) if e.c >= 0 else f"({e.c!r})"
-            elif isinstance(e, (Coord, Var)):
-                out = repr(e)
-            else:
-                out = self._node(e)
-            self.by_id[id(e)] = out
-        self.reads[out] = self.reads.get(out, 0) + 1
+            args = tuple(map(slot, e.operands))
+            out = by_key.setdefault(_key(e, args), len(nodes))
+            if out == len(nodes):
+                nodes.append((e, args))
+            slot_of[id(e)] = out
         return out
 
-    def _node(self, e: FieldExpr) -> str:
-        kind = type(e)
-        if kind not in _SOURCE:
-            raise TypeError(f"cannot compile {kind.__name__}")
-        ops = tuple(map(self.name, e.operands))
-        key = _key(e, ops)
-        out = self.temps.get(key)
-        if out is not None:
-            for o in ops:  # read by the existing temporary, not by a new one
-                self.reads[o] -= 1
-            return out
-        out = self.temps[key] = f"t{len(self.temps)}"
-        if kind is Div:
-            self.reads[ops[1]] += 1
-            self.steps.append(f"if {-_SINGULAR!r} < {ops[1]} < {_SINGULAR!r}: raise DomainError(_SINGULAR_MSG)")
-        self.steps.append((out, _SOURCE[kind], ops))
-        return out
-
-    def source(self, names: list[str]) -> tuple[list[str], list[str]]:
-        """Body lines, and the source of each value in ``names``.  A
-        temporary read once is written into its reader, in parentheses:
-        the same operations in the same order."""
-        lines, inline = [], {}
-        for step in self.steps:
-            if isinstance(step, str):
-                lines.append(step)
-                continue
-            out, fmt, ops = step
-            src = fmt.format(*(f"({inline.pop(o)})" if o in inline else o for o in ops))
-            if self.reads[out] == 1:
-                inline[out] = src
-            else:
-                lines.append(f"{out} = {src}")
-        return lines, [inline.pop(n, n) for n in names]
+    return nodes, tuple(map(slot, roots))
 
 
 def compile_values(exprs: Sequence[FieldExpr], extra_args: Sequence[str] = ()) -> Callable:
@@ -560,17 +482,43 @@ def compile_values(exprs: Sequence[FieldExpr], extra_args: Sequence[str] = ()) -
     floats; ``Var`` leaves name the ``extra_args``.
 
     Every distinct subtree of the folded trees is evaluated once per call
-    (common-subexpression elimination into SSA temporaries), and a
-    temporary read exactly once is written into its reader instead.  Every
+    (one temporary ``t<k>`` per node of ``_graph``, numbered in slot order),
+    and a temporary read exactly once is written into its reader instead, in
+    parentheses: the same operations in the same order.  Every
     denominator is guarded as in ``Div.eval``: a magnitude below 1e-14 raises
     ``DomainError``.  Compiled output is cross-checked against ``evaluate``
     in the test suite.
     """
-    ssa = _SSA()
-    lines, outputs = ssa.source([ssa.name(e) for e in exprs])
-    args = ", ".join((*_COORD_NAMES, *extra_args))
+    nodes, outs = _graph(exprs)
+    reads = [0] * len(nodes)  # per slot: operand reads, root reads and the guard's read
+    for e, args in nodes:
+        for i in (*args, args[1]) if type(e) is Div else args:
+            reads[i] += 1
+    for i in outs:
+        reads[i] += 1
+    names, inline, lines, temps = [], {}, [], 0  # per slot: literal or temporary
+    for k, (e, args) in enumerate(nodes):
+        kind = type(e)
+        if kind is Const:
+            names.append(repr(e.c) if e.c >= 0 else f"({e.c!r})")
+        elif kind is Coord or kind is Var:
+            names.append(repr(e))
+        elif kind not in _SOURCE:
+            raise TypeError(f"cannot compile {kind.__name__}")
+        else:
+            if kind is Div:
+                lines.append(f"if {-_SINGULAR!r} < {names[args[1]]} < {_SINGULAR!r}: raise DomainError(_SINGULAR_MSG)")
+            code = _SOURCE[kind].format(*(f"({inline.pop(i)})" if i in inline else names[i] for i in args))
+            names.append(f"t{temps}")
+            temps += 1
+            if reads[k] == 1:
+                inline[k] = code
+            else:
+                lines.append(f"{names[k]} = {code}")
+    outputs = [inline.pop(i) if i in inline else names[i] for i in outs]
+    params = ", ".join((*_COORD_NAMES, *extra_args))
     body = "".join(f"    {line}\n" for line in lines)
-    src = f"def _kernel({args}):\n{body}    return ({', '.join(outputs)},)\n"
+    src = f"def _kernel({params}):\n{body}    return ({', '.join(outputs)},)\n"
     namespace = {
         "exp": math.exp,
         "sin": math.sin,

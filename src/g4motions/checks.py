@@ -2,15 +2,15 @@
 computation with pass/fail against tolerances.
 
 Every check is a pure function of a ``geometry.SampleCloud`` (sample points
-of one entry, with momenta, evaluated once) and the tolerances: the frame
-algebra, the Killing equations, admissibility of the potential, and the
-motion integrals' brackets {Y_a, Y_b} and {H, Y_a}.  ``BATTERY`` lists
-them once, in report order, with whether each reads the frame metric.
-``verify_group``, the battery's one entry point, runs every row and then
-the metric-reading rows under a second frame-metric signature, over chunks
-of ``CHUNK`` points, one cloud per chunk, so its memory is bounded by the
-chunk and not by the sample size; ``merge_chunks`` merges the chunks'
-results.
+of one entry, with momenta, evaluated once; checks read the entry's tables
+only through it) and the tolerances: the frame algebra, the Killing
+equations, admissibility of the potential, and the motion integrals'
+brackets {Y_a, Y_b} and {H, Y_a}.  ``BATTERY`` lists them once, in report
+order, with whether each reads the frame metric.  ``verify_group``, the
+battery's one entry point, runs every row and then the metric-reading rows
+under a second frame-metric signature, over chunks of ``CHUNK`` points,
+one cloud per chunk, so its memory is bounded by the chunk and not by the
+sample size; ``merge_chunks`` merges the chunks' results.
 
 Residuals are max-norms over all free indices and sample points, scaled
 relatively by (1 + magnitude of the compared terms) since the exponential
@@ -56,7 +56,6 @@ __all__ = [
     "CHUNK",
     "scaled_max",
     "blocked_max",
-    "frame_bracket",
     "check_duality",
     "check_tetrad_duality",
     "check_lie_closure",
@@ -172,15 +171,6 @@ def blocked_max(sides, *arrays) -> float:
     return worst
 
 
-def frame_bracket(xi, dxi) -> np.ndarray:
-    """The frame Lie bracket [xi_a, xi_b]^i = xi_a^j d_j xi_b^i -
-    xi_b^j d_j xi_a^i as (n, a, b, i), from ``xi`` (n, a, i) and ``dxi``
-    (n, j, a, i) = d_j xi_a^i."""
-    n = len(xi)
-    bracket = (xi @ dxi.reshape(n, 4, 16)).reshape(n, 4, 4, 4)  # xi_a^j d_j xi_b^i
-    return bracket - bracket.transpose(0, 2, 1, 3)
-
-
 # --------------------------------------------------------------------------
 # Algebraic structure
 # --------------------------------------------------------------------------
@@ -193,7 +183,7 @@ def check_duality(cloud: SampleCloud, tol: ToleranceConfig) -> CheckResult:
 
 
 def check_tetrad_duality(cloud: SampleCloud, tol: ToleranceConfig) -> CheckResult:
-    cov = eval_table(cloud.model.e_cov, cloud.points)  # (n, i, alpha); no other check reads it
+    cov = cloud.values("e_cov")  # (n, i, alpha)
     con = cloud.values("e_con")  # (n, alpha, i)
     prod = con @ cov
     resid = scaled_max(prod, np.eye(4)[None])
@@ -409,7 +399,7 @@ def check_frame_table_crosscheck(cloud: SampleCloud, tol: ToleranceConfig) -> Ch
     model = cloud.model
     if model.reference_frame is None:
         return None
-    ref = eval_table(model.reference_frame, cloud.points)
+    ref = cloud.values("reference_frame")
     rec = cloud.values("frame_basis")
     comps = np.max(_scaled_errors(ref, rec), axis=0)  # (b, a), over the sample points
     _peak(comps)

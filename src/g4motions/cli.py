@@ -419,6 +419,9 @@ def main(argv=None) -> int:
         # errors and failed factorizations: a numerically degenerate setup
         print(f"error: {exc} ({type(exc).__name__})", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # a sample too large to allocate (a huge --points)
+        print(f"error: out of memory ({exc})", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -3,9 +3,10 @@ check reads.
 
 All index gymnastics used by the verification suite lives here.
 ``metric_batch`` assembles the metric g^{ij} on (n, 4) point arrays together
-with its coordinate gradient, and ``frame_metric_batch`` the frame metric
-G^{ab} with its gradient from them; both are per-point products, so they
-give the same bits on any slice of the points.  ``SampleCloud`` evaluates
+with its coordinate gradient, ``frame_metric_batch`` the frame metric
+G^{ab} with its gradient from them, and ``frame_bracket`` the Lie bracket
+of the Killing frame from its jet; all are per-point products, so they give
+the same bits on any slice of the points.  ``SampleCloud`` evaluates
 one entry's tables, metric, frame bracket, potential and Hamiltonian
 gradients on a fixed set of points, with the coordinate gradients the
 identity checks need (the symbolic partials of the expression tables,
@@ -22,7 +23,7 @@ import numpy as np
 
 from .catalog import GroupModel, eval_table, eval_table_jet
 
-__all__ = ["SingularMetric", "SampleCloud", "metric_batch", "frame_metric_batch"]
+__all__ = ["SingularMetric", "SampleCloud", "metric_batch", "frame_metric_batch", "frame_bracket"]
 
 _DET_GUARD = 1e-12
 
@@ -79,18 +80,28 @@ def frame_metric_batch(g, dg, dual, ddual) -> tuple[np.ndarray, np.ndarray]:
     return dual_t @ gd, dG
 
 
+def frame_bracket(xi, dxi) -> np.ndarray:
+    """The frame Lie bracket [xi_a, xi_b]^i = xi_a^j d_j xi_b^i -
+    xi_b^j d_j xi_a^i as (n, a, b, i), from ``xi`` (n, a, i) and ``dxi``
+    (n, j, a, i) = d_j xi_a^i."""
+    n = len(xi)
+    bracket = (xi @ dxi.reshape(n, 4, 16)).reshape(n, 4, 4, 4)  # xi_a^j d_j xi_b^i
+    return bracket - bracket.transpose(0, 2, 1, 3)
+
+
 class SampleCloud:
     """One catalog entry's sample points (and momenta), evaluated once.
 
     Every verification check is a pure function of a cloud and the
-    tolerances.  Everything is evaluated on first use, and the cloud keeps
-    only what two or more checks read: the jets of the tables in
-    ``_SHARED_JETS``, the values of the other tables asked for through
-    ``values``, the metric g^{ij} with d_l g^{ij}, and the frame Lie bracket.
-    The jets of the other tables, the potential A_i, d_l A_i (two small
-    contractions of the shared ``holo_basis`` jets) and the gradients of H
-    are computed on each call, so no table's jets are evaluated twice; the
-    frame-Killing check builds G^{ab} per block with ``frame_metric_batch``.
+    tolerances, and reads the tables only through the cloud.  Everything is
+    evaluated on first use, and the cloud keeps only what two or more
+    checks read: the jets of the tables in ``_SHARED_JETS`` (their values
+    are those of the jets), the metric g^{ij} with d_l g^{ij}, and the frame
+    Lie bracket.  The values and jets of the other tables, each read by one
+    check, the potential A_i, d_l A_i (two small contractions of the shared
+    ``holo_basis`` jets) and the gradients of H are computed on each call;
+    the frame-Killing check builds G^{ab} per block with
+    ``frame_metric_batch``.
 
     ``with_model(model.with_eta(eta))`` gives the cloud of the same points
     under another frame metric: it shares every eta-independent evaluation
@@ -101,7 +112,7 @@ class SampleCloud:
         self.model = model
         self.points = np.asarray(points, float)
         self.momenta = None if momenta is None else np.asarray(momenta, float)
-        self._shared = {}  # eta-independent: table jets and values, bracket
+        self._shared = {}  # eta-independent: the shared jets and the bracket
 
     def __len__(self) -> int:
         return len(self.points)
@@ -131,7 +142,7 @@ class SampleCloud:
         """Values (n, r, c) of the model's table ``table``."""
         if table in _SHARED_JETS:
             return self.jet(table)[0]
-        return self._memo(("values", table), lambda: eval_table(getattr(self.model, table), self.points))
+        return eval_table(getattr(self.model, table), self.points)
 
     @cached_property
     def metric(self) -> tuple[np.ndarray, np.ndarray]:
@@ -140,9 +151,7 @@ class SampleCloud:
 
     @property
     def bracket(self) -> np.ndarray:
-        """The frame Lie bracket [xi_a, xi_b]^i (n, a, b, i) (``checks.frame_bracket``)."""
-        from .checks import frame_bracket  # deferred: checks reads this module
-
+        """The frame Lie bracket [xi_a, xi_b]^i (n, a, b, i) (``frame_bracket``)."""
         return self._memo("bracket", lambda: frame_bracket(*self.jet("xi")))
 
     def potential(self, alphas, basis: str = "holo_basis") -> tuple[np.ndarray, np.ndarray]:

@@ -154,6 +154,40 @@ def test_compiled_guard_and_kernel_arguments():
     assert fn(3.0, 0.0, 0.0, 0.0, 2.0, 0.25) == (6.25,)
 
 
+def test_compile_refuses_an_outside_node_type():
+    for exprs in ([_Square(U1)], [U2 + _Square(U1)]):  # as a root, and as an operand
+        with pytest.raises(TypeError, match="cannot compile _Square"):
+            compile_values(exprs)
+
+
+def test_compiled_repeated_and_nested_roots():
+    """A root listed twice, and a root that one other root also reads."""
+    f = cos(U2 - U3) / (2.0 + sin(U1))
+    g = U1 * exp(-2.0 * U4)
+    exprs = [f, g, f, g * U3]
+    fn = compile_values(exprs)
+    rng = np.random.default_rng(31)
+    for _ in range(20):
+        u = rng.uniform(-1.4, 1.4, size=4)
+        got = fn(*u)
+        assert len(got) == 4 and got[0] == got[2]
+        assert np.allclose(got, unplanned_evaluate(exprs, u), atol=0, rtol=1e-15)
+
+
+def _temporaries(fn) -> tuple:
+    return fn.__code__.co_varnames[fn.__code__.co_argcount :]
+
+
+def test_compiled_temporaries():
+    """Equal subtrees built as two objects share one temporary (``t1``, the
+    product read by both roots), and a denominator read once by its division
+    is read by its guard too, so it stays a temporary (``t0``)."""
+    shared = [sin(U1) * U2 + U3, sin(U1) * U2 - U4]
+    assert _temporaries(compile_values(shared)) == ("t1",)
+    assert _temporaries(compile_values([sin(U1) * U2 + U3, sin(U2) * U2 - U4])) == ()  # nothing shared
+    assert _temporaries(compile_values([U3 / (U1 - U2)])) == ("t0",)
+
+
 def test_catalog_expressions_agree_with_oracle(models):
     """Every expression table of every entry: symbolic partials vs central
     differences, |ad - fd| <= atol + rtol |ad| with atol = rtol = 1e-6,

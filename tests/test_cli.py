@@ -332,6 +332,9 @@ FAILURE_SURFACE = [
     (["simulate", "--group", "g4-ii", "--u0", "0,0,0,0", "--T", "1e9", "--h", "1e-3"],
      2, "T=1000000000.0 and h=0.001 give round(T / h) = 1000000000000 RK4 steps, above the cap of 1000000"),
     (["verify", "--group", "g4-ii", "--points", "5", "--param", "alpha1=1e308"], 2, "non-finite"),
+    # 10^15 points take 28.4 PiB, above the 128 TiB a process can map by default:
+    # the first allocation fails before any memory is touched
+    (["verify", "--group", "g4-ii", "--points", "1000000000000000"], 2, "out of memory"),
     (["simulate", "--group", "g4-ii", "--u0=0,0,0,0", "--p0=1e200,1e200,0,0", "--T", "0.01", "--h", "1e-3"],
      2, "FloatingPointError"),
     (["simulate", "--group", "g4-ii", "--u0=0,0,0,0", "--p0=1e160,1e160,0,0", "--T", "0.01", "--h", "1e-3"],
