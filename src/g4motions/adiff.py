@@ -479,7 +479,7 @@ def _graph(roots) -> tuple[list, tuple]:
 def compile_values(exprs: Sequence[FieldExpr], extra_args: Sequence[str] = ()) -> Callable:
     """Compile expressions into one straight-line ``math`` function of
     ``(u1, u2, u3, u4, *extra_args)`` returning their values as a tuple of
-    floats; ``Var`` leaves name the ``extra_args``.
+    floats; ``Var`` leaves name the ``extra_args``, distinct non-coordinate names (else ``ValueError``).
 
     Every distinct subtree of the folded trees is evaluated once per call
     (one temporary ``t<k>`` per node of ``_graph``, numbered in slot order),
@@ -489,6 +489,10 @@ def compile_values(exprs: Sequence[FieldExpr], extra_args: Sequence[str] = ()) -
     ``DomainError``.  Compiled output is cross-checked against ``evaluate``
     in the test suite.
     """
+    params = (*_COORD_NAMES, *extra_args)
+    for k, name in enumerate(extra_args, start=len(_COORD_NAMES)):
+        if name in params[:k]:
+            raise ValueError(f"kernel argument {name!r} repeats or is a coordinate name")
     nodes, outs = _graph(exprs)
     reads = [0] * len(nodes)  # per slot: operand reads, root reads and the guard's read
     for e, args in nodes:
@@ -502,6 +506,8 @@ def compile_values(exprs: Sequence[FieldExpr], extra_args: Sequence[str] = ()) -
         if kind is Const:
             names.append(repr(e.c) if e.c >= 0 else f"({e.c!r})")
         elif kind is Coord or kind is Var:
+            if kind is Var and e.name not in extra_args:
+                raise ValueError(f"Var {e.name!r} is not among the kernel arguments {tuple(extra_args)}")
             names.append(repr(e))
         elif kind not in _SOURCE:
             raise TypeError(f"cannot compile {kind.__name__}")
@@ -516,9 +522,8 @@ def compile_values(exprs: Sequence[FieldExpr], extra_args: Sequence[str] = ()) -
             else:
                 lines.append(f"{names[k]} = {code}")
     outputs = [inline.pop(i) if i in inline else names[i] for i in outs]
-    params = ", ".join((*_COORD_NAMES, *extra_args))
     body = "".join(f"    {line}\n" for line in lines)
-    src = f"def _kernel({params}):\n{body}    return ({', '.join(outputs)},)\n"
+    src = f"def _kernel({', '.join(params)}):\n{body}    return ({', '.join(outputs)},)\n"
     namespace = {
         "exp": math.exp,
         "sin": math.sin,

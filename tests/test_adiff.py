@@ -154,6 +154,22 @@ def test_compiled_guard_and_kernel_arguments():
     assert fn(3.0, 0.0, 0.0, 0.0, 2.0, 0.25) == (6.25,)
 
 
+@pytest.mark.parametrize(
+    "exprs, extra_args, name",
+    [
+        ([Var("p1") * U2], (), "p1"),  # a Var outside the kernel arguments
+        ([Var("u1") * U2], ("u1",), "u1"),  # an argument named like a coordinate
+        ([Var("p1") * U2], ("p1", "p1"), "p1"),  # a repeated argument
+    ],
+)
+def test_compile_refuses_bad_argument_names(exprs, extra_args, name, monkeypatch):
+    """Refused with the offending name before any source is compiled, not
+    at the kernel's first call (NameError) or by ``compile`` (SyntaxError)."""
+    monkeypatch.setattr(adiff, "compile", None, raising=False)  # any call would raise TypeError
+    with pytest.raises(ValueError, match=repr(name)):
+        compile_values(exprs, extra_args)
+
+
 def test_compile_refuses_an_outside_node_type():
     for exprs in ([_Square(U1)], [U2 + _Square(U1)]):  # as a root, and as an operand
         with pytest.raises(TypeError, match="cannot compile _Square"):
