@@ -14,16 +14,13 @@ sample size; ``merge_chunks`` merges the chunks' results.
 
 Residuals are max-norms over all free indices and sample points, scaled
 relatively by (1 + magnitude of the compared terms) since the exponential
-tables vary over orders of magnitude across the sampling box.  The largest
-residuals (the frame bracket, both Killing checks and admissibility) are
-computed and reduced in blocks of ``BLOCK`` points by one reducer,
-``blocked_max``, so that their temporaries stay in cache; every product in
-their sides is per point, and a max is exact under any grouping, so the
-result is the same as over the whole cloud.  The same holds for the chunks:
-``CHUNK`` is a multiple of ``BLOCK``, so a blocked residual sees the same
-blocks in a chunk as on one whole cloud.  The frame-table crosscheck
-carries its per-component maxima, so that the merge writes the notes of the
-whole sample.  Results carry an ``asserted`` flag: flagged results document
+tables vary over orders of magnitude across the sampling box.  Each
+identity check builds its two sides over the whole cloud and reduces each
+residual once with ``scaled_max``; every product in a side is per point,
+and a max is exact under any grouping, so the chunks' merged maxima are
+those of the whole sample.  The frame-table crosscheck carries its
+per-component maxima, so that the merge writes the notes of the whole
+sample.  Results carry an ``asserted`` flag: flagged results document
 known source-table quirks and never gate a verification run.
 
 The checks that read the structure constants (``lie_closure``,
@@ -47,15 +44,13 @@ from .catalog import (  # noqa: F401  eval_table_jet: read by bench/selftest.py
     eval_table,
     eval_table_jet,
 )
-from .geometry import SampleCloud, frame_metric_batch
+from .geometry import SampleCloud, frame_bracket, frame_metric_batch
 
 __all__ = [
     "ToleranceConfig",
     "CheckResult",
-    "BLOCK",
     "CHUNK",
     "scaled_max",
-    "blocked_max",
     "check_duality",
     "check_tetrad_duality",
     "check_lie_closure",
@@ -109,18 +104,12 @@ class CheckResult:
         self.passed = bool(self.max_residual <= self.tolerance)
 
 
-#: Points per block of a blocked residual.  A block's (B, 4, 4, 4) float64
-#: temporaries are 128 KiB each at B = 256, so a residual's working set stays
-#: in the L2 cache.  On ``verify-large`` B = 128 measured 6% slower (the
-#: per-block calls) and B = 512 the same within noise.
-BLOCK = 256
-
-#: Points per sample cloud of ``verify_group``, a multiple of ``BLOCK``.  A
-#: cloud's kept arrays and a check's temporaries grow with its points, so
-#: peak memory is bounded by the chunk.  On ``verify-large`` (2000 points;
-#: median of three 15 s runs) peak RSS was 44.0 / 45.5 / 47.9 / 53.4 MB at
-#: 256 / 512 / 1024 / 2048 against 52.4 MB unchunked, and p50 per point
-#: +10.9% / +11.1% / +1.5% / +2.4%.
+#: Points per sample cloud of ``verify_group``.  A cloud's kept arrays and a
+#: check's temporaries grow with its points, so peak memory is bounded by the
+#: chunk.  On ``verify-large`` (2000 points; median of three 15 s runs, when
+#: the largest residuals were still reduced in 256-point blocks) peak RSS was
+#: 44.0 / 45.5 / 47.9 / 53.4 MB at 256 / 512 / 1024 / 2048 against 52.4 MB
+#: unchunked, and p50 per point +10.9% / +11.1% / +1.5% / +2.4%.
 CHUNK = 1024
 
 
@@ -156,21 +145,6 @@ def scaled_max(lhs, rhs) -> float:
     return _peak(_scaled_errors(lhs, rhs))
 
 
-def blocked_max(sides, *arrays) -> float:
-    """The scaled residual of ``sides`` over per-point arrays, ``BLOCK``
-    points at a time.
-
-    ``sides`` maps one block of each array (its leading axis is the sample
-    point) to the block's (lhs, rhs), which go to ``scaled_max``.  Each
-    block raises ``FloatingPointError`` on a non-finite residual before it is
-    merged, and a max of finite maxima is exact under any grouping.
-    """
-    worst = 0.0
-    for k in range(0, len(arrays[0]), BLOCK):
-        worst = max(worst, scaled_max(*sides(*(a[k : k + BLOCK] for a in arrays))))
-    return worst
-
-
 # --------------------------------------------------------------------------
 # Algebraic structure
 # --------------------------------------------------------------------------
@@ -202,13 +176,10 @@ _BRACKET_NOTE = ("bracket sign s=+1",)
 
 
 def check_lie_closure(cloud: SampleCloud, tol: ToleranceConfig) -> CheckResult:
-    """[xi_a, xi_b] = C^g_ab xi_g, reduced per block."""
-    Ct = cloud.model.structure_constants.reshape(4, 16).T
-
-    def sides(bracket, xi):
-        return bracket, (Ct @ xi).reshape(len(xi), 4, 4, 4)  # C^g_ab xi_g^i
-
-    resid = blocked_max(sides, cloud.bracket, cloud.values("xi"))
+    """[xi_a, xi_b] = C^g_ab xi_g."""
+    xi, dxi = cloud.jet("xi")
+    rhs = (cloud.model.structure_constants.reshape(4, 16).T @ xi).reshape(len(xi), 4, 4, 4)
+    resid = scaled_max(frame_bracket(xi, dxi), rhs)
     return CheckResult(
         "lie_closure", cloud.model.name, len(cloud), resid, tol.tol_deriv, notes=_BRACKET_NOTE
     )
@@ -229,15 +200,12 @@ def check_jacobi(C: np.ndarray, tol: ToleranceConfig, group: str = "-") -> Check
 
 def check_killing(cloud: SampleCloud, tol: ToleranceConfig) -> CheckResult:
     """g^{il} d_l xi_a^j + g^{jl} d_l xi_a^i - d_l g^{ij} xi_a^l = 0."""
-
-    def sides(g, dg, xi, dxi):
-        n = len(xi)
-        lhs = (g @ dxi.reshape(n, 4, 16)).reshape(n, 4, 4, 4).transpose(0, 2, 1, 3)
-        lhs = lhs + lhs.transpose(0, 1, 3, 2)
-        rhs = (xi @ dg.reshape(n, 4, 16)).reshape(n, 4, 4, 4)
-        return lhs, rhs
-
-    resid = blocked_max(sides, *cloud.metric, *cloud.jet("xi"))
+    g, dg = cloud.metric
+    xi, dxi = cloud.jet("xi")
+    n = len(xi)
+    lhs = (g @ dxi.reshape(n, 4, 16)).reshape(n, 4, 4, 4).transpose(0, 2, 1, 3)
+    lhs = lhs + lhs.transpose(0, 1, 3, 2)
+    resid = scaled_max(lhs, (xi @ dg.reshape(n, 4, 16)).reshape(n, 4, 4, 4))
     return CheckResult("killing", cloud.model.name, len(cloud), resid, tol.tol_deriv)
 
 
@@ -245,15 +213,13 @@ def check_frame_killing(cloud: SampleCloud, tol: ToleranceConfig) -> CheckResult
     """Frame form of the Killing equations,
     G^{ab}_{|g} = G^{at} C^b_{tg} + G^{bt} C^a_{tg}."""
     C = cloud.model.structure_constants.transpose(1, 0, 2).reshape(4, 16)  # (t, (b, g))
-
-    def sides(g, dg, dual, ddual, xi):
-        G, dG = frame_metric_batch(g, dg, dual, ddual)
-        n = len(G)
-        lhs = (xi @ dG.reshape(n, 4, 16)).reshape(n, 4, 4, 4)  # xi_g^l d_l G^{ab}
-        rhs = (G.reshape(4 * n, 4) @ C).reshape(n, 4, 4, 4).transpose(0, 3, 1, 2)  # G^{at} C^b_{tg}
-        return lhs, rhs + rhs.transpose(0, 1, 3, 2)
-
-    resid = blocked_max(sides, *cloud.metric, *cloud.jet("dual"), cloud.values("xi"))
+    G, dG = frame_metric_batch(*cloud.metric, *cloud.jet("dual"))
+    n = len(G)
+    lhs = (cloud.values("xi") @ dG.reshape(n, 4, 16)).reshape(n, 4, 4, 4)  # xi_g^l d_l G^{ab}
+    rhs = (G.reshape(4 * n, 4) @ C).reshape(n, 4, 4, 4).transpose(0, 3, 1, 2)  # G^{at} C^b_{tg}
+    del G, dG  # only the two sides are alive in the reduction
+    rhs = rhs + rhs.transpose(0, 1, 3, 2)
+    resid = scaled_max(lhs, rhs)
     return CheckResult(
         "frame_killing", cloud.model.name, len(cloud), resid, tol.tol_deriv, notes=_BRACKET_NOTE
     )
@@ -303,16 +269,6 @@ def _asserted_basis(model: GroupModel, b: int, zero_field: str) -> tuple[bool, t
     return asserted, ()
 
 
-def _admissibility_sides(xi_t, dxi, A, dA) -> tuple[np.ndarray, np.ndarray]:
-    # xi_t: (n, j, a) = xi_a^j, C-contiguous; dxi: (n, i, a, j) = d_i xi_a^j;
-    # A (n, j) and dA (n, i, j) of one basis potential
-    F = dA - dA.transpose(0, 2, 1)
-    # d_i (xi_a^j A_j) vs xi_a^j F_{ij}
-    lhs = np.einsum("niaj,nj->nia", dxi, A) + dA @ xi_t
-    rhs = F @ xi_t
-    return lhs, rhs
-
-
 def check_admissibility(
     cloud: SampleCloud, tol: ToleranceConfig, mode: str = "holonomic"
 ) -> list[CheckResult]:
@@ -328,12 +284,14 @@ def check_admissibility(
     if mode not in tables:
         raise ValueError(f"unknown admissibility mode {mode!r}")
     model = cloud.model
-    xi, dxi = cloud.jet("xi")
-    xi_t = np.ascontiguousarray(xi.transpose(0, 2, 1))  # a contiguous operand keeps matmul on BLAS
+    xi, dxi = cloud.jet("xi")  # dxi: (n, i, a, j) = d_i xi_a^j
+    xi_t = np.ascontiguousarray(xi.transpose(0, 2, 1))  # (n, j, a); contiguous keeps matmul on BLAS
     vals, grads = cloud.jet(tables[mode])  # (n,b,i), (n,l,b,i)
     results = []
     for b in range(4):
-        resid = blocked_max(_admissibility_sides, xi_t, dxi, vals[:, b], grads[:, :, b])
+        A, dA = vals[:, b], grads[:, :, b]  # one basis potential
+        lhs = np.einsum("niaj,nj->nia", dxi, A) + dA @ xi_t  # d_i (xi_a^j A_j)
+        resid = scaled_max(lhs, (dA - dA.transpose(0, 2, 1)) @ xi_t)  # xi_a^j F_{ij}
         if mode == "tetrad":
             asserted = model.tetrad_printed
             notes = () if model.tetrad_printed else ("derived (untabulated) tetrad",)
@@ -489,7 +447,7 @@ def check_integral_algebra(cloud: SampleCloud, tol: ToleranceConfig) -> CheckRes
     p . xi is an antihomomorphism, so the Poisson bracket closes with the
     opposite sign of the vector-field bracket; the note records both.
     """
-    pb = -np.einsum("nabi,ni->nab", cloud.bracket, cloud.momenta)  # {Y_a, Y_b}
+    pb = -np.einsum("nabi,ni->nab", frame_bracket(*cloud.jet("xi")), cloud.momenta)  # {Y_a, Y_b}
     Y = np.einsum("nai,ni->na", cloud.values("xi"), cloud.momenta)
     target = (Y @ cloud.model.structure_constants.reshape(4, 16)).reshape(-1, 4, 4)  # C^g_ab Y_g
     resid = scaled_max(pb, -target)

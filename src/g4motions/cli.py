@@ -88,6 +88,15 @@ def render_json(value, indent: int = 0) -> str:
 # --------------------------------------------------------------------------
 
 
+def _number(option: str, raw: str, kind=float):
+    """``kind(raw)``, or ``InvalidParams`` naming the option that gave ``raw``."""
+    try:
+        return kind(raw)
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise InvalidParams(f"{option} expects {what}, got {raw!r}") from None
+
+
 def _parse_params(pairs: list[str]) -> GroupParams:
     kwargs = {}
     alphas = list(GroupParams.em_alphas)  # the field's default
@@ -96,16 +105,17 @@ def _parse_params(pairs: list[str]) -> GroupParams:
             raise InvalidParams(f"--param expects key=value, got {pair!r}")
         key, _, raw = pair.partition("=")
         key = key.strip().lower().replace("-", "_")
+        option = f"--param {key}"
         if key in ("c", "alpha_angle", "k", "l"):
-            kwargs[key] = float(raw)
+            kwargs[key] = _number(option, raw)
         elif key == "eps01":
-            kwargs["eps01"] = int(raw)
+            kwargs["eps01"] = _number(option, raw, int)
         elif key in ("alpha1", "alpha2", "alpha3", "alpha4"):
-            alphas[int(key[-1]) - 1] = float(raw)
+            alphas[int(key[-1]) - 1] = _number(option, raw)
         elif key == "eta":
             if not raw.startswith("diag:"):
                 raise InvalidParams("eta must be given as diag:a,b,c,d")
-            diag = [float(x) for x in raw[len("diag:") :].split(",")]
+            diag = [_number(option, x) for x in raw[len("diag:") :].split(",")]
             if len(diag) != 4:
                 raise InvalidParams("eta diagonal needs four entries")
             kwargs["eta"] = tuple(
@@ -204,6 +214,8 @@ def _config_from_args(args) -> RunConfig:
     elif args.command == "verify":
         if args.points < 1:
             raise InvalidParams("--points must be at least 1")
+        if args.seed < 0:
+            raise InvalidParams(f"--seed must be non-negative, got {args.seed}")
         config.seed = args.seed
         config.n_points = args.points
         config.tol = checks.ToleranceConfig(tol_exact=args.tol_exact, tol_deriv=args.tol_deriv)
@@ -427,8 +439,8 @@ def main(argv=None) -> int:
             if args.command == "verify":
                 return cmd_verify(config)
             if args.command == "simulate":
-                u0 = [float(x) for x in args.u0.split(",")]
-                p0 = [float(x) for x in args.p0.split(",")]
+                u0 = [_number("--u0", x) for x in args.u0.split(",")]
+                p0 = [_number("--p0", x) for x in args.p0.split(",")]
                 return cmd_simulate(config, u0, p0, args.T, args.h)
             parser.error(f"unknown command {args.command}")
     except (ValueError, OSError) as exc:  # InvalidParams, and an unwritable --out

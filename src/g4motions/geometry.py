@@ -7,13 +7,12 @@ with its coordinate gradient, ``frame_metric_batch`` the frame metric
 G^{ab} with its gradient from them, and ``frame_bracket`` the Lie bracket
 of the Killing frame from its jet; all are per-point products, so they give
 the same bits on any slice of the points.  ``SampleCloud`` evaluates
-one entry's tables, metric, frame bracket, potential and Hamiltonian
-gradients on a fixed set of points, with the coordinate gradients the
-identity checks need (the symbolic partials of the expression tables,
-evaluated with their values).  A cloud of any size works;
-``checks.verify_group`` builds one per chunk of ``checks.CHUNK`` sample
-points, so what a cloud keeps is bounded by the chunk.  No check reads
-g_{ij}, so nothing here inverts the metric.
+one entry's tables, metric, potential and Hamiltonian gradients on a fixed
+set of points, with the coordinate gradients the identity checks need (the
+symbolic partials of the expression tables, evaluated with their values).
+A cloud of any size works; ``checks.verify_group`` builds one per chunk of
+``checks.CHUNK`` sample points, so what a cloud keeps is bounded by the
+chunk.  No check reads g_{ij}, so nothing here inverts the metric.
 """
 from __future__ import annotations
 
@@ -96,12 +95,12 @@ class SampleCloud:
     tolerances, and reads the tables only through the cloud.  Everything is
     evaluated on first use, and the cloud keeps only what two or more
     checks read: the jets of the tables in ``_SHARED_JETS`` (their values
-    are those of the jets), the metric g^{ij} with d_l g^{ij}, and the frame
-    Lie bracket.  The values and jets of the other tables, each read by one
-    check, the potential A_i, d_l A_i (two small contractions of the shared
+    are those of the jets) and the metric g^{ij} with d_l g^{ij}.  The
+    values and jets of the other tables, each read by one check, the
+    potential A_i, d_l A_i (two small contractions of the shared
     ``holo_basis`` jets) and the gradients of H are computed on each call;
-    the frame-Killing check builds G^{ab} per block with
-    ``frame_metric_batch``.
+    the checks that read the frame bracket or G^{ab} build them with
+    ``frame_bracket`` and ``frame_metric_batch``.
 
     ``with_model(model.with_eta(eta))`` gives the cloud of the same points
     under another frame metric: it shares every eta-independent evaluation
@@ -112,7 +111,7 @@ class SampleCloud:
         self.model = model
         self.points = np.asarray(points, float)
         self.momenta = None if momenta is None else np.asarray(momenta, float)
-        self._shared = {}  # eta-independent: the shared jets and the bracket
+        self._jets = {}  # eta-independent: the jets of the tables in _SHARED_JETS
 
     def __len__(self) -> int:
         return len(self.points)
@@ -121,22 +120,18 @@ class SampleCloud:
         """The cloud of the same points under ``model``, this cloud's entry
         under another frame metric (``GroupModel.with_eta``)."""
         other = SampleCloud(model, self.points, self.momenta)
-        other._shared = self._shared
+        other._jets = self._jets
         return other
-
-    def _memo(self, key, compute):
-        if key not in self._shared:
-            self._shared[key] = compute()
-        return self._shared[key]
 
     def jet(self, table: str) -> tuple[np.ndarray, np.ndarray]:
         """Values (n, r, c) and gradients (n, 4, r, c) of the model's table
         ``table`` (an attribute name, e.g. ``"xi"`` or ``"tetrad_basis"``)."""
-
-        def compute():
-            return eval_table_jet(getattr(self.model, table), self.points)
-
-        return self._memo(table, compute) if table in _SHARED_JETS else compute()
+        if table in self._jets:
+            return self._jets[table]
+        jet = eval_table_jet(getattr(self.model, table), self.points)
+        if table in _SHARED_JETS:
+            self._jets[table] = jet
+        return jet
 
     def values(self, table: str) -> np.ndarray:
         """Values (n, r, c) of the model's table ``table``."""
@@ -148,11 +143,6 @@ class SampleCloud:
     def metric(self) -> tuple[np.ndarray, np.ndarray]:
         """(g^{ij}, d_l g^{ij}) under the model's frame metric."""
         return metric_batch(self.model, self.points, tetrad=self.jet("e_con"))
-
-    @property
-    def bracket(self) -> np.ndarray:
-        """The frame Lie bracket [xi_a, xi_b]^i (n, a, b, i) (``frame_bracket``)."""
-        return self._memo("bracket", lambda: frame_bracket(*self.jet("xi")))
 
     def potential(self, alphas, basis: str = "holo_basis") -> tuple[np.ndarray, np.ndarray]:
         """A_i = alpha_b T^b_i (n, 4) and d_l A_i (n, 4, 4) for the potential

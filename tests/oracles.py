@@ -5,8 +5,9 @@ others are a few lines over a ``geometry.SampleCloud``, each written apart
 from the route the checks and the integrator take to the same quantity.
 ``metric_cov`` and ``frame_metric`` give the tests g_{ij} and G^{ab} with
 its gradient on a whole cloud; no check reads either in that form.
-The ``unblocked_*`` residuals are the checks' formulas over the whole cloud
-at once, against which the checks' per-block reduction is pinned bitwise.
+The ``unblocked_*`` residuals are the largest checks' formulas written out
+apart from the checks, over the whole cloud at once, against which the
+checks' residuals are pinned bitwise.
 ``reference_rk4`` is the integrator's RK4 loop in its list-and-zip form,
 driving the same compiled kernel, against which the straight-line loop of
 ``mechanics.integrate_trajectory`` is pinned bitwise.
@@ -105,7 +106,7 @@ def metric_cov(cloud) -> np.ndarray:
 def frame_metric(cloud) -> tuple[np.ndarray, np.ndarray]:
     """G^{ab} (n, a, b) and d_l G^{ab} (n, l, a, b) over the whole cloud,
     through ``geometry.frame_metric_batch`` as the frame-Killing check
-    builds them per block."""
+    builds them."""
     return frame_metric_batch(*cloud.metric, *cloud.jet("dual"))
 
 

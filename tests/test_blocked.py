@@ -1,17 +1,19 @@
-"""The blocked residuals across block boundaries.
+"""The largest residuals (the frame bracket, both Killing checks and
+admissibility) against their reference formulas.
 
-The suite's shared clouds have 200 points, inside one block.  Here clouds of
-1, B, B + 1 and 2B + 37 points (B = ``checks.BLOCK``) are checked against the
-unblocked formulas of ``tests/oracles.py``, bit for bit; a peak planted in
-the last, partial block must be found, and a non-finite value in any block
-must raise.
+Each check reduces its whole cloud once with ``checks.scaled_max``.  Clouds
+of 1, 256, 257 and 549 points (sizes that straddled the edges of the
+256-point blocks these checks were once reduced in) are checked against the
+whole-cloud formulas of ``tests/oracles.py``, bit for bit; a peak planted at
+the last point must be found, and a non-finite value at the first, a middle
+or the last point must raise.
 """
 import numpy as np
 import pytest
 
 from g4motions import checks, mechanics
 from g4motions.catalog import GroupId, get_group
-from g4motions.checks import BLOCK, blocked_max
+from g4motions.checks import scaled_max
 from g4motions.geometry import SampleCloud
 from oracles import (
     unblocked_admissibility,
@@ -20,18 +22,14 @@ from oracles import (
     unblocked_killing,
 )
 
-SIZES = (1, BLOCK, BLOCK + 1, 2 * BLOCK + 37)
+SIZES = (1, 256, 257, 549)
+N = SIZES[-1]
 EUCLIDEAN = tuple(tuple(float(i == j) for j in range(4)) for i in range(4))
 
 
 def _cloud(gid, n, seed=3):
     model = get_group(gid)
     return SampleCloud(model, *mechanics.sample_phase_points(model, n, seed))
-
-
-def _pairs(a, b):
-    """(lhs, rhs) as they are: the sides function of precomputed arrays."""
-    return a, b
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -49,36 +47,8 @@ def test_blocked_checks_equal_unblocked(n, tol):
             assert got == unblocked_admissibility(cloud, table), (gid, mode)
 
 
-def test_reducer_visits_every_block(monkeypatch):
-    n = 2 * BLOCK + 37
-    seen = []
-    real = checks.scaled_max
-
-    def record(lhs, rhs):
-        seen.append(len(lhs))
-        return real(lhs, rhs)
-
-    monkeypatch.setattr(checks, "scaled_max", record)
-    zeros = np.zeros((n, 4, 4))
-    assert blocked_max(_pairs, zeros, zeros) == 0.0
-    assert seen == [BLOCK, BLOCK, 37]
-
-
-@pytest.mark.parametrize("rhs_peak", [False, True])
-def test_peak_in_last_partial_block_is_found(rhs_peak):
-    n = 2 * BLOCK + 37
-    lhs, rhs = np.zeros((n, 4, 4, 4)), np.zeros((n, 4, 4, 4))
-    lhs[5, 1, 2, 3] = 1.0  # 1 / (1 + 1) = 0.5 in the first block
-    lhs[n - 1, 3, 0, 2] = 3.0  # 3 / (1 + 3) = 0.75 in the last
-    if rhs_peak:
-        rhs[n - 1, 0, 0, 0] = -7.0  # 7 / (1 + 7) = 0.875, also in the last
-        assert blocked_max(_pairs, lhs, rhs) == 0.875
-    else:
-        assert blocked_max(_pairs, lhs, rhs) == 0.75
-
-
 def test_planted_killing_peak_in_last_block_is_found(tol):
-    cloud = _cloud(GroupId.G4_II, 2 * BLOCK + 37)
+    cloud = _cloud(GroupId.G4_II, N)
     _, dg = cloud.metric
     clean = checks.check_killing(cloud, tol).max_residual
     dg[-1, 2, 0, 1] += 0.5
@@ -89,29 +59,28 @@ def test_planted_killing_peak_in_last_block_is_found(tol):
     assert not checks.check_frame_killing(cloud, tol).passed
 
 
-# indices in the first, a middle and the last block of a 2B + 37 point cloud
-PLANTS = (0, BLOCK + 5, 2 * BLOCK + 36)
+# the first, a middle and the last point of an N-point cloud
+PLANTS = (0, N // 2, N - 1)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
 @pytest.mark.parametrize("at", PLANTS, ids=["first", "middle", "last"])
 def test_negative_control_nonfinite_in_any_block_raises(at, bad, tol):
-    n = 2 * BLOCK + 37
-    zeros = np.zeros((n, 4, 4))
+    zeros = np.zeros((N, 4, 4))
     planted = zeros.copy()
     planted[at, 1, 2] = bad
     with np.errstate(all="ignore"):  # the residual must raise, not the ufunc
         with pytest.raises(FloatingPointError):
-            blocked_max(_pairs, planted, zeros)
+            scaled_max(planted, zeros)
         with pytest.raises(FloatingPointError):
-            blocked_max(_pairs, zeros, planted)
+            scaled_max(zeros, planted)
 
-        bracket_cloud = _cloud(GroupId.G4_II, n)
-        bracket_cloud.jet("xi")[1][at, 0, 1, 2] = bad  # the kept jets, before the bracket is read
+        bracket_cloud = _cloud(GroupId.G4_II, N)
+        bracket_cloud.jet("xi")[1][at, 0, 1, 2] = bad  # the kept jets, which the bracket is built from
         with pytest.raises(FloatingPointError):
             checks.check_lie_closure(bracket_cloud, tol)
 
-        cloud = _cloud(GroupId.G4_II, n)
+        cloud = _cloud(GroupId.G4_II, N)
         _, dg = cloud.metric
         dg[at, 1, 2, 3] = bad
         with pytest.raises(FloatingPointError):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from g4motions import catalog
+from g4motions import catalog, checks, mechanics
 from g4motions.adiff import coords
 from g4motions.catalog import (
     GroupId,
@@ -52,6 +52,22 @@ def test_g4_viii_frame_first_row(models):
 def test_invalid_parameters_rejected(gid, params):
     with pytest.raises(InvalidParams):
         get_group(gid, params)
+
+
+@pytest.mark.parametrize("eps01", [0, 1])
+def test_g4_vi_4_1_passes_at_its_smallest_gap(eps01, tol):
+    """At |k - eps01| = ``VI_4_1_MIN_GAP`` the entry passes every asserted
+    check, on both sides of eps01; just inside the gap it is refused."""
+    gap = catalog.VI_4_1_MIN_GAP
+    for k in (eps01 - gap, eps01 + gap):
+        model = get_group(GroupId.G4_VI_4_1, GroupParams(k=k, eps01=eps01))
+        for seed in (42, 7):
+            points, momenta = mechanics.sample_phase_points(model, 2000, seed)
+            failed = [r.name for r in checks.verify_group(model, points, momenta, tol)
+                      if r.asserted and not r.passed]
+            assert failed == [], (k, seed)
+        with pytest.raises(InvalidParams, match="g4-vi-4-2"):
+            get_group(GroupId.G4_VI_4_1, GroupParams(k=np.nextafter(k, eps01), eps01=eps01))
 
 
 @pytest.mark.parametrize(

@@ -13,7 +13,7 @@ import pytest
 
 from g4motions import catalog, checks, cli, geometry, mechanics
 from g4motions.catalog import ABELIAN_SUBGROUP_IDS, GroupId, GroupModel, GroupParams, get_group
-from g4motions.checks import BATTERY, BLOCK, CHUNK, merge_chunks, verify_group
+from g4motions.checks import BATTERY, CHUNK, merge_chunks, verify_group
 from g4motions.geometry import SampleCloud
 
 SIZES = (CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 37)
@@ -23,10 +23,6 @@ EUCLIDEAN = tuple(tuple(float(i == j) for j in range(4)) for i in range(4))
 def _sample(gid, n, seed=3):
     model = get_group(gid)
     return model, *mechanics.sample_phase_points(model, n, seed)
-
-
-def test_chunk_is_a_multiple_of_block():
-    assert CHUNK % BLOCK == 0 and CHUNK > 0
 
 
 @pytest.mark.parametrize("n", SIZES)

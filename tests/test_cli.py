@@ -334,6 +334,12 @@ FAILURE_SURFACE = [
     (["simulate", "--group", "g4-ii", "--u0", "0,0,0,0", "--T", "1e9", "--h", "1e-3"],
      2, "T=1000000000.0 and h=0.001 give round(T / h) = 1000000000000 RK4 steps, above the cap of 1000000"),
     (["verify", "--group", "g4-ii", "--points", "5", "--param", "alpha1=1e308"], 2, "non-finite"),
+    (["verify", "--group", "g4-vi-4-1", "--points", "20", "--param", "k=1.02"], 2, "use g4-vi-4-2"),
+    (["verify", "--group", "g4-ii", "--points", "20", "--param", "k=abc"], 2, "--param k expects a number"),
+    (["verify", "--group", "g4-vi-1", "--points", "20", "--param", "eps01=1.0"], 2,
+     "--param eps01 expects an integer"),
+    (["simulate", "--group", "g4-ii", "--u0=0,a,0,0"], 2, "--u0 expects a number, got 'a'"),
+    (["verify", "--group", "g4-ii", "--points", "20", "--seed", "-1"], 2, "--seed must be non-negative"),
     # 10^15 points take 28.4 PiB, above the 128 TiB a process can map by default:
     # the first allocation fails before any memory is touched
     (["verify", "--group", "g4-ii", "--points", "1000000000000000"], 2, "out of memory"),

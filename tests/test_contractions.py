@@ -120,7 +120,7 @@ def test_check_sides_match_einsum(gid, eta_models, samples, monkeypatch):
 
     sides = record_sides(monkeypatch, checks, "scaled_max")
     checks.check_lie_closure(cloud, tol)
-    (bracket, target), = sides  # one block
+    (bracket, target), = sides  # one reduction
     sides.clear()
     half = einsum_ref("naj,njbi->nabi", xi, dxi)
     assert_matches(bracket, add(half, scaled(transposed(half, (0, 2, 1, 3)), -1)))
