@@ -32,6 +32,7 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property, lru_cache
+from itertools import islice
 
 import numpy as np
 
@@ -235,10 +236,10 @@ class GroupModel:
     def eta_con(self) -> np.ndarray:
         return np.linalg.inv(self.eta_eff)
 
-    @property
-    def tetrad_basis(self) -> list:
+    @cached_property
+    def tetrad_basis(self) -> tuple:
         """Tetrad-constructed potential, basis-wise: entry [beta][i] = e^beta_i."""
-        return [[self.e_cov[i][beta] for i in range(4)] for beta in range(4)]
+        return tuple(tuple(row[beta] for row in self.e_cov) for beta in range(4))
 
     def with_eta(self, eta) -> "GroupModel":
         """The same entry under another constant frame metric.  The expression
@@ -282,28 +283,34 @@ def _frame_from_holo(xi, holo_basis) -> list:
     return out
 
 
-@lru_cache(maxsize=1024)  # as adiff._plan: about ten tables per memoized model
-def _layout(table: tuple, jet: bool) -> tuple:
-    """The entries of a table of rows, then with ``jet`` their partials, that
-    are not constants; and for the values and the gradients each, the
-    constant row, the columns the others go to and the shape per point."""
-    flat = [e for row in table for e in row]
-    parts = [(flat, (len(table), len(table[0])))]
-    if jet:
-        partials = [p[l] for l in range(adiff.CHART_DIM) for p in map(adiff.gradient_exprs, flat)]
-        parts.append((partials, (adiff.CHART_DIM, *parts[0][1])))
+@lru_cache(maxsize=1024)  # as adiff._plan: about ten table sets per memoized model
+def _layout(tables: tuple, jets: tuple) -> tuple:
+    """The entries of each table of rows, then where ``jets`` says so their
+    partials, that are not constants; and for each table's values and
+    gradients, the constant row, the columns of the others and the shape."""
     roots, arrays = [], []
-    for exprs, shape in parts:
-        cols = [k for k, e in enumerate(exprs) if type(e) is not adiff.Const]
-        roots += [exprs[k] for k in cols]
-        const = _read_only(np.array([e.c if type(e) is adiff.Const else 0.0 for e in exprs]))
-        arrays.append((const, tuple(cols), shape))
+    for table, jet in zip(tables, jets):
+        flat = [e for row in table for e in row]
+        parts = [(flat, (len(table), len(table[0])))]
+        if jet:
+            partials = [p[l] for l in range(adiff.CHART_DIM) for p in map(adiff.gradient_exprs, flat)]
+            parts.append((partials, (adiff.CHART_DIM, *parts[0][1])))
+        for exprs, shape in parts:
+            cols = [k for k, e in enumerate(exprs) if type(e) is not adiff.Const]
+            roots += [exprs[k] for k in cols]
+            const = _read_only(np.array([e.c if type(e) is adiff.Const else 0.0 for e in exprs]))
+            arrays.append((const, tuple(cols), shape))
     return tuple(roots), tuple(arrays)
 
 
-def _eval_layout(exprs, points, jet: bool) -> list:
+def eval_tables(tables, points, jets) -> list:
+    """Per table of FieldExpr, its values (n, r, c) at points (n, 4) and,
+    where ``jets`` says so, its gradients (n, 4, r, c) from the symbolic
+    partials, as a tuple: one plan evaluation, where shared entries and
+    partials are evaluated once."""
     pts = np.asarray(points, float).T  # (4, n)
-    roots, arrays = _layout(tuple(map(tuple, exprs)), jet)
+    # keyed as tuples of rows, so that tables given as lists of rows work too
+    roots, arrays = _layout(tuple(tuple(map(tuple, t)) for t in tables), tuple(jets))
     values = iter(adiff.evaluate(roots, pts))
     out = []
     for const, cols, shape in arrays:
@@ -312,19 +319,18 @@ def _eval_layout(exprs, points, jet: bool) -> list:
         for k, v in zip(cols, values):  # zip reads cols first: it takes no value past them
             a[:, k] = v
         out.append(a.reshape(-1, *shape))
-    return out
+    out = iter(out)
+    return [tuple(islice(out, 1 + jet)) for jet in jets]
 
 
 def eval_table(exprs, points) -> np.ndarray:
-    """Evaluate a table of FieldExpr at points (n, 4) -> (n, r, c)."""
-    return _eval_layout(exprs, points, False)[0]
+    """The values (n, r, c) of one table: ``eval_tables`` of it alone."""
+    return eval_tables((exprs,), points, (False,))[0][0]
 
 
 def eval_table_jet(exprs, points) -> tuple[np.ndarray, np.ndarray]:
-    """Values (n, r, c) and gradients (n, 4, r, c) of a FieldExpr table,
-    the gradients from the entries' symbolic partials (one evaluation of
-    the entries and partials together)."""
-    return tuple(_eval_layout(exprs, points, True))
+    """The values and gradients of one table: ``eval_tables`` of it alone."""
+    return eval_tables((exprs,), points, (True,))[0]
 
 
 # --------------------------------------------------------------------------
@@ -1132,18 +1138,15 @@ def orient_tetrad(model: GroupModel) -> OrientationDecision:
     e^alpha_i) is kept unless only the transposed reading fits.
     """
     pts = sample_points(model.domain, 40, 977)
+    # cov (n, i, alpha), con (n, alpha, i), holo (n, beta, i)
+    (cov,), (con,), (holo,) = eval_tables((model.e_cov, model.e_con, model.holo_basis), pts, (False,) * 3)
     if not model.tetrad_printed:
-        cov = eval_table(model.e_cov, pts)
-        con = eval_table(model.e_con, pts)
         return OrientationDecision(
             status="resolved",
             rows_are_coordinates=True,
             duality_residual=_duality_residual(cov, con),
             potential_residual=0.0,
         )
-    cov = eval_table(model.e_cov, pts)  # (n, i, alpha)
-    con = eval_table(model.e_con, pts)  # (n, alpha, i)
-    holo = eval_table(model.holo_basis, pts)  # (n, beta, i)
 
     dual_stored = _duality_residual(cov, con)
     dual_flipped = _duality_residual(

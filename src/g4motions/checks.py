@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -41,10 +41,10 @@ from .catalog import (  # noqa: F401  eval_table_jet: read by bench/selftest.py
     GroupId,
     GroupModel,
     GroupParams,
-    eval_table,
     eval_table_jet,
+    eval_tables,
 )
-from .geometry import SampleCloud, frame_bracket, frame_metric_batch
+from .geometry import TABLES, SampleCloud, frame_bracket, frame_metric_batch
 
 __all__ = [
     "ToleranceConfig",
@@ -405,28 +405,21 @@ def check_abelian_zero_field(cloud: SampleCloud, tol: ToleranceConfig) -> CheckR
 # --------------------------------------------------------------------------
 
 
-_FD_TABLES = ("xi", "dual", "e_cov", "e_con", "holo_basis", "frame_basis")
-
-
-def _fd_table_residual(table, grads, points, tol: ToleranceConfig) -> float:
-    """Central differences of one table, from batched value evaluations at
-    points +- h e_k, against its symbolic-partial gradients (n, 4, r, c);
-    normalized to the mixed absolute/relative tolerance."""
-    steps = np.eye(4) * tol.fd_step
-    fd = np.stack(
-        [(eval_table(table, points + h) - eval_table(table, points - h)) / (2 * tol.fd_step) for h in steps],
-        axis=1,
-    )
-    return float(np.max(np.abs(grads - fd) / (tol.fd_tol + tol.fd_tol * np.abs(grads))))
-
-
 def check_fd_oracle(cloud: SampleCloud, tol: ToleranceConfig) -> CheckResult:
-    """Every expression table's gradient, from its symbolic partials, against
-    the central finite-difference oracle (mixed absolute/relative tolerance)."""
-    worst = max(
-        _fd_table_residual(getattr(cloud.model, name), cloud.jet(name)[1], cloud.points, tol)
-        for name in _FD_TABLES
-    )
+    """Every table gradient a cloud serves (``geometry.TABLES``), from the
+    symbolic partials, against central differences of the values at points
+    +- h e_k (all of them in one ``eval_tables`` call), under the mixed
+    absolute/relative tolerance; e_cov's are tetrad_basis's, transposed."""
+    names = [name for name, jet in TABLES.items() if jet]
+    steps = np.eye(4)[:, None] * tol.fd_step  # (k, 1, 4)
+    shifted = np.concatenate([cloud.points + steps, cloud.points - steps]).reshape(-1, 4)
+    evaluated = eval_tables([getattr(cloud.model, name) for name in names], shifted, [False] * len(names))
+    worst = 0.0
+    for name, (vals,) in zip(names, evaluated):
+        plus, minus = vals.reshape(2, 4, len(cloud), *vals.shape[1:])
+        fd = ((plus - minus) / (2 * tol.fd_step)).swapaxes(0, 1)  # (n, k, r, c)
+        grads = cloud.jet(name)[1]
+        worst = max(worst, float(np.max(np.abs(grads - fd) / (tol.fd_tol + tol.fd_tol * np.abs(grads)))))
     # residual is already normalized to the tolerance: pass iff <= 1
     return CheckResult("fd_oracle", cloud.model.name, len(cloud), worst, 1.0)
 
@@ -532,30 +525,35 @@ def _eta_label(eta: np.ndarray) -> str:
 _ALL_PLUS = tuple(tuple(float(i == j) for j in range(4)) for i in range(4))
 
 
+@lru_cache(maxsize=64)  # models hash by identity and are kept by the memo, as in mechanics._kernel
+def _passes(model: GroupModel) -> tuple:
+    """``verify_group``'s two passes on ``model``, each (model, rows, tag)."""
+    label = _eta_label(model.eta_eff)
+    alt = model.with_eta(GroupParams.eta if label == "++++" else _ALL_PLUS)
+    metric_rows = [row for row in BATTERY if row[1]]
+    return (model, BATTERY, f"[eta={label}]"), (alt, metric_rows, f"[eta={_eta_label(alt.eta_eff)}]")
+
+
 def verify_group(model: GroupModel, points, momenta, tol: ToleranceConfig) -> list[CheckResult]:
     """The battery of one entry on its sample points and momenta: every row
     of ``BATTERY`` under the model's frame metric, then the metric-reading
     rows under a second signature, each of those tagged ``[eta=...]`` with
     its signature.  The second signature is all-plus, or the default
-    ``GroupParams.eta`` where the model's own is all-plus.
+    ``GroupParams.eta`` where the model's own is all-plus; its model and the
+    tags are built once per model (``_passes``).
 
     The battery runs on ``CHUNK`` points at a time, one ``SampleCloud`` per
-    chunk, so memory is bounded by the chunk; the second pass rebinds the
-    chunk's cloud to the other model, which shares its eta-independent
-    evaluations and drops the first metric before the second is built.
-    ``merge_chunks`` gives the results over the whole sample.
+    chunk (one plan evaluation of its tables), so memory is bounded by the
+    chunk; the second pass rebinds the chunk's cloud to the other model,
+    which shares its eta-independent evaluations and drops the first metric
+    before the second is built.  ``merge_chunks`` gives the results over the
+    whole sample.
     """
-    label = _eta_label(model.eta_eff)
-    alt = model.with_eta(GroupParams.eta if label == "++++" else _ALL_PLUS)
-    passes = (
-        (model, BATTERY, f"[eta={label}]"),
-        (alt, [row for row in BATTERY if row[1]], f"[eta={_eta_label(alt.eta_eff)}]"),
-    )
     chunks = []
     for k in range(0, len(points), CHUNK):
         cloud = SampleCloud(model, points[k : k + CHUNK], momenta[k : k + CHUNK])
         results = []
-        for m, rows, tag in passes:
+        for m, rows, tag in _passes(model):
             cloud = cloud.with_model(m)
             for check, reads_metric in rows:
                 res = check(cloud, tol)

@@ -97,6 +97,14 @@ def _number(option: str, raw: str, kind=float):
         raise InvalidParams(f"{option} expects {what}, got {raw!r}") from None
 
 
+def _components(option: str, raw: str) -> list:
+    """The four finite numbers of ``option``'s comma-separated ``raw``."""
+    values = [_number(option, x) for x in raw.split(",")]
+    if len(values) != 4 or not np.all(np.isfinite(values)):
+        raise InvalidParams(f"{option} expects four finite comma-separated numbers, got {raw!r}")
+    return values
+
+
 def _parse_params(pairs: list[str]) -> GroupParams:
     kwargs = {}
     alphas = list(GroupParams.em_alphas)  # the field's default
@@ -115,9 +123,7 @@ def _parse_params(pairs: list[str]) -> GroupParams:
         elif key == "eta":
             if not raw.startswith("diag:"):
                 raise InvalidParams("eta must be given as diag:a,b,c,d")
-            diag = [_number(option, x) for x in raw[len("diag:") :].split(",")]
-            if len(diag) != 4:
-                raise InvalidParams("eta diagonal needs four entries")
+            diag = _components(option, raw[len("diag:") :])
             kwargs["eta"] = tuple(
                 tuple(diag[i] if i == j else 0.0 for j in range(4)) for i in range(4)
             )
@@ -148,7 +154,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default=None, help="write output to this path")
 
 
-# One verify chunk frees about 5.5 MB (its tracemalloc peak at 1024 points);
+# One verify chunk frees about 7 MB (its tracemalloc peak at 1024 points);
 # under glibc's default thresholds the next chunk faults those pages in again.
 TRIM_THRESHOLD = 64 << 20  # bytes of free heap top kept
 MMAP_THRESHOLD = 32 << 20  # smallest block given its own mapping (glibc's largest)
@@ -273,10 +279,11 @@ def _result_dict(res: checks.CheckResult) -> dict:
 def build_report(config: RunConfig) -> VerificationReport:
     """Run the full battery for the configured groups.
 
-    Each entry's battery runs through ``checks.verify_group``: the
-    metric-reading checks run under the entry's frame metric and once more
-    under a second signature (all-plus, or the default mixed one where the
-    entry's is all-plus) to confirm the identities are signature-blind.
+    Each entry's battery runs through ``checks.verify_group``, one table
+    evaluation per chunk: the metric-reading checks run under the entry's
+    frame metric and again under a second signature, its model built once
+    per model (all-plus, or the default mixed one where the entry's is
+    all-plus), to confirm the identities are signature-blind.
     """
     results: list[checks.CheckResult] = []
     inconsistencies: list[str] = []
@@ -439,8 +446,7 @@ def main(argv=None) -> int:
             if args.command == "verify":
                 return cmd_verify(config)
             if args.command == "simulate":
-                u0 = [_number("--u0", x) for x in args.u0.split(",")]
-                p0 = [_number("--p0", x) for x in args.p0.split(",")]
+                u0, p0 = _components("--u0", args.u0), _components("--p0", args.p0)
                 return cmd_simulate(config, u0, p0, args.T, args.h)
             parser.error(f"unknown command {args.command}")
     except (ValueError, OSError) as exc:  # InvalidParams, and an unwritable --out

@@ -6,13 +6,13 @@ All index gymnastics used by the verification suite lives here.
 with its coordinate gradient, ``frame_metric_batch`` the frame metric
 G^{ab} with its gradient from them, and ``frame_bracket`` the Lie bracket
 of the Killing frame from its jet; all are per-point products, so they give
-the same bits on any slice of the points.  ``SampleCloud`` evaluates
-one entry's tables, metric, potential and Hamiltonian gradients on a fixed
-set of points, with the coordinate gradients the identity checks need (the
-symbolic partials of the expression tables, evaluated with their values).
-A cloud of any size works; ``checks.verify_group`` builds one per chunk of
-``checks.CHUNK`` sample points, so what a cloud keeps is bounded by the
-chunk.  No check reads g_{ij}, so nothing here inverts the metric.
+the same bits on any slice of the points.  ``SampleCloud`` evaluates one
+entry's tables (in one plan evaluation, with the symbolic partials the
+identity checks need), metric, potential and Hamiltonian gradients on a
+fixed set of points.  A cloud of any size works; ``checks.verify_group``
+builds one per chunk of ``checks.CHUNK`` sample points, so what a cloud
+keeps is bounded by the chunk.  No check reads g_{ij}, so nothing here
+inverts the metric.
 """
 from __future__ import annotations
 
@@ -20,24 +20,22 @@ from functools import cached_property
 
 import numpy as np
 
-from .catalog import GroupModel, eval_table, eval_table_jet
+from .catalog import GroupModel, eval_table_jet, eval_tables
 
 __all__ = ["SingularMetric", "SampleCloud", "metric_batch", "frame_metric_batch", "frame_bracket"]
 
 _DET_GUARD = 1e-12
 
-#: Tables whose gradients two or more checks read (both frame metrics read
-#: those of e_con and dual), or whose values and gradients are both read
-#: (frame_basis); the sample cloud keeps their jets, and their values are
-#: those of the jets, so no table is evaluated twice.
-_SHARED_JETS = frozenset({"xi", "dual", "e_con", "holo_basis", "frame_basis"})
+#: The tables a cloud serves, and whether a check reads their gradients.
+TABLES = {"xi": True, "dual": True, "e_con": True, "e_cov": False, "tetrad_basis": True,
+          "holo_basis": True, "frame_basis": True, "reference_frame": False}
 
 
 class SingularMetric(ArithmeticError):
     """The assembled metric is (numerically) degenerate."""
 
 
-def metric_batch(model: GroupModel, points, tetrad=None) -> tuple[np.ndarray, np.ndarray]:
+def metric_batch(model: GroupModel, points, tetrad=None, tetrad_det=None) -> tuple[np.ndarray, np.ndarray]:
     """(g_con, dg_con) at points (n, 4).
 
     g_con is assembled from the contravariant tetrad, g^{ij} =
@@ -45,19 +43,24 @@ def metric_batch(model: GroupModel, points, tetrad=None) -> tuple[np.ndarray, np
     embedded 3x3 block completed by 1).  dg_con has shape (n, 4, 4, 4) with
     axis 1 the derivative direction.  The contractions are pairwise batched
     matmuls over the 4x4 index blocks.  ``tetrad`` is the (values,
-    gradients) pair of ``model.e_con`` at the points, when it has been
-    evaluated already.  Raises ``SingularMetric`` where det g^{ij} is below
-    the guard.
+    gradients) pair of ``model.e_con`` at the points, and ``tetrad_det``
+    its determinants, when evaluated already.  Raises ``SingularMetric``
+    where det g^{ij} = det(eta^{ab}) det(e_a^i)^2 is below the guard.
     """
     econ, decon = eval_table_jet(model.e_con, points) if tetrad is None else tetrad
-    t = model.eta_con() @ econ  # eta^{ab} e_b^j, (n,a,j)
-    g = econ.transpose(0, 2, 1) @ t
-    dets = np.linalg.det(g)
+    eta_con = model.eta_con()
+    dets = _metric_det(eta_con, np.linalg.det(econ) if tetrad_det is None else tetrad_det)
     if np.any(np.abs(dets) < _DET_GUARD):
         raise SingularMetric(f"metric determinant below guard ({np.min(np.abs(dets)):.3e})")
+    t = eta_con @ econ  # eta^{ab} e_b^j, (n,a,j)
+    g = econ.transpose(0, 2, 1) @ t
     dg = decon.transpose(0, 1, 3, 2) @ t[:, None]
     dg = dg + dg.transpose(0, 1, 3, 2)
     return g, dg
+
+
+def _metric_det(eta_con, tetrad_det) -> np.ndarray:
+    return np.linalg.det(eta_con) * tetrad_det**2  # det g^{ij}: no per-point metric is factorized
 
 
 def frame_metric_batch(g, dg, dual, ddual) -> tuple[np.ndarray, np.ndarray]:
@@ -92,26 +95,26 @@ class SampleCloud:
     """One catalog entry's sample points (and momenta), evaluated once.
 
     Every verification check is a pure function of a cloud and the
-    tolerances, and reads the tables only through the cloud.  Everything is
-    evaluated on first use, and the cloud keeps only what two or more
-    checks read: the jets of the tables in ``_SHARED_JETS`` (their values
-    are those of the jets) and the metric g^{ij} with d_l g^{ij}.  The
-    values and jets of the other tables, each read by one check, the
-    potential A_i, d_l A_i (two small contractions of the shared
+    tolerances, and reads the tables only through the cloud.  The first
+    read of a table evaluates all of ``TABLES`` that the entry has, in one
+    plan evaluation (``catalog.eval_tables``), so a table that yields NaN or
+    raises ``DomainError`` does so there, whichever check reads first; the
+    cloud keeps them, and the metric g^{ij} with d_l g^{ij}, once evaluated.
+    The potential A_i, d_l A_i (two small contractions of the kept
     ``holo_basis`` jets) and the gradients of H are computed on each call;
     the checks that read the frame bracket or G^{ab} build them with
     ``frame_bracket`` and ``frame_metric_batch``.
 
     ``with_model(model.with_eta(eta))`` gives the cloud of the same points
     under another frame metric: it shares every eta-independent evaluation
-    and recomputes only the metric.
+    (the tables, and the tetrad determinants of the metric's guard) and
+    recomputes only the metric.
     """
 
     def __init__(self, model: GroupModel, points, momenta=None):
         self.model = model
         self.points = np.asarray(points, float)
         self.momenta = None if momenta is None else np.asarray(momenta, float)
-        self._jets = {}  # eta-independent: the jets of the tables in _SHARED_JETS
 
     def __len__(self) -> int:
         return len(self.points)
@@ -120,29 +123,33 @@ class SampleCloud:
         """The cloud of the same points under ``model``, this cloud's entry
         under another frame metric (``GroupModel.with_eta``)."""
         other = SampleCloud(model, self.points, self.momenta)
-        other._jets = self._jets
+        other._jets, other._tetrad_det = self._jets, self._tetrad_det
         return other
 
-    def jet(self, table: str) -> tuple[np.ndarray, np.ndarray]:
+    @cached_property
+    def _jets(self) -> dict:
+        names = [name for name in TABLES if getattr(self.model, name) is not None]
+        tables = [getattr(self.model, name) for name in names]
+        return dict(zip(names, eval_tables(tables, self.points, [TABLES[name] for name in names])))
+
+    @cached_property
+    def _tetrad_det(self) -> np.ndarray:
+        return np.linalg.det(self.values("e_con"))
+
+    def jet(self, table: str) -> tuple:
         """Values (n, r, c) and gradients (n, 4, r, c) of the model's table
-        ``table`` (an attribute name, e.g. ``"xi"`` or ``"tetrad_basis"``)."""
-        if table in self._jets:
-            return self._jets[table]
-        jet = eval_table_jet(getattr(self.model, table), self.points)
-        if table in _SHARED_JETS:
-            self._jets[table] = jet
-        return jet
+        ``table`` (an attribute name, e.g. ``"xi"``); the values alone where
+        ``TABLES`` says no check reads the gradients."""
+        return self._jets[table]
 
     def values(self, table: str) -> np.ndarray:
         """Values (n, r, c) of the model's table ``table``."""
-        if table in _SHARED_JETS:
-            return self.jet(table)[0]
-        return eval_table(getattr(self.model, table), self.points)
+        return self.jet(table)[0]
 
     @cached_property
     def metric(self) -> tuple[np.ndarray, np.ndarray]:
         """(g^{ij}, d_l g^{ij}) under the model's frame metric."""
-        return metric_batch(self.model, self.points, tetrad=self.jet("e_con"))
+        return metric_batch(self.model, self.points, self.jet("e_con"), self._tetrad_det)
 
     def potential(self, alphas, basis: str = "holo_basis") -> tuple[np.ndarray, np.ndarray]:
         """A_i = alpha_b T^b_i (n, 4) and d_l A_i (n, 4, 4) for the potential
@@ -163,4 +170,3 @@ class SampleCloud:
         gP = np.einsum("nij,nj->ni", g, P)
         dH = np.einsum("nlij,ni,nj->nl", dg, P, P) + 2.0 * np.einsum("nli,ni->nl", dA, gP)
         return dH, 2.0 * gP
-

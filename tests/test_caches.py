@@ -1,7 +1,8 @@
 """What is built once per process: catalog models (with their orientation
-and symbolic partials), table evaluation plans, simulate kernels and the
-CLI parser.  A shared object must give the same results as a fresh one,
-and must not be changeable by the caller it was handed to."""
+and symbolic partials), table evaluation plans, simulate kernels, the two
+signature passes of ``verify_group`` and the CLI parser.  A shared object
+must give the same results as a fresh one, and must not be changeable by
+the caller it was handed to."""
 import dataclasses
 import os
 import subprocess
@@ -11,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from g4motions import adiff, catalog, cli
+from g4motions import adiff, catalog, checks, cli, mechanics
 from g4motions.catalog import GroupId, GroupParams, get_group
 from g4motions.mechanics import PhasePoint, integrate_trajectory
 
@@ -171,3 +172,52 @@ def test_cache_reused_parser_carries_no_param(capsys):
     assert cli.main([*argv, "--param", "c=1"]) == 2  # c = 1 is the other entry
     assert "c != 1" in capsys.readouterr().err
     assert cli.main(argv) == 0
+
+
+def test_cache_passes_built_once_per_model(tol, monkeypatch):
+    """``verify_group`` builds the second signature's model and both eta
+    labels once per model: a second call on the same model builds neither,
+    and a replaced model (models hash by identity) builds its own, once for
+    all three of its chunks."""
+    calls = {"with_eta": 0, "label": 0}
+    real_with_eta, real_label = catalog.GroupModel.with_eta, checks._eta_label
+
+    def with_eta(self, eta):
+        calls["with_eta"] += 1
+        return real_with_eta(self, eta)
+
+    def label(eta):
+        calls["label"] += 1
+        return real_label(eta)
+
+    monkeypatch.setattr(catalog.GroupModel, "with_eta", with_eta)
+    monkeypatch.setattr(checks, "_eta_label", label)
+    model = get_group(GroupId.G4_II)
+    points, momenta = mechanics.sample_phase_points(model, 2 * checks.CHUNK + 37, 3)
+    want = checks.verify_group(model, points, momenta, tol)
+    calls.update(with_eta=0, label=0)
+    assert checks.verify_group(model, points, momenta, tol) == want
+    assert calls == {"with_eta": 0, "label": 0}
+    replaced = dataclasses.replace(model)
+    for _ in range(2):
+        assert checks.verify_group(replaced, points, momenta, tol) == want
+        assert calls == {"with_eta": 1, "label": 2}
+
+
+def test_cache_one_plan_evaluation_per_chunk(tol, monkeypatch):
+    """One chunk's battery, under both signatures, evaluates every table it
+    reads in one plan evaluation, whether or not its plan was built before."""
+    model = get_group(GroupId.G4_I_CNE1)
+    points, momenta = mechanics.sample_phase_points(model, 50, 1)
+    model.orientation  # evaluated at its own points, once per model
+    evaluations = []
+    evaluate = adiff.evaluate
+
+    def counted(exprs, u):
+        evaluations.append(np.array_equal(u, points.T))
+        return evaluate(exprs, u)
+
+    monkeypatch.setattr(adiff, "evaluate", counted)
+    results = checks.verify_group(model, points, momenta, tol)
+    assert evaluations == [True]
+    assert any(r.name.endswith("[eta=++++]") for r in results)

@@ -8,11 +8,10 @@ number of points.
 """
 import tracemalloc
 
-import numpy as np
 import pytest
 
-from g4motions import catalog, checks, cli, geometry, mechanics
-from g4motions.catalog import ABELIAN_SUBGROUP_IDS, GroupId, GroupModel, GroupParams, get_group
+from g4motions import checks, cli, mechanics
+from g4motions.catalog import ABELIAN_SUBGROUP_IDS, GroupId, GroupParams, get_group
 from g4motions.checks import BATTERY, CHUNK, merge_chunks, verify_group
 from g4motions.geometry import SampleCloud
 
@@ -109,48 +108,6 @@ def test_memory_bounded_by_the_chunk(tol):
             tracemalloc.stop()
 
     assert peak(8 * CHUNK) <= 1.25 * peak(CHUNK)
-
-
-def test_per_entry_work_built_once(tol, monkeypatch):
-    """The alternate-signature model and the eta labels are built once per
-    entry, not once per chunk."""
-    calls = {"with_eta": 0, "label": 0}
-    real_with_eta, real_label = GroupModel.with_eta, checks._eta_label
-
-    def with_eta(self, eta):
-        calls["with_eta"] += 1
-        return real_with_eta(self, eta)
-
-    def label(eta):
-        calls["label"] += 1
-        return real_label(eta)
-
-    monkeypatch.setattr(GroupModel, "with_eta", with_eta)
-    monkeypatch.setattr(checks, "_eta_label", label)
-    model, points, momenta = _sample(GroupId.G4_II, 2 * CHUNK + 37)
-    verify_group(model, points, momenta, tol)
-    assert calls == {"with_eta": 1, "label": 2}
-
-
-def test_frame_basis_evaluated_once_per_cloud(tol, monkeypatch):
-    model, points, momenta = _sample(GroupId.G4_I_CNE1, 50)
-    seen = []
-    for name in ("eval_table", "eval_table_jet"):
-        real = getattr(geometry, name)
-
-        def record(table, pts, real=real, name=name):
-            if table is model.frame_basis:
-                seen.append(name)
-            return real(table, pts)
-
-        monkeypatch.setattr(geometry, name, record)
-    cloud = SampleCloud(model, points, momenta)
-    for check, _ in BATTERY:
-        check(cloud, tol)
-    assert seen == ["eval_table_jet"]
-    values = cloud.values("frame_basis")
-    assert np.array_equal(values, catalog.eval_table(model.frame_basis, points))
-    assert seen == ["eval_table_jet"]
 
 
 def test_default_params_read_without_building_params(monkeypatch):

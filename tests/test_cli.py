@@ -339,6 +339,13 @@ FAILURE_SURFACE = [
     (["verify", "--group", "g4-vi-1", "--points", "20", "--param", "eps01=1.0"], 2,
      "--param eps01 expects an integer"),
     (["simulate", "--group", "g4-ii", "--u0=0,a,0,0"], 2, "--u0 expects a number, got 'a'"),
+    (["simulate", "--group", "g4-ii", "--u0=0,0,0"], 2, "--u0 expects four finite comma-separated numbers, got '0,0,0'"),
+    (["simulate", "--group", "g4-ii", "--u0=0,0,0,0,0"], 2, "--u0 expects four finite comma-separated numbers"),
+    (["simulate", "--group", "g4-ii", "--p0=1,2"], 2, "--p0 expects four finite comma-separated numbers, got '1,2'"),
+    (["simulate", "--group", "g4-ii", "--u0=nan,0,0,0"], 2, "--u0 expects four finite comma-separated numbers"),
+    (["simulate", "--group", "g4-ii", "--p0=inf,0,0,0"], 2, "--p0 expects four finite comma-separated numbers"),
+    (["verify", "--group", "g4-ii", "--points", "20", "--param", "eta=diag:1,2"], 2,
+     "--param eta expects four finite comma-separated numbers, got '1,2'"),
     (["verify", "--group", "g4-ii", "--points", "20", "--seed", "-1"], 2, "--seed must be non-negative"),
     # 10^15 points take 28.4 PiB, above the 128 TiB a process can map by default:
     # the first allocation fails before any memory is touched

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from g4motions.catalog import GroupId, GroupParams, get_group
+from g4motions import geometry
+from g4motions.catalog import GroupId, GroupParams, eval_table, eval_table_jet, get_group
 from g4motions.geometry import SampleCloud, SingularMetric
 from oracles import frame_metric, frame_metric_cov, metric_cov
 
@@ -80,6 +81,48 @@ def test_singular_metric_raises(models):
     # numerically and the determinant guard must trip
     with pytest.raises(SingularMetric):
         SampleCloud(models[GroupId.G4_I_CNE1], np.array([[0.0, 0.0, 0.0, -8.0]])).metric
+
+
+ALL_PLUS = tuple(tuple(float(i == j) for j in range(4)) for i in range(4))
+DIAG_2 = tuple(tuple(2.0 * (i == j) for j in range(4)) for i in range(4))
+
+
+def test_singular_metric_raises_under_every_signature(models):
+    """The guard reads the tetrad's determinants, which the clouds of
+    ``with_model`` share: each signature's metric still trips it."""
+    model = models[GroupId.G4_I_CNE1]
+    cloud = SampleCloud(model, np.array([[0.0, 0.0, 0.0, -8.0]]))
+    for m in (model, model.with_eta(ALL_PLUS), model.with_eta(DIAG_2)):
+        with pytest.raises(SingularMetric):
+            cloud.with_model(m).metric
+
+
+def test_guard_determinant_equals_metric_determinant(models, samples):
+    """det(eta^{ab}) det(e_a^i)^2, the guard's determinant, against the
+    LAPACK determinant of the assembled g^{ij}, under both signatures and
+    under diag(2, 2, 2, 2), whose det(eta^{ab}) is not +-1."""
+    for gid, model in models.items():
+        cloud = SampleCloud(model, samples[gid][0])
+        for c in (cloud, *(cloud.with_model(model.with_eta(eta)) for eta in (ALL_PLUS, DIAG_2))):
+            want = np.linalg.det(c.metric[0])
+            got = geometry._metric_det(c.model.eta_con(), c._tetrad_det)
+            assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12, gid
+
+
+def test_cloud_tables_equal_one_table_evaluations(models, samples):
+    """Every table a cloud serves, from its one plan evaluation, is the
+    one-table evaluation of that table, bit for bit."""
+    for gid, model in models.items():
+        points = samples[gid][0]
+        cloud = SampleCloud(model, points)
+        served = [name for name in geometry.TABLES if getattr(model, name) is not None]
+        assert len(served) == 7 + (model.reference_frame is not None), gid
+        for name in served:
+            table = getattr(model, name)
+            want = eval_table_jet(table, points) if geometry.TABLES[name] else (eval_table(table, points),)
+            got = cloud.jet(name)
+            assert len(got) == len(want) and all(map(np.array_equal, got, want)), (gid, name)
+            assert np.array_equal(cloud.values(name), want[0]), (gid, name)
 
 
 def test_faraday_zero_for_zero_constants(models):
