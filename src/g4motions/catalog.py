@@ -187,8 +187,8 @@ class OrientationDecision:
     """Outcome of resolving which tetrad index labels matrix rows.
 
     ``status`` is "resolved", "ambiguous" (both readings reproduce the
-    potential table; harmless, the stored reading is used) or "failed"
-    (neither does; the entry is flagged, the stored reading is used).
+    potential table) or "failed" (neither does).  The tables are read as
+    stored, so ``tetrad_duality`` fails a "failed" or transposed decision.
     ``relabel`` maps stored potential-constant bases onto tetrad bases when
     the tables agree only up to a constant relabeling (read-only).
     """

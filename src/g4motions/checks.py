@@ -99,9 +99,11 @@ class CheckResult:
     #: the frame-table crosscheck: its 16 per-component maxima, (b, a) in
     #: row order
     components: tuple = field(default=(), repr=False)
+    #: fails the result whatever its residual; a note says why
+    vetoed: bool = False
 
     def __post_init__(self):
-        self.passed = bool(self.max_residual <= self.tolerance)
+        self.passed = bool(self.max_residual <= self.tolerance) and not self.vetoed
 
 
 #: Points per sample cloud of ``verify_group``.  A cloud's kept arrays and a
@@ -162,12 +164,17 @@ def check_tetrad_duality(cloud: SampleCloud, tol: ToleranceConfig) -> CheckResul
     prod = con @ cov
     resid = scaled_max(prod, np.eye(4)[None])
     o = cloud.model.orientation
+    veto = ""  # every reader takes the tables as stored, so a decision for another reading fails
+    if o.status == "failed":
+        veto = "; fails: neither reading of the tetrad reproduces the potential table"
+    elif not o.rows_are_coordinates:
+        veto = "; fails: only the transposed reading fits, and the tables are read as stored"
     notes = (
         f"orientation {o.status}; rows_are_coordinates={o.rows_are_coordinates}; "
-        f"potential fit residual {o.potential_residual:.2e}",
+        f"potential fit residual {o.potential_residual:.2e}{veto}",
     )
     return CheckResult(
-        "tetrad_duality", cloud.model.name, len(cloud), resid, tol.tol_exact, notes=notes
+        "tetrad_duality", cloud.model.name, len(cloud), resid, tol.tol_exact, notes=notes, vetoed=bool(veto)
     )
 
 
@@ -191,6 +198,12 @@ def check_jacobi(C: np.ndarray, tol: ToleranceConfig, group: str = "-") -> Check
     T = np.einsum("mab,nmg->abgn", C, C)
     worst = float(np.max(np.abs(T + T.transpose(2, 0, 1, 3) + T.transpose(1, 2, 0, 3))))
     return CheckResult("jacobi", group, 0, worst, tol.tol_exact)
+
+
+@lru_cache(maxsize=64)  # models hash by identity and are kept by the memo, as in _passes
+def _jacobi(model: GroupModel) -> CheckResult:
+    """``model``'s Jacobi result, which reads only C; ``BATTERY`` sets the tolerance."""
+    return check_jacobi(model.structure_constants, ToleranceConfig(), model.name)
 
 
 # --------------------------------------------------------------------------
@@ -278,7 +291,8 @@ def check_admissibility(
     four basis vectors separately is complete and localizes defects to a
     single constant: the potential of basis vector b is row b of the table.
     ``mode`` selects the tabulated holonomic table or the tetrad-constructed
-    potential.
+    potential.  Each side's product with xi is one (16x4)(4x4) matmul per
+    point for all four bases.
     """
     tables = {"holonomic": "holo_basis", "tetrad": "tetrad_basis"}
     if mode not in tables:
@@ -287,11 +301,12 @@ def check_admissibility(
     xi, dxi = cloud.jet("xi")  # dxi: (n, i, a, j) = d_i xi_a^j
     xi_t = np.ascontiguousarray(xi.transpose(0, 2, 1))  # (n, j, a); contiguous keeps matmul on BLAS
     vals, grads = cloud.jet(tables[mode])  # (n,b,i), (n,l,b,i)
+    dAxi = (grads.reshape(-1, 16, 4) @ xi_t).reshape(grads.shape)  # d_i A^b_j xi_a^j as (n, i, b, a)
+    Fxi = ((grads - grads.transpose(0, 3, 2, 1)).reshape(-1, 16, 4) @ xi_t).reshape(grads.shape)  # xi_a^j F^b_ij
     results = []
     for b in range(4):
-        A, dA = vals[:, b], grads[:, :, b]  # one basis potential
-        lhs = np.einsum("niaj,nj->nia", dxi, A) + dA @ xi_t  # d_i (xi_a^j A_j)
-        resid = scaled_max(lhs, (dA - dA.transpose(0, 2, 1)) @ xi_t)  # xi_a^j F_{ij}
+        lhs = np.einsum("niaj,nj->nia", dxi, vals[:, b]) + dAxi[:, :, b]  # d_i (xi_a^j A_j)
+        resid = scaled_max(lhs, Fxi[:, :, b])
         if mode == "tetrad":
             asserted = model.tetrad_printed
             notes = () if model.tetrad_printed else ("derived (untabulated) tetrad",)
@@ -321,12 +336,11 @@ def check_frame_defining(cloud: SampleCloud, tol: ToleranceConfig) -> list[Check
     vals, grads = cloud.jet("frame_basis")  # (n,c,a), (n,l,c,a)
     n = len(xi)
     C = model.structure_constants.reshape(4, 16)  # (g, (b, a))
+    xidA = (xi @ grads.reshape(n, 4, 16)).reshape(n, 4, 4, 4)  # xi_b^i d_i A^c_a as (n, b, c, a)
     results = []
     for b in range(4):
-        Av = vals[:, b, :]  # (n, alpha)
-        dAv = grads[:, :, b, :]  # (n, l, alpha)
-        lhs = (xi @ dAv).transpose(0, 2, 1)  # xi_b^i d_i A_a, as (n, a, b)
-        rhs = (Av @ C).reshape(n, 4, 4).transpose(0, 2, 1)  # C^g_ba A_g, as (n, a, b)
+        lhs = xidA[:, :, b].transpose(0, 2, 1)  # xi_b^i d_i A_a, as (n, a, b)
+        rhs = (vals[:, b, :] @ C).reshape(n, 4, 4).transpose(0, 2, 1)  # C^g_ba A_g, as (n, a, b)
         asserted, notes = _asserted_basis(model, b, "mixed components do not close")
         results.append(
             CheckResult(
@@ -454,10 +468,8 @@ def check_hamiltonian_commutes(cloud: SampleCloud, tol: ToleranceConfig) -> Chec
     verified-admissible potential configuration."""
     model = cloud.model
     alphas = admissible_alphas(model)
-    xi, dxi = cloud.jet("xi")
     dH, dHdp = cloud.hamiltonian_grads(alphas)
-    dYdu = np.einsum("nial,nl->nia", dxi, cloud.momenta)  # d_i (xi_a^l p_l)
-    pb = np.einsum("nl,nal->na", dH, xi) - np.einsum("ni,nia->na", dHdp, dYdu)
+    pb = np.einsum("nl,nal->na", dH, cloud.values("xi")) - np.einsum("ni,nia->na", dHdp, cloud.momentum_gradient)
     resid = scaled_max(pb, np.zeros_like(pb))
     note = ()
     if not np.array_equal(alphas, model.params.alphas()):
@@ -479,7 +491,7 @@ BATTERY = (
     (check_duality, False),
     (check_tetrad_duality, False),
     (check_lie_closure, False),
-    (lambda cloud, tol: check_jacobi(cloud.model.structure_constants, tol, cloud.model.name), False),
+    (lambda cloud, tol: replace(_jacobi(cloud.model), tolerance=tol.tol_exact), False),
     (check_potential_consistency, False),
     (check_killing, True),
     (check_frame_killing, True),
@@ -539,8 +551,9 @@ def verify_group(model: GroupModel, points, momenta, tol: ToleranceConfig) -> li
     of ``BATTERY`` under the model's frame metric, then the metric-reading
     rows under a second signature, each of those tagged ``[eta=...]`` with
     its signature.  The second signature is all-plus, or the default
-    ``GroupParams.eta`` where the model's own is all-plus; its model and the
-    tags are built once per model (``_passes``).
+    ``GroupParams.eta`` where the model's own is all-plus; its model, the
+    tags and the Jacobi sum, which reads only C, are built once per model
+    (``_passes``, ``_jacobi``).
 
     The battery runs on ``CHUNK`` points at a time, one ``SampleCloud`` per
     chunk (one plan evaluation of its tables), so memory is bounded by the

@@ -41,8 +41,8 @@ def metric_batch(model: GroupModel, points, tetrad=None, tetrad_det=None) -> tup
     g_con is assembled from the contravariant tetrad, g^{ij} =
     eta^{ab} e_a^i e_b^j (for the flat-fourth-direction entries eta is the
     embedded 3x3 block completed by 1).  dg_con has shape (n, 4, 4, 4) with
-    axis 1 the derivative direction.  The contractions are pairwise batched
-    matmuls over the 4x4 index blocks.  ``tetrad`` is the (values,
+    axis 1 the derivative direction.  Each contraction is one matmul per
+    point (for d_l g^{ij}, a (16x4)(4x4) one).  ``tetrad`` is the (values,
     gradients) pair of ``model.e_con`` at the points, and ``tetrad_det``
     its determinants, when evaluated already.  Raises ``SingularMetric``
     where det g^{ij} = det(eta^{ab}) det(e_a^i)^2 is below the guard.
@@ -54,8 +54,8 @@ def metric_batch(model: GroupModel, points, tetrad=None, tetrad_det=None) -> tup
         raise SingularMetric(f"metric determinant below guard ({np.min(np.abs(dets)):.3e})")
     t = eta_con @ econ  # eta^{ab} e_b^j, (n,a,j)
     g = econ.transpose(0, 2, 1) @ t
-    dg = decon.transpose(0, 1, 3, 2) @ t[:, None]
-    dg = dg + dg.transpose(0, 1, 3, 2)
+    dg = (decon.transpose(0, 1, 3, 2).reshape(-1, 16, 4) @ t).reshape(decon.shape)
+    dg = dg + dg.transpose(0, 1, 3, 2)  # X + X^T: symmetric in (i, j) bit for bit
     return g, dg
 
 
@@ -68,18 +68,18 @@ def frame_metric_batch(g, dg, dual, ddual) -> tuple[np.ndarray, np.ndarray]:
     from the metric (n, i, j), its gradient (n, l, i, j), the dual frame
     xi^a_i as (n, i, a) and its gradient (n, l, i, a).
 
-    Pairwise batched matmuls; the two dual-derivative terms of the gradient
-    are one product and its (a, b) transpose, since g is symmetric.  The
-    right factor of xi^a_i d_l g^{ij} xi^b_j is one (16x4)(4x4) product per
-    point.
+    Each product of the gradient is one (16x4)(4x4) matmul per point: the
+    two dual-derivative terms are one product and its (a, b) transpose,
+    since g is symmetric, and xi^a_i d_l g^{ij} is d_l g^{ji} xi^a_j, bit
+    for bit, since ``metric_batch`` builds d_l g^{ij} as X + X^T.
     """
     n = len(dual)
-    dual_t = dual.transpose(0, 2, 1)
     gd = g @ dual  # g^{ij} xi^b_j
-    dG = ddual.transpose(0, 1, 3, 2) @ gd[:, None]  # d_l xi^a_i g^{ij} xi^b_j
+    dG = (ddual.transpose(0, 1, 3, 2).reshape(n, 16, 4) @ gd).reshape(n, 4, 4, 4)  # d_l xi^a_i g^{ij} xi^b_j
     dG = dG + dG.transpose(0, 1, 3, 2)
-    dG += ((dual_t[:, None] @ dg).reshape(n, 16, 4) @ dual).reshape(n, 4, 4, 4)
-    return dual_t @ gd, dG
+    xdg = (dg.reshape(n, 16, 4) @ dual).reshape(n, 4, 4, 4).transpose(0, 1, 3, 2)  # xi^a_i d_l g^{ij}
+    dG += (xdg.reshape(n, 16, 4) @ dual).reshape(n, 4, 4, 4)
+    return dual.transpose(0, 2, 1) @ gd, dG
 
 
 def frame_bracket(xi, dxi) -> np.ndarray:
@@ -100,21 +100,22 @@ class SampleCloud:
     plan evaluation (``catalog.eval_tables``), so a table that yields NaN or
     raises ``DomainError`` does so there, whichever check reads first; the
     cloud keeps them, and the metric g^{ij} with d_l g^{ij}, once evaluated.
-    The potential A_i, d_l A_i (two small contractions of the kept
-    ``holo_basis`` jets) and the gradients of H are computed on each call;
-    the checks that read the frame bracket or G^{ab} build them with
-    ``frame_bracket`` and ``frame_metric_batch``.
+    It keeps the eta-free potential A_i, d_l A_i of each (alphas, basis) it
+    was asked for, and d_i Y_a, once computed; the gradients of H are
+    computed on each call, and the checks that read the frame bracket or
+    G^{ab} build them with ``frame_bracket`` and ``frame_metric_batch``.
 
     ``with_model(model.with_eta(eta))`` gives the cloud of the same points
     under another frame metric: it shares every eta-independent evaluation
-    (the tables, and the tetrad determinants of the metric's guard) and
-    recomputes only the metric.
+    (the tables, the tetrad determinants of the metric's guard, the
+    potentials and d_i Y_a) and recomputes only the metric.
     """
 
     def __init__(self, model: GroupModel, points, momenta=None):
         self.model = model
         self.points = np.asarray(points, float)
         self.momenta = None if momenta is None else np.asarray(momenta, float)
+        self._eta_free = {}  # potentials and d_i Y_a, shared by ``with_model``
 
     def __len__(self) -> int:
         return len(self.points)
@@ -123,7 +124,7 @@ class SampleCloud:
         """The cloud of the same points under ``model``, this cloud's entry
         under another frame metric (``GroupModel.with_eta``)."""
         other = SampleCloud(model, self.points, self.momenta)
-        other._jets, other._tetrad_det = self._jets, self._tetrad_det
+        other._jets, other._tetrad_det, other._eta_free = self._jets, self._tetrad_det, self._eta_free
         return other
 
     @cached_property
@@ -155,8 +156,18 @@ class SampleCloud:
         """A_i = alpha_b T^b_i (n, 4) and d_l A_i (n, 4, 4) for the potential
         constants ``alphas`` over the basis-wise table ``basis`` (see ``jet``)."""
         alphas = np.asarray(alphas, float)
-        vals, grads = self.jet(basis)
-        return np.einsum("b,...bi->...i", alphas, vals), np.einsum("b,...bi->...i", alphas, grads)
+        key = (basis, alphas.tobytes())  # by bytes: -0.0 and 0.0 give potentials of their own
+        if key not in self._eta_free:
+            vals, grads = self.jet(basis)
+            self._eta_free[key] = np.einsum("b,...bi->...i", alphas, vals), np.einsum("b,...bi->...i", alphas, grads)
+        return self._eta_free[key]
+
+    @property
+    def momentum_gradient(self) -> np.ndarray:
+        """d_i Y_a = d_i xi_a^l p_l (n, i, a) at the cloud's momenta."""
+        if "dY" not in self._eta_free:
+            self._eta_free["dY"] = np.einsum("nial,nl->nia", self.jet("xi")[1], self.momenta)
+        return self._eta_free["dY"]
 
     def hamiltonian_grads(self, alphas) -> tuple[np.ndarray, np.ndarray]:
         """dH/du (n, l) and dH/dp (n, i) of H = g^{ij} P_i P_j with

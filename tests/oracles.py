@@ -8,6 +8,10 @@ its gradient on a whole cloud; no check reads either in that form.
 The ``unblocked_*`` residuals are the largest checks' formulas written out
 apart from the checks, over the whole cloud at once, against which the
 checks' residuals are pinned bitwise.
+The ``broadcast_*`` gradients and the ``per_basis_*`` sides are the products
+the library merges into one matmul per point, in their earlier form: one
+(4x4)(4x4) product per point and derivative index, or per basis potential.
+The merged products are pinned to them bitwise.
 ``reference_rk4`` is the integrator's RK4 loop in its list-and-zip form,
 driving the same compiled kernel, against which the straight-line loop of
 ``mechanics.integrate_trajectory`` is pinned bitwise.
@@ -154,15 +158,48 @@ def unblocked_frame_killing(cloud) -> float:
 
 def unblocked_admissibility(cloud, table: str) -> list[float]:
     """The admissibility residual of each basis potential of ``table``."""
+    return [_scaled_max(lhs, rhs) for lhs, rhs in per_basis_admissibility(cloud, table)]
+
+
+def per_basis_admissibility(cloud, table: str) -> list[tuple]:
+    """(d_i (xi_a^j A_j), xi_a^j F_{ij}), each (n, i, a), for each basis
+    potential of ``table``, with one product per basis."""
     xi, dxi = cloud.jet("xi")
     xi_t = np.ascontiguousarray(xi.transpose(0, 2, 1))
     vals, grads = cloud.jet(table)
-    out = []
+    sides = []
     for b in range(4):
         A, dA = vals[:, b], grads[:, :, b]
         F = dA - dA.transpose(0, 2, 1)
-        out.append(_scaled_max(np.einsum("niaj,nj->nia", dxi, A) + dA @ xi_t, F @ xi_t))
-    return out
+        sides.append((np.einsum("niaj,nj->nia", dxi, A) + dA @ xi_t, F @ xi_t))
+    return sides
+
+
+def per_basis_frame_defining(cloud) -> list[np.ndarray]:
+    """xi_b^i d_i A_a as (n, a, b) for each basis of the frame potential,
+    with one product per basis."""
+    xi = cloud.values("xi")
+    grads = cloud.jet("frame_basis")[1]
+    return [(xi @ grads[:, :, b, :]).transpose(0, 2, 1) for b in range(4)]
+
+
+def broadcast_metric_gradient(model, econ, decon) -> np.ndarray:
+    """d_l g^{ij} (n, l, i, j) from the tetrad jet, one product per point
+    and derivative index."""
+    t = model.eta_con() @ econ
+    dg = decon.transpose(0, 1, 3, 2) @ t[:, None]
+    return dg + dg.transpose(0, 1, 3, 2)
+
+
+def broadcast_frame_metric_gradient(g, dg, dual, ddual) -> np.ndarray:
+    """d_l G^{ab} (n, l, a, b), with one product per point and derivative
+    index for the dual-derivative terms and for xi^a_i d_l g^{ij}."""
+    n = len(dual)
+    dual_t = dual.transpose(0, 2, 1)
+    dG = ddual.transpose(0, 1, 3, 2) @ (g @ dual)[:, None]
+    dG = dG + dG.transpose(0, 1, 3, 2)
+    dG += ((dual_t[:, None] @ dg).reshape(n, 16, 4) @ dual).reshape(n, 4, 4, 4)
+    return dG
 
 
 def reference_rk4(model, state0, T: float, h: float) -> Trajectory:

@@ -346,6 +346,18 @@ def test_negative_control_unclosed_bracket_fails_without_raising(samples, tol):
     assert not check_frame_defining(cloud, tol)[0].passed
 
 
+def test_negative_control_transposed_tetrad_reading_fails_duality(models, samples, tol):
+    """A potential table spanned by the tetrad's transposed reading decides
+    for that reading, which no reader follows: ``tetrad_duality`` fails
+    with its residual within tolerance, and its note says why."""
+    model = models[GroupId.G4_II]
+    fixture = dataclasses.replace(model, holo_basis=model.e_cov)
+    assert not fixture.orientation.rows_are_coordinates
+    res = checks.check_tetrad_duality(SampleCloud(fixture, samples[GroupId.G4_II][0]), tol)
+    assert not res.passed and res.max_residual <= res.tolerance
+    assert res.notes[0].endswith("; fails: only the transposed reading fits, and the tables are read as stored")
+
+
 def _negate_row(table, row):
     return tuple(tuple(-e for e in r) if k == row else r for k, r in enumerate(table))
 

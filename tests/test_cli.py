@@ -1,4 +1,5 @@
 """Command-line interface: listing, verification runs, simulation, exit codes."""
+import dataclasses
 import json
 import os
 import platform
@@ -269,6 +270,24 @@ def test_verify_orients_each_tetrad_once(capsys, monkeypatch):
         assert r["notes"] == [
             f"orientation {status}; rows_are_coordinates=True; potential fit residual {residual:.2e}"
         ]
+
+
+def test_negative_control_tetrad_fitting_neither_reading_fails_verify(capsys, monkeypatch):
+    """A derived tetrad marked printed fits neither reading of the potential
+    table, so its orientation fails: verify exits 1 on ``tetrad_duality``
+    alone, whose residual is within tolerance and whose note says why."""
+    entry = catalog.get_group(catalog.GroupId.G4_VI_2)
+    fixture = dataclasses.replace(entry, tetrad_printed=True)
+    monkeypatch.setattr(catalog, "get_group", lambda gid, params=None: fixture)
+    code, out, _ = run_cli(["verify", "--group", "g4-vi-2", "--points", "20"], capsys)
+    assert code == 1
+    failed = [r for r in json.loads(out)["results"] if r["asserted"] and not r["passed"]]
+    assert [r["check"] for r in failed] == ["tetrad_duality"]
+    (row,) = failed
+    assert row["max_residual"] <= row["tolerance"]
+    (note,) = row["notes"]
+    assert note.startswith("orientation failed; rows_are_coordinates=True;")
+    assert note.endswith("; fails: neither reading of the tetrad reproduces the potential table")
 
 
 def test_simulate_rejects_zero_step(capsys):

@@ -5,15 +5,22 @@ Each reference below is the index expression written out as a single
 matmuls.  Both are compared at one seeded cloud per catalog entry and frame
 metric.  The two sides of each identity check are read where the check hands
 them to its residual (``checks.scaled_max``), so they are compared in the
-layout the check uses.
+layout the check uses.  The products merged into one matmul per point
+are pinned bit for bit to their earlier per-block forms (``oracles``).
 """
 import numpy as np
 import pytest
 
-from g4motions import catalog, checks, geometry
+from g4motions import catalog, checks, geometry, mechanics
 from g4motions.catalog import GroupId, GroupParams, eval_table, eval_table_jet
 from g4motions.geometry import SampleCloud
-from oracles import frame_metric
+from oracles import (
+    broadcast_frame_metric_gradient,
+    broadcast_metric_gradient,
+    frame_metric,
+    per_basis_admissibility,
+    per_basis_frame_defining,
+)
 
 REL_TOL = 1e-13
 ETAS = {
@@ -171,3 +178,41 @@ def test_check_sides_match_einsum(gid, eta_models, samples, monkeypatch):
     checks.check_integral_algebra(cloud, tol)
     Y = np.einsum("nai,ni->na", xi, momenta)
     assert_matches(sides.pop()[1], scaled(einsum_ref("gab,ng->nab", C, Y), -1))
+
+
+def same_bits(a, b) -> bool:
+    return a.shape == b.shape and np.array_equal(
+        *(np.ascontiguousarray(x).view(np.int64) for x in (a, b))
+    )
+
+
+@pytest.mark.parametrize("gid", list(GroupId), ids=[g.value for g in GroupId])
+def test_merged_products_equal_per_block_bits(gid, monkeypatch):
+    """The metric and frame-metric gradients and the sides of admissibility
+    and frame_defining, each one matmul per point, equal their per-block
+    forms bit for bit under the entry's eta, all-plus and diag(2, 2, 2, 2),
+    at 200 and 1024 points; d_l g^{ij} is symmetric bit for bit, which the
+    frame metric's merged product rests on."""
+    tol = checks.ToleranceConfig()
+    entry = catalog.get_group(gid)
+    sides = record_sides(monkeypatch, checks, "scaled_max")
+    for eta in (entry.params.eta, ETAS["++++"], tuple(tuple(2.0 * x for x in row) for row in ETAS["++++"])):
+        model = entry.with_eta(eta)
+        for n in (200, 1024):
+            cloud = SampleCloud(model, *mechanics.sample_phase_points(model, n, 42))
+            g, dg = cloud.metric
+            assert same_bits(dg, dg.transpose(0, 1, 3, 2))
+            assert same_bits(dg, broadcast_metric_gradient(model, *cloud.jet("e_con")))
+            assert same_bits(frame_metric(cloud)[1], broadcast_frame_metric_gradient(g, dg, *cloud.jet("dual")))
+            for mode, table in (("holonomic", "holo_basis"), ("tetrad", "tetrad_basis")):
+                checks.check_admissibility(cloud, tol, mode)
+                want = per_basis_admissibility(cloud, table)
+                assert len(sides) == len(want) == 4
+                for (lhs, rhs), (lhs_ref, rhs_ref) in zip(sides, want):
+                    assert same_bits(lhs, lhs_ref) and same_bits(rhs, rhs_ref), (eta, n, mode)
+                sides.clear()
+            checks.check_frame_defining(cloud, tol)
+            want = per_basis_frame_defining(cloud)
+            assert len(sides) == len(want) == 4
+            assert all(same_bits(lhs, ref) for (lhs, _), ref in zip(sides, want)), (eta, n)
+            sides.clear()
