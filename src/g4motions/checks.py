@@ -5,7 +5,7 @@ Every check is a pure function of a ``geometry.SampleCloud`` (sample points
 of one entry, with momenta, evaluated once; checks read the entry's tables
 only through it) and the tolerances: the frame algebra, the Killing
 equations, admissibility of the potential, and the motion integrals'
-brackets {Y_a, Y_b} and {H, Y_a}.  ``BATTERY`` lists them once, in report
+canonical brackets {Y_a, Y_b} and {H, Y_a}.  ``BATTERY`` lists them once, in report
 order, with whether each reads the frame metric.  ``verify_group``, the
 battery's one entry point, runs every row and then the metric-reading rows
 under a second frame-metric signature, over chunks of ``CHUNK`` points,
@@ -44,7 +44,7 @@ from .catalog import (  # noqa: F401  eval_table_jet: read by bench/selftest.py
     eval_table_jet,
     eval_tables,
 )
-from .geometry import TABLES, SampleCloud, frame_bracket, frame_metric_batch
+from .geometry import TABLES, SampleCloud, frame_metric_batch
 
 __all__ = [
     "ToleranceConfig",
@@ -159,7 +159,8 @@ def check_duality(cloud: SampleCloud, tol: ToleranceConfig) -> CheckResult:
 
 
 def check_tetrad_duality(cloud: SampleCloud, tol: ToleranceConfig) -> CheckResult:
-    cov = cloud.values("e_cov")  # (n, i, alpha)
+    # e_cov (n, i, alpha) is tetrad_basis transposed; contiguous keeps matmul on BLAS
+    cov = np.ascontiguousarray(cloud.values("tetrad_basis").transpose(0, 2, 1))
     con = cloud.values("e_con")  # (n, alpha, i)
     prod = con @ cov
     resid = scaled_max(prod, np.eye(4)[None])
@@ -185,8 +186,11 @@ _BRACKET_NOTE = ("bracket sign s=+1",)
 def check_lie_closure(cloud: SampleCloud, tol: ToleranceConfig) -> CheckResult:
     """[xi_a, xi_b] = C^g_ab xi_g."""
     xi, dxi = cloud.jet("xi")
-    rhs = (cloud.model.structure_constants.reshape(4, 16).T @ xi).reshape(len(xi), 4, 4, 4)
-    resid = scaled_max(frame_bracket(xi, dxi), rhs)
+    n = len(xi)
+    rhs = (cloud.model.structure_constants.reshape(4, 16).T @ xi).reshape(n, 4, 4, 4)
+    lhs = (xi @ dxi.reshape(n, 4, 16)).reshape(n, 4, 4, 4)  # xi_a^j d_j xi_b^i
+    lhs = lhs - lhs.transpose(0, 2, 1, 3)  # rebound: only the two sides are alive in the reduction
+    resid = scaled_max(lhs, rhs)
     return CheckResult(
         "lie_closure", cloud.model.name, len(cloud), resid, tol.tol_deriv, notes=_BRACKET_NOTE
     )
@@ -198,12 +202,6 @@ def check_jacobi(C: np.ndarray, tol: ToleranceConfig, group: str = "-") -> Check
     T = np.einsum("mab,nmg->abgn", C, C)
     worst = float(np.max(np.abs(T + T.transpose(2, 0, 1, 3) + T.transpose(1, 2, 0, 3))))
     return CheckResult("jacobi", group, 0, worst, tol.tol_exact)
-
-
-@lru_cache(maxsize=64)  # models hash by identity and are kept by the memo, as in _passes
-def _jacobi(model: GroupModel) -> CheckResult:
-    """``model``'s Jacobi result, which reads only C; ``BATTERY`` sets the tolerance."""
-    return check_jacobi(model.structure_constants, ToleranceConfig(), model.name)
 
 
 # --------------------------------------------------------------------------
@@ -423,7 +421,7 @@ def check_fd_oracle(cloud: SampleCloud, tol: ToleranceConfig) -> CheckResult:
     """Every table gradient a cloud serves (``geometry.TABLES``), from the
     symbolic partials, against central differences of the values at points
     +- h e_k (all of them in one ``eval_tables`` call), under the mixed
-    absolute/relative tolerance; e_cov's are tetrad_basis's, transposed."""
+    absolute/relative tolerance."""
     names = [name for name, jet in TABLES.items() if jet]
     steps = np.eye(4)[:, None] * tol.fd_step  # (k, 1, 4)
     shifted = np.concatenate([cloud.points + steps, cloud.points - steps]).reshape(-1, 4)
@@ -450,14 +448,16 @@ _CLOSURE_NOTE = ("poisson closure sign -1 (vector-field bracket sign +1)",)
 def check_integral_algebra(cloud: SampleCloud, tol: ToleranceConfig) -> CheckResult:
     """{Y_a, Y_b} = -C^g_ab Y_g for the linear integrals Y_a = xi_a^i p_i.
 
-    With the canonical bracket normalized by {u^i, p_i} = +1 the map
-    p . xi is an antihomomorphism, so the Poisson bracket closes with the
-    opposite sign of the vector-field bracket; the note records both.
+    With the canonical bracket {Y_a, Y_b} = xi_b^i d_i Y_a - xi_a^i d_i Y_b,
+    normalized by {u^i, p_i} = +1, the map p . xi is an antihomomorphism, so
+    it closes with the opposite sign of the vector-field bracket; the note
+    records both.  The residual compares the bracket's two terms, so it is
+    relative to their size.
     """
-    pb = -np.einsum("nabi,ni->nab", frame_bracket(*cloud.jet("xi")), cloud.momenta)  # {Y_a, Y_b}
+    M = cloud.values("xi") @ cloud.momentum_gradient  # xi_a^i d_i Y_b, (n, a, b)
     Y = np.einsum("nai,ni->na", cloud.values("xi"), cloud.momenta)
     target = (Y @ cloud.model.structure_constants.reshape(4, 16)).reshape(-1, 4, 4)  # C^g_ab Y_g
-    resid = scaled_max(pb, -target)
+    resid = scaled_max(M.transpose(0, 2, 1), M - target)  # {Y_a, Y_b} = M^T - M
     return CheckResult(
         "integral_algebra", cloud.model.name, len(cloud), resid, tol.tol_deriv, notes=_CLOSURE_NOTE
     )
@@ -465,12 +465,13 @@ def check_integral_algebra(cloud: SampleCloud, tol: ToleranceConfig) -> CheckRes
 
 def check_hamiltonian_commutes(cloud: SampleCloud, tol: ToleranceConfig) -> CheckResult:
     """{H, Y_a} = 0 for H = g^{ij} (p_i + A_i)(p_j + A_j) with the
-    verified-admissible potential configuration."""
+    verified-admissible potential configuration, as dH/du^l xi_a^l =
+    dH/dp_i d_i Y_a: the residual is relative to the bracket's two terms."""
     model = cloud.model
     alphas = admissible_alphas(model)
     dH, dHdp = cloud.hamiltonian_grads(alphas)
-    pb = np.einsum("nl,nal->na", dH, cloud.values("xi")) - np.einsum("ni,nia->na", dHdp, cloud.momentum_gradient)
-    resid = scaled_max(pb, np.zeros_like(pb))
+    lhs = np.einsum("nl,nal->na", dH, cloud.values("xi"))
+    resid = scaled_max(lhs, np.einsum("ni,nia->na", dHdp, cloud.momentum_gradient))
     note = ()
     if not np.array_equal(alphas, model.params.alphas()):
         note = (f"admissible configuration alphas={alphas.tolist()}",)
@@ -491,7 +492,7 @@ BATTERY = (
     (check_duality, False),
     (check_tetrad_duality, False),
     (check_lie_closure, False),
-    (lambda cloud, tol: replace(_jacobi(cloud.model), tolerance=tol.tol_exact), False),
+    (lambda cloud, tol: check_jacobi(cloud.model.structure_constants, tol, cloud.model.name), False),
     (check_potential_consistency, False),
     (check_killing, True),
     (check_frame_killing, True),
@@ -551,9 +552,8 @@ def verify_group(model: GroupModel, points, momenta, tol: ToleranceConfig) -> li
     of ``BATTERY`` under the model's frame metric, then the metric-reading
     rows under a second signature, each of those tagged ``[eta=...]`` with
     its signature.  The second signature is all-plus, or the default
-    ``GroupParams.eta`` where the model's own is all-plus; its model, the
-    tags and the Jacobi sum, which reads only C, are built once per model
-    (``_passes``, ``_jacobi``).
+    ``GroupParams.eta`` where the model's own is all-plus; its model and the
+    tags are built once per model (``_passes``).
 
     The battery runs on ``CHUNK`` points at a time, one ``SampleCloud`` per
     chunk (one plan evaluation of its tables), so memory is bounded by the

@@ -3,10 +3,9 @@ check reads.
 
 All index gymnastics used by the verification suite lives here.
 ``metric_batch`` assembles the metric g^{ij} on (n, 4) point arrays together
-with its coordinate gradient, ``frame_metric_batch`` the frame metric
-G^{ab} with its gradient from them, and ``frame_bracket`` the Lie bracket
-of the Killing frame from its jet; all are per-point products, so they give
-the same bits on any slice of the points.  ``SampleCloud`` evaluates one
+with its coordinate gradient, and ``frame_metric_batch`` the frame metric
+G^{ab} with its gradient from them; both are per-point products, so they
+give the same bits on any slice of the points.  ``SampleCloud`` evaluates one
 entry's tables (in one plan evaluation, with the symbolic partials the
 identity checks need), metric, potential and Hamiltonian gradients on a
 fixed set of points.  A cloud of any size works; ``checks.verify_group``
@@ -22,12 +21,13 @@ import numpy as np
 
 from .catalog import GroupModel, eval_table_jet, eval_tables
 
-__all__ = ["SingularMetric", "SampleCloud", "metric_batch", "frame_metric_batch", "frame_bracket"]
+__all__ = ["SingularMetric", "SampleCloud", "metric_batch", "frame_metric_batch"]
 
 _DET_GUARD = 1e-12
 
-#: The tables a cloud serves, and whether a check reads their gradients.
-TABLES = {"xi": True, "dual": True, "e_con": True, "e_cov": False, "tetrad_basis": True,
+#: The tables a cloud serves, and whether a check reads their gradients;
+#: e_cov is served as its transpose, ``tetrad_basis``.
+TABLES = {"xi": True, "dual": True, "e_con": True, "tetrad_basis": True,
           "holo_basis": True, "frame_basis": True, "reference_frame": False}
 
 
@@ -82,15 +82,6 @@ def frame_metric_batch(g, dg, dual, ddual) -> tuple[np.ndarray, np.ndarray]:
     return dual.transpose(0, 2, 1) @ gd, dG
 
 
-def frame_bracket(xi, dxi) -> np.ndarray:
-    """The frame Lie bracket [xi_a, xi_b]^i = xi_a^j d_j xi_b^i -
-    xi_b^j d_j xi_a^i as (n, a, b, i), from ``xi`` (n, a, i) and ``dxi``
-    (n, j, a, i) = d_j xi_a^i."""
-    n = len(xi)
-    bracket = (xi @ dxi.reshape(n, 4, 16)).reshape(n, 4, 4, 4)  # xi_a^j d_j xi_b^i
-    return bracket - bracket.transpose(0, 2, 1, 3)
-
-
 class SampleCloud:
     """One catalog entry's sample points (and momenta), evaluated once.
 
@@ -102,8 +93,8 @@ class SampleCloud:
     cloud keeps them, and the metric g^{ij} with d_l g^{ij}, once evaluated.
     It keeps the eta-free potential A_i, d_l A_i of each (alphas, basis) it
     was asked for, and d_i Y_a, once computed; the gradients of H are
-    computed on each call, and the checks that read the frame bracket or
-    G^{ab} build them with ``frame_bracket`` and ``frame_metric_batch``.
+    computed on each call, and the check that reads G^{ab} builds it with
+    ``frame_metric_batch``.
 
     ``with_model(model.with_eta(eta))`` gives the cloud of the same points
     under another frame metric: it shares every eta-independent evaluation

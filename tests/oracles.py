@@ -7,7 +7,9 @@ from the route the checks and the integrator take to the same quantity.
 its gradient on a whole cloud; no check reads either in that form.
 The ``unblocked_*`` residuals are the largest checks' formulas written out
 apart from the checks, over the whole cloud at once, against which the
-checks' residuals are pinned bitwise.
+checks' residuals are pinned bitwise.  ``frame_bracket_integrals`` is
+{Y_a, Y_b} through the frame Lie bracket, the second route to the canonical
+bracket that ``integral_algebra`` reads.
 The ``broadcast_*`` gradients and the ``per_basis_*`` sides are the products
 the library merges into one matmul per point, in their earlier form: one
 (4x4)(4x4) product per point and derivative index, or per basis potential.
@@ -127,13 +129,24 @@ def _scaled_max(lhs, rhs) -> float:
     return float(np.max(np.abs(lhs - rhs) / (1.0 + np.maximum(np.abs(lhs), np.abs(rhs)))))
 
 
-def unblocked_bracket(xi, dxi, C) -> float:
-    """The scaled residual of [xi_a, xi_b] = C^g_ab xi_g."""
+def frame_bracket(xi, dxi) -> np.ndarray:
+    """The frame Lie bracket [xi_a, xi_b]^i = xi_a^j d_j xi_b^i -
+    xi_b^j d_j xi_a^i as (n, a, b, i), from ``xi`` (n, a, i) and ``dxi``
+    (n, j, a, i) = d_j xi_a^i."""
     n = len(xi)
     bracket = (xi @ dxi.reshape(n, 4, 16)).reshape(n, 4, 4, 4)
-    bracket = bracket - bracket.transpose(0, 2, 1, 3)
-    target = (C.reshape(4, 16).T @ xi).reshape(n, 4, 4, 4)
-    return _scaled_max(bracket, target)
+    return bracket - bracket.transpose(0, 2, 1, 3)
+
+
+def frame_bracket_integrals(cloud) -> np.ndarray:
+    """{Y_a, Y_b} = -p_i [xi_a, xi_b]^i (n, a, b) at the cloud's momenta."""
+    return -np.einsum("nabi,ni->nab", frame_bracket(*cloud.jet("xi")), cloud.momenta)
+
+
+def unblocked_bracket(xi, dxi, C) -> float:
+    """The scaled residual of [xi_a, xi_b] = C^g_ab xi_g."""
+    target = (C.reshape(4, 16).T @ xi).reshape(len(xi), 4, 4, 4)
+    return _scaled_max(frame_bracket(xi, dxi), target)
 
 
 def unblocked_killing(cloud) -> float:

@@ -241,32 +241,3 @@ def test_cache_eta_free_inputs_once_per_chunk(tol, monkeypatch):
     assert sum(r.name.startswith("hamiltonian_commutes") for r in results) == 2
     assert specs == {"b,...bi->...i": 2 * 3, "nial,nl->nia": 3}  # A and d_l A, d_i Y_a; three chunks
 
-
-def test_cache_jacobi_sum_once_per_model(monkeypatch):
-    """A second ``verify_group`` on the same model computes no Jacobi sum, a
-    replaced model (models hash by identity) computes its own once for all
-    three of its chunks, and each run's row carries its own tolerance."""
-    calls = []
-    real = checks.check_jacobi
-
-    def counted(C, tol, group="-"):
-        calls.append(group)
-        return real(C, tol, group)
-
-    monkeypatch.setattr(checks, "check_jacobi", counted)
-    model = get_group(GroupId.G4_VIII_A)
-    points, momenta = mechanics.sample_phase_points(model, 2 * checks.CHUNK + 37, 3)
-
-    def jacobi_row(m, tol):
-        (row,) = [r for r in checks.verify_group(m, points, momenta, tol) if r.name == "jacobi"]
-        return row
-
-    first = jacobi_row(model, checks.ToleranceConfig())
-    calls.clear()
-    strict = checks.ToleranceConfig(tol_exact=1e-20)
-    assert jacobi_row(model, strict) == dataclasses.replace(first, tolerance=1e-20)
-    assert calls == []
-    replaced = dataclasses.replace(model)
-    for _ in range(2):
-        assert jacobi_row(replaced, strict) == dataclasses.replace(first, tolerance=1e-20)
-        assert calls == [model.name]

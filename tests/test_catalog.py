@@ -70,6 +70,29 @@ def test_g4_vi_4_1_passes_at_its_smallest_gap(eps01, tol):
             get_group(GroupId.G4_VI_4_1, GroupParams(k=np.nextafter(k, eps01), eps01=eps01))
 
 
+def test_g4_iii_passes_at_its_smallest_sin(tol):
+    """At |sin(alpha_angle)| = ``G4_III_MIN_SIN``, near 0, near pi and
+    below 0, the entry passes every asserted check; one step closer to a
+    zero of the sine it is refused."""
+    bound = catalog.G4_III_MIN_SIN
+    near = math.asin(bound)
+    for zero, start in ((0.0, near), (math.pi, math.pi - near), (0.0, -near)):
+        a = start
+        while abs(math.sin(a)) < bound:  # asin and pi - x round; step away from the zero
+            a = np.nextafter(a, math.pi / 2 if a > 0 else -math.pi / 2)
+        model = get_group(GroupId.G4_III, GroupParams(alpha_angle=float(a)))
+        for seed in (42, 7):
+            points, momenta = mechanics.sample_phase_points(model, 2000, seed)
+            failed = [r.name for r in checks.verify_group(model, points, momenta, tol)
+                      if r.asserted and not r.passed]
+            assert failed == [], (a, seed)
+        below = np.nextafter(a, zero)
+        while abs(math.sin(below)) >= bound:
+            below = np.nextafter(below, zero)
+        with pytest.raises(InvalidParams, match=r"\|sin\(alpha_angle\)\| >= 0.03125"):
+            get_group(GroupId.G4_III, GroupParams(alpha_angle=float(below)))
+
+
 @pytest.mark.parametrize(
     "field, value",
     [

@@ -354,6 +354,8 @@ FAILURE_SURFACE = [
      2, "T=1000000000.0 and h=0.001 give round(T / h) = 1000000000000 RK4 steps, above the cap of 1000000"),
     (["verify", "--group", "g4-ii", "--points", "5", "--param", "alpha1=1e308"], 2, "non-finite"),
     (["verify", "--group", "g4-vi-4-1", "--points", "20", "--param", "k=1.02"], 2, "use g4-vi-4-2"),
+    (["verify", "--group", "g4-iii", "--points", "20", "--param", "alpha_angle=3.14"], 2,
+     "g4-iii requires |sin(alpha_angle)| >= 0.03125, got 0.00159"),
     (["verify", "--group", "g4-ii", "--points", "20", "--param", "k=abc"], 2, "--param k expects a number"),
     (["verify", "--group", "g4-vi-1", "--points", "20", "--param", "eps01=1.0"], 2,
      "--param eps01 expects an integer"),

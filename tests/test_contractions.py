@@ -176,8 +176,11 @@ def test_check_sides_match_einsum(gid, eta_models, samples, monkeypatch):
     sides.clear()
 
     checks.check_integral_algebra(cloud, tol)
+    lhs, rhs = sides.pop()
+    half = einsum_ref("nbi,nial,nl->nab", xi, dxi, momenta)  # xi_b^i d_i Y_a
+    assert_matches(lhs, half)
     Y = np.einsum("nai,ni->na", xi, momenta)
-    assert_matches(sides.pop()[1], scaled(einsum_ref("gab,ng->nab", C, Y), -1))
+    assert_matches(rhs, add(transposed(half, (0, 2, 1)), scaled(einsum_ref("gab,ng->nab", C, Y), -1)))
 
 
 def same_bits(a, b) -> bool:
@@ -192,7 +195,8 @@ def test_merged_products_equal_per_block_bits(gid, monkeypatch):
     and frame_defining, each one matmul per point, equal their per-block
     forms bit for bit under the entry's eta, all-plus and diag(2, 2, 2, 2),
     at 200 and 1024 points; d_l g^{ij} is symmetric bit for bit, which the
-    frame metric's merged product rests on."""
+    frame metric's merged product rests on.  The tetrad duality, which
+    reads e_cov as tetrad_basis transposed, equals its product with e_cov."""
     tol = checks.ToleranceConfig()
     entry = catalog.get_group(gid)
     sides = record_sides(monkeypatch, checks, "scaled_max")
@@ -215,4 +219,8 @@ def test_merged_products_equal_per_block_bits(gid, monkeypatch):
             want = per_basis_frame_defining(cloud)
             assert len(sides) == len(want) == 4
             assert all(same_bits(lhs, ref) for (lhs, _), ref in zip(sides, want)), (eta, n)
+            sides.clear()
+            checks.check_tetrad_duality(cloud, tol)
+            (prod, _), = sides
+            assert same_bits(prod, cloud.values("e_con") @ eval_table(model.e_cov, cloud.points)), (eta, n)
             sides.clear()

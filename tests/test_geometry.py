@@ -116,7 +116,7 @@ def test_cloud_tables_equal_one_table_evaluations(models, samples):
         points = samples[gid][0]
         cloud = SampleCloud(model, points)
         served = [name for name in geometry.TABLES if getattr(model, name) is not None]
-        assert len(served) == 7 + (model.reference_frame is not None), gid
+        assert len(served) == 6 + (model.reference_frame is not None), gid
         for name in served:
             table = getattr(model, name)
             want = eval_table_jet(table, points) if geometry.TABLES[name] else (eval_table(table, points),)
