@@ -234,12 +234,27 @@ class GroupModel:
         return self.group_id.value
 
     def eta_con(self) -> np.ndarray:
-        return np.linalg.inv(self.eta_eff)
+        """eta^{ab}, the inverse of the frame metric (read-only)."""
+        return self._eta_con
+
+    @cached_property
+    def _eta_con(self) -> np.ndarray:
+        return _read_only(np.linalg.inv(self.eta_eff))
 
     @cached_property
     def tetrad_basis(self) -> tuple:
         """Tetrad-constructed potential, basis-wise: entry [beta][i] = e^beta_i."""
-        return tuple(tuple(row[beta] for row in self.e_cov) for beta in range(4))
+        return tuple(zip(*self.e_cov))
+
+    @cached_property
+    def e_con_t(self) -> tuple:
+        """``e_con`` transposed: entry [i][a] = e_a^i."""
+        return tuple(zip(*self.e_con))
+
+    @cached_property
+    def dual_t(self) -> tuple:
+        """``dual`` transposed: entry [a][i] = xi^a_i."""
+        return tuple(zip(*self.dual))
 
     def with_eta(self, eta) -> "GroupModel":
         """The same entry under another constant frame metric.  The expression

@@ -224,7 +224,7 @@ def check_frame_killing(cloud: SampleCloud, tol: ToleranceConfig) -> CheckResult
     """Frame form of the Killing equations,
     G^{ab}_{|g} = G^{at} C^b_{tg} + G^{bt} C^a_{tg}."""
     C = cloud.model.structure_constants.transpose(1, 0, 2).reshape(4, 16)  # (t, (b, g))
-    G, dG = frame_metric_batch(*cloud.metric, *cloud.jet("dual"))
+    G, dG = frame_metric_batch(*cloud.metric, cloud.values("dual"), *cloud.jet("dual_t"))
     n = len(G)
     lhs = (cloud.values("xi") @ dG.reshape(n, 4, 16)).reshape(n, 4, 4, 4)  # xi_g^l d_l G^{ab}
     rhs = (G.reshape(4 * n, 4) @ C).reshape(n, 4, 4, 4).transpose(0, 3, 1, 2)  # G^{at} C^b_{tg}
@@ -356,9 +356,8 @@ def check_frame_defining(cloud: SampleCloud, tol: ToleranceConfig) -> list[Check
 
 def check_potential_consistency(cloud: SampleCloud, tol: ToleranceConfig) -> CheckResult:
     """A_i = xi^a_i A_a with the stored holonomic and frame tables."""
-    dual = cloud.values("dual")  # (n, i, a)
     frame = cloud.values("frame_basis")  # (n, b, a)
-    recon = frame @ dual.transpose(0, 2, 1)  # (n, b, i)
+    recon = frame @ cloud.values("dual_t")  # (n, b, i)
     resid = scaled_max(recon, cloud.values("holo_basis"))  # (n, b, i)
     return CheckResult("potential_consistency", cloud.model.name, len(cloud), resid, 1e-10)
 

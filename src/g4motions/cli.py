@@ -16,6 +16,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 from functools import cache
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -55,7 +56,18 @@ def _fmt_float(x: float) -> str:
 
 
 def render_json(value, indent: int = 0) -> str:
-    """Minimal JSON writer with a fixed float format (deterministic bytes)."""
+    """Minimal JSON writer with a fixed float format (deterministic bytes).
+    Plain scalars dispatch on their exact type, numpy scalars and str enums
+    on ``isinstance``; strings are escaped as ``json.dumps`` escapes them."""
+    kind = type(value)
+    if kind is float:
+        return format(value, ".17g")
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is bool:
+        return "true" if value else "false"
+    if kind is int:
+        return str(value)
     pad = "  " * indent
     if isinstance(value, dict):
         if not value:
@@ -70,17 +82,13 @@ def render_json(value, indent: int = 0) -> str:
             return "[]"
         items = ",\n".join(f"{pad}  {render_json(v, indent + 1)}" for v in seq)
         return "[\n" + items + "\n" + pad + "]"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, (int, np.integer)):  # bool has no subclasses: it returned above
         return str(int(value))
     if isinstance(value, (float, np.floating)):
         return _fmt_float(value)
     if value is None:
         return "null"
-    import json
-
-    return json.dumps(str(value))
+    return encode_basestring_ascii(str(value))
 
 
 # --------------------------------------------------------------------------

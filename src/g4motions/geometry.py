@@ -12,6 +12,14 @@ fixed set of points.  A cloud of any size works; ``checks.verify_group``
 builds one per chunk of ``checks.CHUNK`` sample points, so what a cloud
 keeps is bounded by the chunk.  No check reads g_{ij}, so nothing here
 inverts the metric.
+
+The metric products contract the tetrad e_a^i and the dual frame xi^a_i
+over either index, so the cloud serves both also transposed
+(``GroupModel.e_con_t`` and ``dual_t``), with their gradients in that
+layout only: every product then reads contiguous operands, and none copies
+a jet into another order.  A transposed table is the same expressions in
+another order, so the one plan evaluation still evaluates each of them
+once.
 """
 from __future__ import annotations
 
@@ -26,9 +34,11 @@ __all__ = ["SingularMetric", "SampleCloud", "metric_batch", "frame_metric_batch"
 _DET_GUARD = 1e-12
 
 #: The tables a cloud serves, and whether a check reads their gradients;
-#: e_cov is served as its transpose, ``tetrad_basis``.
-TABLES = {"xi": True, "dual": True, "e_con": True, "tetrad_basis": True,
-          "holo_basis": True, "frame_basis": True, "reference_frame": False}
+#: e_cov is served as its transpose, ``tetrad_basis``.  The gradients of
+#: e_con and dual are served transposed only, d_l e_a^i as (n, l, i, a) and
+#: d_l xi^a_i as (n, l, a, i), the layout the metric products contract.
+TABLES = {"xi": True, "dual": False, "dual_t": True, "e_con": False, "e_con_t": True,
+          "tetrad_basis": True, "holo_basis": True, "frame_basis": True, "reference_frame": False}
 
 
 class SingularMetric(ArithmeticError):
@@ -42,44 +52,67 @@ def metric_batch(model: GroupModel, points, tetrad=None, tetrad_det=None) -> tup
     eta^{ab} e_a^i e_b^j (for the flat-fourth-direction entries eta is the
     embedded 3x3 block completed by 1).  dg_con has shape (n, 4, 4, 4) with
     axis 1 the derivative direction.  Each contraction is one matmul per
-    point (for d_l g^{ij}, a (16x4)(4x4) one).  ``tetrad`` is the (values,
-    gradients) pair of ``model.e_con`` at the points, and ``tetrad_det``
-    its determinants, when evaluated already.  Raises ``SingularMetric``
-    where det g^{ij} = det(eta^{ab}) det(e_a^i)^2 is below the guard.
+    point of contiguous operands (for d_l g^{ij}, a (16x4)(4x4) one).
+    ``tetrad`` is the values of ``model.e_con`` at the points with the
+    values and gradients of its transpose ``model.e_con_t``, and
+    ``tetrad_det`` the determinants of the values, when evaluated already.
+    Raises ``SingularMetric`` where det g^{ij} = det(eta^{ab}) det(e_a^i)^2
+    is below the guard.
     """
-    econ, decon = eval_table_jet(model.e_con, points) if tetrad is None else tetrad
+    if tetrad is None:
+        econ_t, decon_t = eval_table_jet(model.e_con_t, points)
+        tetrad = np.ascontiguousarray(econ_t.transpose(0, 2, 1)), econ_t, decon_t
+    econ, econ_t, decon_t = tetrad
     eta_con = model.eta_con()
-    dets = _metric_det(eta_con, np.linalg.det(econ) if tetrad_det is None else tetrad_det)
+    dets = _metric_det(eta_con, _det4(econ) if tetrad_det is None else tetrad_det)
     if np.any(np.abs(dets) < _DET_GUARD):
         raise SingularMetric(f"metric determinant below guard ({np.min(np.abs(dets)):.3e})")
     t = eta_con @ econ  # eta^{ab} e_b^j, (n,a,j)
-    g = econ.transpose(0, 2, 1) @ t
-    dg = (decon.transpose(0, 1, 3, 2).reshape(-1, 16, 4) @ t).reshape(decon.shape)
+    g = econ_t @ t
+    dg = (decon_t.reshape(-1, 16, 4) @ t).reshape(decon_t.shape)
     dg = dg + dg.transpose(0, 1, 3, 2)  # X + X^T: symmetric in (i, j) bit for bit
     return g, dg
+
+
+#: Column pairs (j, k) of the 2x2 minors, in order: the pair at position q
+#: and the one at 5 - q are complementary.
+_MINOR_J, _MINOR_K = np.array([0, 0, 0, 1, 1, 2]), np.array([1, 2, 3, 2, 3, 3])
+_MINOR_SIGN = np.array([1.0, -1.0, 1.0, 1.0, -1.0, 1.0])
+
+
+def _det4(m) -> np.ndarray:
+    """det m (n,) of the (n, 4, 4) matrices, by the Laplace expansion over
+    the 2x2 minors of rows 0-1 and 2-3.  It differs from LAPACK's
+    determinant by rounding alone, and only the metric's guard reads it."""
+    r = np.ascontiguousarray(m.reshape(-1, 16).T)  # row 4 i + j: m[:, i, j]
+    j, k = _MINOR_J, _MINOR_K
+    top = r[j] * r[4 + k] - r[k] * r[4 + j]
+    bottom = r[8 + j] * r[12 + k] - r[8 + k] * r[12 + j]
+    return _MINOR_SIGN @ (top * bottom[::-1])
 
 
 def _metric_det(eta_con, tetrad_det) -> np.ndarray:
     return np.linalg.det(eta_con) * tetrad_det**2  # det g^{ij}: no per-point metric is factorized
 
 
-def frame_metric_batch(g, dg, dual, ddual) -> tuple[np.ndarray, np.ndarray]:
+def frame_metric_batch(g, dg, dual, dual_t, ddual_t) -> tuple[np.ndarray, np.ndarray]:
     """G^{ab} = xi^a_i xi^b_j g^{ij} (n, a, b) and d_l G^{ab} (n, l, a, b)
     from the metric (n, i, j), its gradient (n, l, i, j), the dual frame
-    xi^a_i as (n, i, a) and its gradient (n, l, i, a).
+    xi^a_i as (n, i, a), and as (n, a, i) with its gradient (n, l, a, i).
 
-    Each product of the gradient is one (16x4)(4x4) matmul per point: the
-    two dual-derivative terms are one product and its (a, b) transpose,
-    since g is symmetric, and xi^a_i d_l g^{ij} is d_l g^{ji} xi^a_j, bit
-    for bit, since ``metric_batch`` builds d_l g^{ij} as X + X^T.
+    Each product reads contiguous 4x4 blocks.  The two dual-derivative
+    terms are one (16x4)(4x4) matmul per point and its (a, b) transpose,
+    since g is symmetric.  xi^a_i d_l g^{ij} is one (4x4)(4x4) product per
+    point and derivative index, which leaves it in the (a, j) layout that
+    its (16x4)(4x4) product with the dual frame reads.
     """
     n = len(dual)
     gd = g @ dual  # g^{ij} xi^b_j
-    dG = (ddual.transpose(0, 1, 3, 2).reshape(n, 16, 4) @ gd).reshape(n, 4, 4, 4)  # d_l xi^a_i g^{ij} xi^b_j
+    dG = (ddual_t.reshape(n, 16, 4) @ gd).reshape(n, 4, 4, 4)  # d_l xi^a_i g^{ij} xi^b_j
     dG = dG + dG.transpose(0, 1, 3, 2)
-    xdg = (dg.reshape(n, 16, 4) @ dual).reshape(n, 4, 4, 4).transpose(0, 1, 3, 2)  # xi^a_i d_l g^{ij}
+    xdg = np.matmul(dual_t[:, None], dg)  # xi^a_i d_l g^{ij}, (n, l, a, j)
     dG += (xdg.reshape(n, 16, 4) @ dual).reshape(n, 4, 4, 4)
-    return dual.transpose(0, 2, 1) @ gd, dG
+    return dual_t @ gd, dG
 
 
 class SampleCloud:
@@ -126,7 +159,7 @@ class SampleCloud:
 
     @cached_property
     def _tetrad_det(self) -> np.ndarray:
-        return np.linalg.det(self.values("e_con"))
+        return _det4(self.values("e_con"))
 
     def jet(self, table: str) -> tuple:
         """Values (n, r, c) and gradients (n, 4, r, c) of the model's table
@@ -141,7 +174,7 @@ class SampleCloud:
     @cached_property
     def metric(self) -> tuple[np.ndarray, np.ndarray]:
         """(g^{ij}, d_l g^{ij}) under the model's frame metric."""
-        return metric_batch(self.model, self.points, self.jet("e_con"), self._tetrad_det)
+        return metric_batch(self.model, self.points, (self.values("e_con"), *self.jet("e_con_t")), self._tetrad_det)
 
     def potential(self, alphas, basis: str = "holo_basis") -> tuple[np.ndarray, np.ndarray]:
         """A_i = alpha_b T^b_i (n, 4) and d_l A_i (n, 4, 4) for the potential

@@ -20,7 +20,11 @@ driving the same compiled kernel, against which the straight-line loop of
 ``unplanned_evaluate`` is ``adiff.evaluate`` without a plan: it walks the
 trees on every call and evaluates each distinct node object, against which
 the planned, hash-consed evaluator is pinned bitwise.
+``reference_render_json`` is the report writer in its ``isinstance``-chain
+form, escaping each string through ``json.dumps``, against which
+``cli.render_json`` is pinned byte for byte.
 """
+import json
 from array import array
 from operator import gt
 
@@ -113,7 +117,7 @@ def frame_metric(cloud) -> tuple[np.ndarray, np.ndarray]:
     """G^{ab} (n, a, b) and d_l G^{ab} (n, l, a, b) over the whole cloud,
     through ``geometry.frame_metric_batch`` as the frame-Killing check
     builds them."""
-    return frame_metric_batch(*cloud.metric, *cloud.jet("dual"))
+    return frame_metric_batch(*cloud.metric, cloud.values("dual"), *cloud.jet("dual_t"))
 
 
 def frame_metric_cov(cloud) -> np.ndarray:
@@ -213,6 +217,34 @@ def broadcast_frame_metric_gradient(g, dg, dual, ddual) -> np.ndarray:
     dG = dG + dG.transpose(0, 1, 3, 2)
     dG += ((dual_t[:, None] @ dg).reshape(n, 16, 4) @ dual).reshape(n, 4, 4, 4)
     return dG
+
+
+def reference_render_json(value, indent: int = 0) -> str:
+    """JSON with a fixed 17-significant-digit float format: every value
+    through one ``isinstance`` chain, every string through ``json.dumps``."""
+    pad = "  " * indent
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = ",\n".join(
+            f'{pad}  "{k}": {reference_render_json(v, indent + 1)}' for k, v in value.items()
+        )
+        return "{\n" + items + "\n" + pad + "}"
+    if isinstance(value, (list, tuple)):
+        seq = list(value)
+        if not seq:
+            return "[]"
+        items = ",\n".join(f"{pad}  {reference_render_json(v, indent + 1)}" for v in seq)
+        return "[\n" + items + "\n" + pad + "]"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return format(float(value), ".17g")
+    if value is None:
+        return "null"
+    return json.dumps(str(value))
 
 
 def reference_rk4(model, state0, T: float, h: float) -> Trajectory:

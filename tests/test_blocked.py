@@ -96,8 +96,10 @@ def test_negative_control_nonfinite_in_any_block_raises(at, bad, tol):
 
 def test_metric_cov_not_computed_by_the_battery(tol, monkeypatch):
     """Under both signatures the battery inverts no per-point metric: the
-    only inverse it takes is the constant frame metric's (``eta_con``)."""
-    model = get_group(GroupId.G4_I_CNE1)
+    only inverse it takes is the constant frame metric's (``eta_con``),
+    which a model computes once: a fresh model takes it under the patch."""
+    entry = get_group(GroupId.G4_I_CNE1)
+    model = entry.with_eta(entry.params.eta)
     points, momenta = mechanics.sample_phase_points(model, 50, 1)
     inverted = []
     real = np.linalg.inv

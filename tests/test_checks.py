@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from g4motions import catalog, checks
-from g4motions.adiff import FieldExpr, coords, exp
+from g4motions.adiff import Const, FieldExpr, coords, exp
 from g4motions.catalog import ABELIAN_SUBGROUP_IDS, GroupId, GroupParams, eval_table, get_group
 from g4motions.checks import (
     ASSERTED_HOLO_ADMISSIBILITY,
@@ -439,3 +439,18 @@ def test_negative_control_fd_oracle(models, tol):
     pts = catalog.sample_points(model.domain, 20, 43)
     res = check_fd_oracle(SampleCloud(bad, pts), tol)
     assert not res.passed and res.max_residual >= 100.0
+
+
+@pytest.mark.parametrize("table", ["e_con", "dual"])
+def test_negative_control_fd_oracle_transposed_jets(models, tol, table):
+    """The cloud serves the gradients of e_con and dual only transposed
+    (``e_con_t``, ``dual_t``); a skewed partial of either table fails the
+    oracle through them."""
+    model = models[GroupId.G4_I_CNE1]
+    rows = [list(r) for r in getattr(model, table)]
+    i, j = next((i, j) for i, r in enumerate(rows) for j, e in enumerate(r) if type(e) is not Const)
+    rows[i][j] = _SkewedGradient(rows[i][j])
+    bad = dataclasses.replace(model, **{table: rows})
+    pts = catalog.sample_points(model.domain, 20, 43)
+    res = check_fd_oracle(SampleCloud(bad, pts), tol)
+    assert not res.passed and res.max_residual >= 100.0, (i, j)

@@ -13,6 +13,7 @@ import pytest
 
 from g4motions import catalog, cli
 from g4motions.cli import main
+from oracles import reference_render_json
 
 
 def run_cli(argv, capsys):
@@ -439,3 +440,40 @@ def test_heap_thresholds_are_accepted():
 
 def test_heap_thresholds_skipped_without_mallopt():
     assert cli._keep_freed_heap.__wrapped__(types.SimpleNamespace()) == ()
+
+
+def test_render_json_matches_reference_writer(tmp_path, capsys, monkeypatch):
+    """``render_json`` against its ``isinstance``-chain form, byte for byte,
+    on the documents the CLI writes (a report, the list and a simulate
+    summary) and on one holding every kind of value the writer meets."""
+    docs = []
+    real = cli.render_json
+
+    def record(value, indent=0):
+        if indent == 0:  # a document, not a value inside one
+            docs.append(value)
+        return real(value, indent)
+
+    monkeypatch.setattr(cli, "render_json", record)
+    run = str(tmp_path / "run.csv")
+    for argv in (
+        ["verify", "--group", "all", "--points", "20"],
+        ["list"],
+        ["simulate", "--group", "g4-i-cne1", "--T", "0.2", "--h", "1e-3", "--out", run],
+    ):
+        assert main(argv) == 0, argv
+    capsys.readouterr()
+    monkeypatch.undo()
+    assert len(docs) == 3
+    docs.append(
+        {
+            "numpy": [np.float64(0.1), np.int64(-7), np.float32(1.5), np.bool_(True)],
+            "plain": [True, False, None, 0, -3, 2**70, 1e-300, -0.0, float("inf"), float("nan")],
+            "enum": catalog.GroupId.G4_II,
+            "text": ['quote " and \\ backslash', "tab\tnewline\n", "non-ASCII: é ∂ 𝔤", ""],
+            "tuple": (1.0, "a", (2, ())),
+            "empty": [{}, [], ()],
+        }
+    )
+    for doc in docs:
+        assert cli.render_json(doc) == reference_render_json(doc)

@@ -206,8 +206,9 @@ def test_merged_products_equal_per_block_bits(gid, monkeypatch):
             cloud = SampleCloud(model, *mechanics.sample_phase_points(model, n, 42))
             g, dg = cloud.metric
             assert same_bits(dg, dg.transpose(0, 1, 3, 2))
-            assert same_bits(dg, broadcast_metric_gradient(model, *cloud.jet("e_con")))
-            assert same_bits(frame_metric(cloud)[1], broadcast_frame_metric_gradient(g, dg, *cloud.jet("dual")))
+            assert same_bits(dg, broadcast_metric_gradient(model, *eval_table_jet(model.e_con, cloud.points)))
+            dual_jet = eval_table_jet(model.dual, cloud.points)
+            assert same_bits(frame_metric(cloud)[1], broadcast_frame_metric_gradient(g, dg, *dual_jet))
             for mode, table in (("holonomic", "holo_basis"), ("tetrad", "tetrad_basis")):
                 checks.check_admissibility(cloud, tol, mode)
                 want = per_basis_admissibility(cloud, table)
