@@ -1,28 +1,32 @@
 """Charged test-particle mechanics on the catalog spacetimes.
 
-The Hamiltonian is H = g^{ij} (p_i + A_i)(p_j + A_j); the linear motion
-integrals are the frame contractions Y_a = xi_a^i p_i (the gauge in which
-they carry no potential term).  This module draws the seeded phase points
-that ``verify`` samples (``sample_phase_points``) and integrates
-trajectories; the bracket checks {Y_a, Y_b} and {H, Y_a} on a sample of
-phase points live in ``checks`` with the rest of the battery.
+The Hamiltonian is H = g^{ij} (p_i + A_i)(p_j + A_j); with the tetrad
+g^{ij} = eta^{ab} e_a^i e_b^j it is H = eta^{ab} w_a w_b in the frame
+momenta w_a = e_a^i (p_i + A_i).  The linear motion integrals are the frame
+contractions Y_a = xi_a^i p_i (the gauge in which they carry no potential
+term).  This module draws the seeded phase points that ``verify`` samples
+(``sample_phase_points``) and integrates trajectories; the bracket checks
+{Y_a, Y_b} and {H, Y_a} on a sample of phase points live in ``checks``
+with the rest of the battery.
 
 Trajectories are integrated with fixed-step classical RK4 — conservation
 drift is the measured quantity and fixed steps make convergence-order tests
 clean.  For the integrator's inner loop Hamilton's equations and the
-observables H, Y_a are written as expression trees over the chart point and
-the momenta, from the same symbolic partials, and compiled into one
-straight-line plain-``math`` kernel per model (cross-checked against the
-batched sample-cloud gradients and the finite-difference oracle in the
-tests).  The kernel is compiled on a model's first run and kept for its
-later runs, keyed on the model object: ``get_group`` shares one model per
-entry and constants, and a model copied with other tables compiles its own.
-Its call at an accepted state records that state's H and Y and is also the
-next RK4 step's first stage.  The step itself is straight-line scalar code:
-the eight state components and each stage's eight outputs are Python float
-locals, every stage argument and combine line is written out, and the box
-test is one chain of ``lo <= u <= hi`` comparisons (``tests/oracles.py``
-keeps the list-and-zip form it is pinned to, bit for bit).  Runs that leave
+observables H, Y_a are written in frame form, from w_a and the symbolic
+partials of the tetrad and the potential, as expression trees over the
+chart point and the momenta, and compiled into one straight-line
+plain-``math`` kernel per model; no metric entry is formed.  The tests
+cross-check it against the batched sample-cloud gradients, which are built
+in metric form, and against the finite-difference oracle.  The kernel is
+compiled on a model's first run and kept for its later runs, keyed on the
+model object: ``get_group`` shares one model per entry and constants, and a
+model copied with other tables compiles its own.  Its call at an accepted
+state records that state's H and Y and is also the next RK4 step's first
+stage.  The step itself is straight-line scalar code: the eight state
+components and each stage's eight outputs are Python float locals, every
+stage argument and combine line is written out, and the box test is one
+chain of ``lo <= u <= hi`` comparisons (``tests/oracles.py`` keeps the
+list-and-zip form it is pinned to, bit for bit).  Runs that leave
 the entry's sampling box stop early and are flagged rather than raising,
 since exponential blow-up in noncompact charts is expected.  A run is at
 most ``MAX_STEPS`` steps, so its memory is bounded.
@@ -116,36 +120,37 @@ _P = ("p1", "p2", "p3", "p4")  # extra kernel arguments: the canonical momenta
 def _compiled_dynamics(model: GroupModel, alphas: np.ndarray):
     """Generate the fused kernel of (u1, u2, u3, u4, p1, p2, p3, p4).
 
-    It returns 13 floats: Hamilton's equations du/dt = dH/dp = 2 gP and
-    dp/dt = -dH/du = -(d_l g^{ij} P_i P_j + 2 d_l A_i gP^i), then the
-    observables H = P_i gP^i and Y_a = xi_a^i p_i, all from the same
-    P_i = p_i + A_i and gP^i = g^{ij} P_j.  Every output is one folded
-    expression tree over the chart point and the momenta (``adiff.Var``
-    leaves), written from the metric entries g^{ij}, the potential A_i,
-    their symbolic partials and the frame xi; a product with a symbolically
-    zero factor folds away, so it costs nothing.
+    It returns 13 floats: Hamilton's equations du^i/dt = dH/dp_i and
+    dp_l/dt = -dH/du^l, then the observables H and Y_a = xi_a^i p_i.  They
+    are written in frame form: with the tetrad g^{ij} = eta^{ab} e_a^i e_b^j,
+    H = eta^{ab} w_a w_b for the frame momenta w_a = e_a^i P_i, P_i = p_i + A_i.
+    So, with v_a = eta^{ab} w_b,
+
+        du^i = 2 e_a^i v_a,   dp_l = -2 v_a d_l w_a,   H = w_a v_a,
+
+    where d_l w_a = d_l e_a^i P_i + e_a^i d_l A_i.  Every output is one
+    folded expression tree over the chart point and the momenta
+    (``adiff.Var`` leaves), written from the tetrad e_a^i, the potential
+    A_i, their symbolic partials and the frame xi; the metric entries and
+    their partials are never formed.  A product with a symbolically zero
+    factor (a zero tetrad entry, a zero entry of eta^{ab}) folds away, so
+    it costs nothing.
     """
     eta_con, e, Z = model.eta_con(), model.e_con, adiff.ZERO
-    eta = [(a, b, eta_con[a, b]) for a in range(4) for b in range(4) if eta_con[a, b] != 0.0]
-    upper = [(i, j) for i in range(4) for j in range(i, 4)]
-    g = [[None] * 4 for _ in range(4)]
-    for i, j in upper:
-        g[i][j] = g[j][i] = sum((c * (e[a][i] * e[b][j]) for a, b, c in eta), Z)
     A = [sum((c * row[i] for c, row in zip(alphas, model.holo_basis) if c != 0.0), Z) for i in range(4)]
-    dg = {(i, j): adiff.gradient_exprs(g[i][j]) for i, j in upper}
-    dA = [adiff.gradient_exprs(a) for a in A]
     p = [adiff.Var(name) for name in _P]
     P = [p[i] + A[i] for i in range(4)]
-    gP = [sum((g[i][j] * P[j] for j in range(4)), Z) for i in range(4)]
-    dp = []
-    for l in range(4):
-        terms = [dg[i, i][l] * P[i] * P[i] for i in range(4)]
-        terms += [2.0 * dg[i, j][l] * P[i] * P[j] for i, j in upper if i < j]
-        terms += [2.0 * dA[i][l] * gP[i] for i in range(4)]
-        dp.append(-sum(terms, Z))
-    H = sum((P[i] * gP[i] for i in range(4)), Z)
+    w = [sum((row[i] * P[i] for i in range(4)), Z) for row in e]
+    v = [sum((eta_con[a, b] * w[b] for b in range(4) if eta_con[a, b] != 0.0), Z) for a in range(4)]
+    de = [[adiff.gradient_exprs(x) for x in row] for row in e]
+    dA = [adiff.gradient_exprs(x) for x in A]
+    dw = [[sum((de[a][i][l] * P[i] + e[a][i] * dA[i][l] for i in range(4)), Z) for l in range(4)]
+          for a in range(4)]
+    du = [2.0 * sum((e[a][i] * v[a] for a in range(4)), Z) for i in range(4)]
+    dp = [-2.0 * sum((v[a] * dw[a][l] for a in range(4)), Z) for l in range(4)]
+    H = sum((w[a] * v[a] for a in range(4)), Z)
     Y = [sum((x * p[i] for i, x in enumerate(row)), Z) for row in model.xi]
-    return adiff.compile_values([*(2.0 * x for x in gP), *dp, H, *Y], _P)
+    return adiff.compile_values([*du, *dp, H, *Y], _P)
 
 
 @lru_cache(maxsize=64)

@@ -7,7 +7,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from g4motions import catalog, checks, mechanics
+from g4motions import adiff, catalog, checks, mechanics
 from g4motions.adiff import DomainError, coords
 from g4motions.catalog import GroupId, GroupParams, get_group
 from g4motions.checks import admissible_alphas, check_hamiltonian_commutes, check_integral_algebra
@@ -181,27 +181,76 @@ def test_rk4_convergence_exponent(models):
         assert 3.5 <= exponent <= 4.5, drifts
 
 
+def _jet_route_budget(kernel, model, alphas, n=50):
+    """The largest share of its tolerance any kernel output uses against the
+    batched jet route of ``model`` (metric form, H = g^{ij} P_i P_j) at ``n``
+    seeded phase points: du against dH/dp within 1e-12 and dp against -dH/du
+    within 1e-11 (``np.allclose``: atol + rtol |reference|), H within
+    ``pytest.approx(rel=1e-12)`` and Y within ``approx(rel=1e-12, abs=1e-13)``.
+    At most 1 is a match."""
+    pts = catalog.sample_points(model.domain, n, 31)
+    momenta = np.random.default_rng(13).uniform(-1, 1, (n, 4))
+    cloud = SampleCloud(model, pts, momenta)
+    dHdu, dHdp = cloud.hamiltonian_grads(alphas)
+    H, Y = hamiltonian(cloud, alphas), motion_integrals(cloud)
+    out = np.array([kernel(*u, *p) for u, p in zip(pts, momenta)])
+    budgets = (
+        (out[:, :4], dHdp, 1e-12 + 1e-12 * np.abs(dHdp)),
+        (out[:, 4:8], -dHdu, 1e-11 + 1e-11 * np.abs(dHdu)),
+        (out[:, 8], H, np.maximum(1e-12 * np.abs(H), 1e-12)),
+        (out[:, 9:], Y, np.maximum(1e-12 * np.abs(Y), 1e-13)),
+    )
+    return max(float(np.max(np.abs(got - ref) / tol)) for got, ref, tol in budgets)
+
+
 def test_compiled_dynamics_matches_jet_route(models):
-    """The code-generated integrator right-hand side equals the batched
-    gradients of H computed through the jets."""
-    for gid in (GroupId.G4_I_CNE1, GroupId.G4_III, GroupId.G4_VIII_B, GroupId.G4_VI_2):
-        model = models[gid]
-        kernel = mechanics._compiled_dynamics(model, model.params.alphas())
-        rng = np.random.default_rng(13)
-        pts = catalog.sample_points(model.domain, 5, 31)
-        momenta = rng.uniform(-1, 1, (5, 4))
-        cloud = SampleCloud(model, pts, momenta)
-        dHdu, dHdp = cloud.hamiltonian_grads(model.params.alphas())
-        H_ref, Y_ref = hamiltonian(cloud, model.params.alphas()), motion_integrals(cloud)
-        for k, (u, p) in enumerate(zip(pts, momenta)):
-            out = kernel(*u, *p)
-            du, dp = np.array(out[:4]), np.array(out[4:8])
-            assert np.allclose(du, dHdp[k], atol=1e-12, rtol=1e-12), gid
-            assert np.allclose(dp, -dHdu[k], atol=1e-11, rtol=1e-11), gid
-            H, *Y = out[8:]
-            assert H == pytest.approx(H_ref[k], rel=1e-12)
-            for a in range(4):
-                assert Y[a] == pytest.approx(Y_ref[k, a], rel=1e-12, abs=1e-13)
+    """The code-generated integrator right-hand side (frame form, from
+    w_a = e_a^i P_i) equals the batched gradients of H computed through the
+    jets (metric form, from g^{ij} and d_l g^{ij}) on every entry, under
+    the model's own potential constants and under the admissible ones the
+    benchmark runs."""
+    for gid, model in models.items():
+        for alphas in (model.params.alphas(), admissible_alphas(model)):
+            kernel = mechanics._compiled_dynamics(model, alphas)
+            assert _jet_route_budget(kernel, model, alphas) <= 1.0, (gid, alphas)
+
+
+# a symmetric, nondegenerate frame metric with an off-diagonal entry inside
+# the 3x3 block the Abelian-subgroup entries keep
+_SKEW_ETA = ((1.0, 0.0, 0.0, 0.0), (0.0, -1.0, 0.3, 0.0), (0.0, 0.3, -1.0, 0.0), (0.0, 0.0, 0.0, -1.0))
+_ALL_PLUS = tuple(tuple(float(i == j) for j in range(4)) for i in range(4))
+
+
+def test_compiled_dynamics_matches_jet_route_off_diagonal_eta(models):
+    """The kernel sums every nonzero entry of eta^{ab}, not only its
+    diagonal: under an eta with an off-diagonal entry it matches the jet
+    route on every entry."""
+    for gid, model in models.items():
+        skew = model.with_eta(_SKEW_ETA)
+        assert skew.eta_con()[1, 2] != 0.0, gid
+        alphas = admissible_alphas(skew)
+        assert _jet_route_budget(mechanics._compiled_dynamics(skew, alphas), skew, alphas) <= 1.0, gid
+
+
+def test_negative_control_wrong_eta_kernel(models):
+    """The kernel of the all-plus model, held against the jet route of the
+    entry's own eta, fails the same tolerances on every entry."""
+    for gid, model in models.items():
+        alphas = admissible_alphas(model)
+        kernel = mechanics._compiled_dynamics(model.with_eta(_ALL_PLUS), alphas)
+        assert _jet_route_budget(kernel, model, alphas) > 1.0, gid
+
+
+def test_kernel_operation_nodes(models, monkeypatch):
+    """The frame-form kernels, summed over the 15 entries at their admissible
+    constants, take at most 1,450 operation nodes of ``adiff._graph`` (they
+    take 1,366; kernels that form the metric entries and their partials
+    take 2,173)."""
+    roots = []
+    monkeypatch.setattr(mechanics.adiff, "compile_values", lambda exprs, args: roots.append(tuple(exprs)))
+    for model in models.values():
+        mechanics._compiled_dynamics(model, admissible_alphas(model))
+    assert sum(type(e) in adiff._SOURCE for r in roots for e, _ in adiff._graph(r)[0]) <= 1450
 
 
 def test_fused_kernel_agrees_with_oracle(models):
@@ -221,18 +270,21 @@ def test_fused_kernel_agrees_with_oracle(models):
                 assert np.max(np.abs(ad - fd)) <= 1e-6 + 1e-6 * np.max(np.abs(ad)), (gid, u, p)
 
 
-@pytest.mark.parametrize("gid", [GroupId.G4_VI_1, GroupId.G4_II, GroupId.G4_VIII_B])
+@pytest.mark.parametrize("gid", list(GroupId), ids=[g.value for g in GroupId])
 def test_recorded_observables_belong_to_their_row(gid):
-    """Each row's H and Y are those of that row's own state.  g4-vi-1 runs
-    with its default (not admissible) alphas, so its Y moves along the run
-    and a row paired with a neighbouring state's Y would show."""
-    model = get_group(gid)
-    lo, hi = model.domain.bounds()
+    """Each row's H and Y are those of that row's own state, under the
+    entry's default potential constants and under its admissible ones.  Where
+    the default alphas are not admissible (the g4-vi entries) Y moves along
+    the run, so a row paired with a neighbouring state's Y would show."""
+    default = get_group(gid)
+    lo, hi = default.domain.bounds()
     state0 = PhasePoint(u=(lo + hi) / 2, p=[0.3, -0.2, 0.1, 0.25])
-    traj = integrate_trajectory(model, state0, T=0.5, h=1e-2)
-    cloud = SampleCloud(model, traj.u, traj.p)
-    assert np.allclose(traj.H, hamiltonian(cloud, model.params.alphas()), rtol=1e-12, atol=1e-13)
-    assert np.allclose(traj.Y, motion_integrals(cloud), rtol=1e-12, atol=1e-13)
+    for alphas in (default.params.alphas(), admissible_alphas(default)):
+        model = get_group(gid, dataclasses.replace(default.params, em_alphas=tuple(alphas)))
+        traj = integrate_trajectory(model, state0, T=0.5, h=1e-2)
+        cloud = SampleCloud(model, traj.u, traj.p)
+        assert np.allclose(traj.H, hamiltonian(cloud, alphas), rtol=1e-12, atol=1e-13), alphas
+        assert np.allclose(traj.Y, motion_integrals(cloud), rtol=1e-12, atol=1e-13), alphas
 
 
 def _bench_style_run(j, gid, alphas, p_scale=1.0):
