@@ -2,9 +2,10 @@
 
 A potential is admissible when (xi_a^j A_j)_,i = xi_a^j F_ij, which is
 exactly the condition for the free-motion integrals Y_a = xi_a^i p_i to
-survive the coupling.  Every tabulated potential is linear in four
-constants, so the check runs basis-wise and localizes any defect to a
-single constant.
+survive the coupling.  The left side minus the right is the Lie derivative
+L_{xi_a} A, which the check compares term by term without forming F.
+Every tabulated potential is linear in four constants, so the check runs
+basis-wise and localizes any defect to a single constant.
 
 The Abelian-subgroup family (g4-vi-*) is the interesting degenerate case:
 its tabulated construction makes the field strength vanish identically

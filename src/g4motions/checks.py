@@ -159,10 +159,7 @@ def check_duality(cloud: SampleCloud, tol: ToleranceConfig) -> CheckResult:
 
 
 def check_tetrad_duality(cloud: SampleCloud, tol: ToleranceConfig) -> CheckResult:
-    # e_cov (n, i, alpha) is tetrad_basis transposed; contiguous keeps matmul on BLAS
-    cov = np.ascontiguousarray(cloud.values("tetrad_basis").transpose(0, 2, 1))
-    con = cloud.values("e_con")  # (n, alpha, i)
-    prod = con @ cov
+    prod = cloud.values("tetrad_basis") @ cloud.values("e_con_t")  # e^beta_i e_alpha^i, (n, beta, alpha)
     resid = scaled_max(prod, np.eye(4)[None])
     o = cloud.model.orientation
     veto = ""  # every reader takes the tables as stored, so a decision for another reading fails
@@ -283,28 +280,37 @@ def _asserted_basis(model: GroupModel, b: int, zero_field: str) -> tuple[bool, t
 def check_admissibility(
     cloud: SampleCloud, tol: ToleranceConfig, mode: str = "holonomic"
 ) -> list[CheckResult]:
-    """Basis-wise residual of (xi_a^j A_j)_{,i} = xi_a^j F_{ij}.
+    """Basis-wise residual of (xi_a^j A_j)_{,i} = xi_a^j F_{ij}, as the Lie
+    derivative L_{xi_a} A = 0.
+
+    With F_ij = d_i A_j - d_j A_i, the left side minus the right one is
+
+        d_i xi_a^j A_j + xi_a^j d_i A_j - xi_a^j (d_i A_j - d_j A_i)
+            = xi_a^j d_j A_i + A_j d_i xi_a^j = (L_{xi_a} A)_i,
+
+    so the check compares xi_a^j d_j A_i with -A_j d_i xi_a^j, and F is
+    never formed.
 
     Every tabulated potential is linear in alpha1..alpha4, so checking the
     four basis vectors separately is complete and localizes defects to a
     single constant: the potential of basis vector b is row b of the table.
     ``mode`` selects the tabulated holonomic table or the tetrad-constructed
-    potential.  Each side's product with xi is one (16x4)(4x4) matmul per
-    point for all four bases.
+    potential.  Each side is one matmul per point for all four bases, a
+    (4x4)(4x16) and a (16x4)(4x4) one.
     """
     tables = {"holonomic": "holo_basis", "tetrad": "tetrad_basis"}
     if mode not in tables:
         raise ValueError(f"unknown admissibility mode {mode!r}")
     model = cloud.model
     xi, dxi = cloud.jet("xi")  # dxi: (n, i, a, j) = d_i xi_a^j
-    xi_t = np.ascontiguousarray(xi.transpose(0, 2, 1))  # (n, j, a); contiguous keeps matmul on BLAS
-    vals, grads = cloud.jet(tables[mode])  # (n,b,i), (n,l,b,i)
-    dAxi = (grads.reshape(-1, 16, 4) @ xi_t).reshape(grads.shape)  # d_i A^b_j xi_a^j as (n, i, b, a)
-    Fxi = ((grads - grads.transpose(0, 3, 2, 1)).reshape(-1, 16, 4) @ xi_t).reshape(grads.shape)  # xi_a^j F^b_ij
+    vals, grads = cloud.jet(tables[mode])  # (n,b,j), (n,j,b,i)
+    n = len(xi)
+    lhs = (xi @ grads.reshape(n, 4, 16)).reshape(n, 4, 4, 4)  # xi_a^j d_j A^b_i as (n, a, b, i)
+    lhs = np.ascontiguousarray(lhs.transpose(0, 3, 1, 2))  # as (n, i, a, b), the layout of rhs
+    rhs = (dxi.reshape(n, 16, 4) @ -vals.transpose(0, 2, 1)).reshape(n, 4, 4, 4)  # -A^b_j d_i xi_a^j
     results = []
     for b in range(4):
-        lhs = np.einsum("niaj,nj->nia", dxi, vals[:, b]) + dAxi[:, :, b]  # d_i (xi_a^j A_j)
-        resid = scaled_max(lhs, Fxi[:, :, b])
+        resid = scaled_max(lhs[..., b], rhs[..., b])
         if mode == "tetrad":
             asserted = model.tetrad_printed
             notes = () if model.tetrad_printed else ("derived (untabulated) tetrad",)

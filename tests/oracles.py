@@ -13,7 +13,9 @@ bracket that ``integral_algebra`` reads.
 The ``broadcast_*`` gradients and the ``per_basis_*`` sides are the products
 the library merges into one matmul per point, in their earlier form: one
 (4x4)(4x4) product per point and derivative index, or per basis potential.
-The merged products are pinned to them bitwise.
+The merged products are pinned to them bitwise.  ``fform_admissibility``
+is admissibility in the source's long form, with the field strength F,
+against which the Lie-derivative form the check computes is compared.
 ``reference_rk4`` is the integrator's RK4 loop in its list-and-zip form,
 driving the same compiled kernel, against which the straight-line loop of
 ``mechanics.integrate_trajectory`` is pinned bitwise.
@@ -179,8 +181,20 @@ def unblocked_admissibility(cloud, table: str) -> list[float]:
 
 
 def per_basis_admissibility(cloud, table: str) -> list[tuple]:
+    """(xi_a^j d_j A_i, -A_j d_i xi_a^j), each (n, i, a), the two terms of
+    the Lie derivative L_{xi_a} A, for each basis potential of ``table``:
+    the first with one product per basis, the second with one per
+    derivative index i."""
+    xi, dxi = cloud.jet("xi")
+    vals, grads = cloud.jet(table)
+    rhs = dxi @ -vals.transpose(0, 2, 1)[:, None]  # (n, i, a, b)
+    return [((xi @ grads[:, :, b]).transpose(0, 2, 1), rhs[..., b]) for b in range(4)]
+
+
+def fform_admissibility(cloud, table: str) -> list[tuple]:
     """(d_i (xi_a^j A_j), xi_a^j F_{ij}), each (n, i, a), for each basis
-    potential of ``table``, with one product per basis."""
+    potential of ``table``: the two sides of the admissibility condition as
+    the source states it, with the field strength F formed."""
     xi, dxi = cloud.jet("xi")
     xi_t = np.ascontiguousarray(xi.transpose(0, 2, 1))
     vals, grads = cloud.jet(table)

@@ -8,7 +8,7 @@ import itertools
 import numpy as np
 import pytest
 
-from g4motions import catalog, checks
+from g4motions import catalog, checks, mechanics
 from g4motions.adiff import Const, FieldExpr, coords, exp
 from g4motions.catalog import ABELIAN_SUBGROUP_IDS, GroupId, GroupParams, eval_table, get_group
 from g4motions.checks import (
@@ -26,9 +26,11 @@ from g4motions.checks import (
     check_killing,
     check_lie_closure,
     check_potential_consistency,
+    scaled_max,
     verify_group,
 )
 from g4motions.geometry import SampleCloud
+from oracles import fform_admissibility
 
 U1, U2, U3, U4 = coords()
 
@@ -315,6 +317,31 @@ def test_negative_control_admissibility(models, samples, tol):
     assert not results[0].passed and results[0].max_residual >= FAIL_FLOOR
     # untouched bases keep passing: the defect is localized
     assert all(r.passed for r in results[1:])
+
+
+def test_negative_control_admissibility_mutants(models, tol):
+    """Negating any one nonzero entry of ``holo_basis`` or of the tetrad
+    potential (``tetrad_basis``, through ``e_cov``) fails exactly the
+    admissibility rows that the source's long form, with the field strength
+    F formed (``oracles.fform_admissibility``), fails: the Lie-derivative
+    form the check computes catches what the long form catches."""
+    got, want = set(), set()
+    for gid, model in models.items():
+        pts = mechanics.sample_phase_points(model, 64, 42)[0]
+        for mode, field, table in (("holonomic", "holo_basis", "holo_basis"), ("tetrad", "e_cov", "tetrad_basis")):
+            rows = getattr(model, field)
+            for r, c in itertools.product(range(4), range(4)):
+                if type(rows[r][c]) is Const and rows[r][c].c == 0.0:
+                    continue
+                mutant = [list(row) for row in rows]
+                mutant[r][c] = -rows[r][c]
+                cloud = SampleCloud(dataclasses.replace(model, **{field: mutant}), pts)
+                key = (gid.value, table, r, c)
+                results = check_admissibility(cloud, tol, mode)
+                got |= {(*key, b) for b, res in enumerate(results) if not res.passed}
+                sides = fform_admissibility(cloud, table)
+                want |= {(*key, b) for b, (lhs, rhs) in enumerate(sides) if not scaled_max(lhs, rhs) <= tol.tol_deriv}
+    assert want and got == want, sorted(got ^ want)
 
 
 def test_negative_control_frame_defining(models, samples, tol):

@@ -17,6 +17,7 @@ from g4motions.geometry import SampleCloud
 from oracles import (
     broadcast_frame_metric_gradient,
     broadcast_metric_gradient,
+    fform_admissibility,
     frame_metric,
     per_basis_admissibility,
     per_basis_frame_defining,
@@ -137,7 +138,7 @@ def test_check_sides_match_einsum(gid, eta_models, samples, monkeypatch):
     assert_matches(sides.pop()[0], einsum_ref("nai,nib->nab", xi, dual))
     checks.check_tetrad_duality(cloud, tol)
     cov = eval_table(model.e_cov, pts)
-    assert_matches(sides.pop()[0], einsum_ref("nai,nib->nab", cloud.values("e_con"), cov))
+    assert_matches(sides.pop()[0], einsum_ref("nib,nai->nba", cov, cloud.values("e_con")))
     checks.check_potential_consistency(cloud, tol)
     frame = cloud.values("frame_basis")
     assert_matches(sides.pop()[0], einsum_ref("nia,nba->nbi", dual, frame))
@@ -159,11 +160,8 @@ def test_check_sides_match_einsum(gid, eta_models, samples, monkeypatch):
         checks.check_admissibility(cloud, tol, mode)
         vals, grads = cloud.jet(table)
         for b, (lhs, rhs) in enumerate(sides):
-            A, dA = vals[:, b], grads[:, :, b]
-            F = dA - dA.transpose(0, 2, 1)
-            lhs_ref = add(einsum_ref("niaj,nj->nia", dxi, A), einsum_ref("naj,nij->nia", xi, dA))
-            assert_matches(lhs, lhs_ref)
-            assert_matches(rhs, einsum_ref("naj,nij->nia", xi, F))
+            assert_matches(lhs, einsum_ref("naj,nji->nia", xi, grads[:, :, b]))  # xi_a^j d_j A_i
+            assert_matches(rhs, scaled(einsum_ref("niaj,nj->nia", dxi, vals[:, b]), -1))  # -A_j d_i xi_a^j
         assert len(sides) == 4
         sides.clear()
 
@@ -196,7 +194,8 @@ def test_merged_products_equal_per_block_bits(gid, monkeypatch):
     forms bit for bit under the entry's eta, all-plus and diag(2, 2, 2, 2),
     at 200 and 1024 points; d_l g^{ij} is symmetric bit for bit, which the
     frame metric's merged product rests on.  The tetrad duality, which
-    reads e_cov as tetrad_basis transposed, equals its product with e_cov."""
+    reads e_cov as tetrad_basis (its transpose) against e_con_t, equals the
+    transposed product of e_con with e_cov."""
     tol = checks.ToleranceConfig()
     entry = catalog.get_group(gid)
     sides = record_sides(monkeypatch, checks, "scaled_max")
@@ -223,5 +222,32 @@ def test_merged_products_equal_per_block_bits(gid, monkeypatch):
             sides.clear()
             checks.check_tetrad_duality(cloud, tol)
             (prod, _), = sides
-            assert same_bits(prod, cloud.values("e_con") @ eval_table(model.e_cov, cloud.points)), (eta, n)
+            want = cloud.values("e_con") @ eval_table(model.e_cov, cloud.points)
+            assert same_bits(prod, want.transpose(0, 2, 1)), (eta, n)
+            sides.clear()
+
+
+@pytest.mark.parametrize("gid", list(GroupId), ids=[g.value for g in GroupId])
+def test_admissibility_lie_form_equals_fform(gid, monkeypatch):
+    """The difference of the sides admissibility compares, the Lie
+    derivative xi^j d_j A_i + A_j d_i xi^j, equals the source's long form
+    d_i (xi^j A_j) - xi^j F_ij (``oracles.fform_admissibility``) elementwise,
+    relative to the absolute terms of both, in both modes at 200 and 1024
+    points."""
+    tol = checks.ToleranceConfig()
+    model = catalog.get_group(gid)
+    sides = record_sides(monkeypatch, checks, "scaled_max")
+    for n in (200, 1024):
+        cloud = SampleCloud(model, *mechanics.sample_phase_points(model, n, 42))
+        xi, dxi = cloud.jet("xi")
+        for mode, table in (("holonomic", "holo_basis"), ("tetrad", "tetrad_basis")):
+            checks.check_admissibility(cloud, tol, mode)
+            vals, grads = cloud.jet(table)
+            for b, ((lhs, rhs), (lhs_f, rhs_f)) in enumerate(zip(sides, fform_admissibility(cloud, table))):
+                dA = np.abs(grads[:, :, b])
+                scale = 1.0 + einsum_ref("niaj,nj->nia", dxi, vals[:, b])[1]  # |A_j| |d_i xi^j|
+                scale += np.einsum("naj,nji->nia", np.abs(xi), dA + dA.transpose(0, 2, 1))  # |xi^j| (|d_j A_i| + |d_i A_j|)
+                err = np.abs((lhs - rhs) - (lhs_f - rhs_f))
+                assert np.all(err <= REL_TOL * scale), (n, mode, b, float(np.max(err / scale)))
+            assert len(sides) == 4
             sides.clear()
