@@ -26,10 +26,12 @@ stage.  The step itself is straight-line scalar code: the eight state
 components and each stage's eight outputs are Python float locals, every
 stage argument and combine line is written out, and the box test is one
 chain of ``lo <= u <= hi`` comparisons (``tests/oracles.py`` keeps the
-list-and-zip form it is pinned to, bit for bit).  Runs that leave
-the entry's sampling box stop early and are flagged rather than raising,
-since exponential blow-up in noncompact charts is expected.  A run is at
-most ``MAX_STEPS`` steps, so its memory is bounded.
+list-and-zip form it is pinned to, bit for bit).  Two sums, over the new
+state (before the box test) and over its H and Y, screen for a non-finite
+value.  Runs that leave the entry's sampling box stop early and are
+flagged rather than raising, since exponential blow-up in noncompact
+charts is expected.  A run is at most ``MAX_STEPS`` steps, so its memory
+is bounded.
 """
 from __future__ import annotations
 
@@ -163,7 +165,8 @@ def _kernel(model: GroupModel):
 
 def _finite(values, t: float):
     # plain float arithmetic overflows to inf/nan silently, where numpy
-    # under the CLI's errstate would raise
+    # under the CLI's errstate would raise; the RK4 step calls this only when
+    # the values' sum is not finite, as any non-finite value makes it
     if not all(map(math.isfinite, values)):
         raise FloatingPointError(f"non-finite state or observable at t={t!r}")
     return values
@@ -194,7 +197,7 @@ def integrate_trajectory(model: GroupModel, state0: PhasePoint, T: float, h: flo
             f"T={T!r} and h={h!r} give round(T / h) = {n_steps} RK4 steps, "
             f"above the cap of {MAX_STEPS}"
         )
-    kernel = _kernel(model)
+    kernel, isfinite = _kernel(model), math.isfinite
     (lo1, lo2, lo3, lo4), (hi1, hi2, hi3, hi4) = (b.tolist() for b in model.domain.bounds())
 
     half, sixth = 0.5 * h, h / 6.0
@@ -229,13 +232,19 @@ def integrate_trajectory(model: GroupModel, state0: PhasePoint, T: float, h: flo
         p2 = p2 + sixth * (a6 + 2 * b6 + 2 * c6 + d6)
         p3 = p3 + sixth * (a7 + 2 * b7 + 2 * c7 + d7)
         p4 = p4 + sixth * (a8 + 2 * b8 + 2 * c8 + d8)
-        y = _finite((u1, u2, u3, u4, p1, p2, p3, p4), step * h)
-        # after _finite, so no comparison meets a nan
+        y = (u1, u2, u3, u4, p1, p2, p3, p4)
+        # a sum of finite floats is finite unless it overflows; _finite then
+        # raises, or lets the step go on if the sum only overflowed
+        if not isfinite(u1 + u2 + u3 + u4 + p1 + p2 + p3 + p4):
+            _finite(y, step * h)
+        # after the screen, so no comparison meets a nan
         if not (lo1 <= u1 <= hi1 and lo2 <= u2 <= hi2 and lo3 <= u3 <= hi3 and lo4 <= u4 <= hi4):
             exited = True
             break
         k = kernel(*y)  # the next step's first stage
-        obs.extend(_finite(k[8:], step * h))
+        if not isfinite(k[8] + k[9] + k[10] + k[11] + k[12]):
+            _finite(k[8:], step * h)
+        obs.extend(k[8:])
         states.extend(y)
 
     phase = np.array(states).reshape(-1, 8)
@@ -269,10 +278,13 @@ TRAJECTORY_CSV_HEADER = ["t", "u1", "u2", "u3", "u4", "p1", "p2", "p3", "p4", "H
 
 def export_csv(traj: Trajectory, path) -> None:
     """Full double precision (17 significant digits), one row per step, in
-    ``csv.writer``'s default dialect (comma separated, CRLF line ends)."""
+    ``csv.writer``'s default dialect (comma separated, CRLF line ends).
+    Each block of ``_CSV_CHUNK`` rows is formatted by one ``%`` and written
+    by one call."""
     table = np.column_stack([traj.t, traj.u, traj.p, traj.H, traj.Y])
     row = ",".join(["%.17g"] * len(TRAJECTORY_CSV_HEADER)) + "\r\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(TRAJECTORY_CSV_HEADER) + "\r\n")
-        for k in range(0, len(table), _CSV_CHUNK):  # bounded list of Python floats
-            fh.writelines(row % tuple(r) for r in table[k : k + _CSV_CHUNK].tolist())
+        for k in range(0, len(table), _CSV_CHUNK):  # bounded tuple of Python floats
+            block = table[k : k + _CSV_CHUNK]
+            fh.write(row * len(block) % tuple(block.ravel().tolist()))

@@ -18,6 +18,7 @@ from g4motions.mechanics import (
     drift_report,
     integrate_trajectory,
 )
+import oracles
 from oracles import (
     _scaled_max,
     finite_diff_gradient,
@@ -332,8 +333,85 @@ def test_integrate_singular_start_raises_domain_error(gid):
 
 def test_integrate_raises_on_overflow(models):
     state0 = PhasePoint(u=np.zeros(4), p=[1e160, 1e160, 0.0, 0.0])
-    with pytest.raises(FloatingPointError):
+    with pytest.raises(FloatingPointError, match=r"^non-finite state or observable at t=0\.0$"):
         integrate_trajectory(models[GroupId.G4_II], state0, T=0.01, h=1e-3)
+
+
+def _stand_in_kernel(monkeypatch, kernel):
+    """Run both RK4 loops on ``kernel``, a function of (u1..u4, p1..p4)
+    returning 13 floats.  The catalog's kernels leave their box before any
+    value overflows, so the per-step error paths are reached this way."""
+    monkeypatch.setattr(mechanics, "_kernel", lambda model: kernel)
+    monkeypatch.setattr(oracles, "_compiled_dynamics", lambda model, alphas: kernel)
+
+
+def _raises_as_reference(model, state0, T=0.01, h=1e-3) -> str:
+    """The message of the ``FloatingPointError`` that ``integrate_trajectory``
+    and ``reference_rk4`` both raise."""
+    with pytest.raises(FloatingPointError) as new:
+        integrate_trajectory(model, state0, T, h)
+    with pytest.raises(FloatingPointError) as ref:
+        reference_rk4(model, state0, T, h)
+    assert str(new.value) == str(ref.value)
+    return str(new.value)
+
+
+def _at_step(step, h=1e-3) -> str:
+    return f"non-finite state or observable at t={step * h!r}"
+
+
+def _growing_p1(u1, u2, u3, u4, p1, p2, p3, p4):
+    # dp1/dt = 1e4 p1 and nothing else moves: one RK4 step multiplies p1 by
+    # 644.3 (exp(10) to fourth order) while the coordinates stay put
+    return 0.0, 0.0, 0.0, 0.0, 1e4 * p1, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0
+
+
+def _growing_H(rate):
+    # du1/dt = 1, so u1 = step * h, and H = 1e308 (1 + rate u1); p stays finite
+    def kernel(u1, u2, u3, u4, p1, p2, p3, p4):
+        return 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1e308 * (1.0 + rate * u1), 0.0, 0.0, 0.0, 0.0
+    return kernel
+
+
+def test_negative_control_rk4_nonfinite_momenta_inside_box(monkeypatch):
+    _stand_in_kernel(monkeypatch, _growing_p1)
+    state0 = PhasePoint(u=np.zeros(4), p=[1e306, 0.0, 0.0, 0.0])  # p1 = inf after one step, u at the origin
+    assert _raises_as_reference(flat_model(), state0) == _at_step(1)
+
+
+@pytest.mark.parametrize("stand_in", [False, True], ids=["real-start", "stand-in-step"])
+def test_negative_control_rk4_nonfinite_observable_finite_state(stand_in, models, monkeypatch):
+    if stand_in:  # H = 2e308 after one step, at the finite state (1e-3, 0, 0, 0, 0, 0, 0, 0)
+        _stand_in_kernel(monkeypatch, _growing_H(1e3))
+        model, state0, step = flat_model(), PhasePoint(u=np.zeros(4), p=np.zeros(4)), 1
+    else:  # H ~ 1e320 at the finite start
+        model, state0, step = models[GroupId.G4_II], PhasePoint(u=np.zeros(4), p=[1e160, 1e160, 0.0, 0.0]), 0
+    assert _raises_as_reference(model, state0) == _at_step(step)
+
+
+@pytest.mark.parametrize(
+    "kernel, p1, step",
+    # p1 = 6.4e302 after one step, then the third stage's 1e4 (p1 + h/2 b) overflows;
+    # H = 1e308 (1 + 0.1 step) overflows at 1.8e308
+    [(_growing_p1, 1e300, 2), (_growing_H(1e2), 0.0, 8)],
+    ids=["state", "observable"],
+)
+def test_negative_control_rk4_nonfinite_after_first_step(kernel, p1, step, monkeypatch):
+    _stand_in_kernel(monkeypatch, kernel)
+    state0 = PhasePoint(u=np.zeros(4), p=[p1, 0.0, 0.0, 0.0])
+    assert _raises_as_reference(flat_model(), state0) == _at_step(step)
+
+
+def test_rk4_finite_values_with_overflowing_sums_go_on():
+    # a constant potential cancels p exactly (P = p + A = 0), so the particle
+    # rests with p1 = p2 = Y1 = Y2 = -1e308: every state and observable sum
+    # overflows, which the finiteness screen must let through
+    model = flat_model((1e308, 1e308, 0.0, 0.0))
+    state0 = PhasePoint(u=np.zeros(4), p=[-1e308, -1e308, 0.0, 0.0])
+    traj = integrate_trajectory(model, state0, T=0.01, h=1e-3)
+    _assert_bitwise_equal(traj, reference_rk4(model, state0, T=0.01, h=1e-3))
+    assert len(traj) == 11 and not traj.domain_exit
+    assert sum(traj.p[-1].tolist()) == -math.inf and traj.H[-1] + sum(traj.Y[-1].tolist()) == -math.inf
 
 
 def test_integrate_rejects_bad_steps(models):
@@ -378,12 +456,17 @@ def _csv_writer_reference(traj, path):
             writer.writerow(format(x, ".17g") for x in row)
 
 
-def test_csv_export_matches_csv_writer_bytes(tmp_path, models):
+@pytest.mark.parametrize("rows", [1, 255, 256, 257, 512, 601])
+def test_csv_export_matches_csv_writer_bytes(rows, tmp_path, models):
+    assert mechanics._CSV_CHUNK == 256  # the row counts sit at its block edges
     model = models[GroupId.G4_I_CNE1]
-    state0 = PhasePoint(u=np.zeros(4), p=[0.1, 0.2, 0.3, 0.4])
-    traj = integrate_trajectory(model, state0, T=0.6, h=1e-3)  # more rows than one chunk
-    traj.u[0] = [-0.0, 5e-324, -1e308, 123456789012345678.0]
-    traj.H[1:3] = [np.inf, np.nan]
+    state0 = PhasePoint(u=np.zeros(4), p=[0.01, 0.02, 0.03, 0.04])
+    full = integrate_trajectory(model, state0, T=0.6, h=1e-3)
+    assert len(full) == 601  # in the box to the horizon
+    traj = Trajectory(*(getattr(full, f)[:rows].copy() for f in ("t", "u", "p", "H", "Y")))
+    for k in (0, rows - 1):  # in the first block and the last
+        traj.u[k] = [-0.0, 5e-324, -1e308, 123456789012345678.0]
+        traj.H[k], traj.Y[k, 0] = np.inf, np.nan
     mechanics.export_csv(traj, tmp_path / "new.csv")
     _csv_writer_reference(traj, tmp_path / "ref.csv")
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
