@@ -2,11 +2,12 @@
 
 Every scalar field tabulated in the catalog (Killing frames, tetrads,
 potentials) is a closed form built from constants, the four chart
-coordinates, ``+ - * /`` and ``exp``/``sin``/``cos``.  ``FieldExpr`` captures
-exactly that function class as a tiny expression tree, and ``diff`` builds
-the exact partial along one chart axis as another such tree (constants fold,
-zeros vanish, and a partial refers back to the nodes of its field where the
-chain and product rules reuse them).
+coordinates, ``+ - * /`` and ``exp``/``sin``/``cos`` (of a tree or a
+number, always a tree).  ``FieldExpr`` captures exactly that function class
+as a tiny expression tree, and ``diff`` builds the exact partial along one
+chart axis as another such tree (constants fold, zeros vanish, and a
+partial refers back to the nodes of its field where the chain and product
+rules reuse them).
 
 ``evaluate`` is the one evaluator, for values and partials alike.  It runs
 a plan built on first use for each list of trees and kept in a bounded
@@ -74,21 +75,15 @@ def _guard_denominator(value):
 
 
 def exp(x):
-    if isinstance(x, FieldExpr):
-        return _unary(Exp, x, math.exp)
-    return np.exp(x)
+    return _unary(Exp, as_expr(x), math.exp)
 
 
 def sin(x):
-    if isinstance(x, FieldExpr):
-        return _unary(Sin, x, math.sin)
-    return np.sin(x)
+    return _unary(Sin, as_expr(x), math.sin)
 
 
 def cos(x):
-    if isinstance(x, FieldExpr):
-        return _unary(Cos, x, math.cos)
-    return np.cos(x)
+    return _unary(Cos, as_expr(x), math.cos)
 
 
 # --------------------------------------------------------------------------

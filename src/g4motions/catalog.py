@@ -128,9 +128,6 @@ class GroupParams:
                 raise InvalidParams(f"parameter {name!r} must be finite, got {given!r}")
             object.__setattr__(self, name, _tuples(value.tolist()))
 
-    def eta_matrix(self) -> np.ndarray:
-        return np.asarray(self.eta, dtype=float)
-
     def alphas(self) -> np.ndarray:
         return np.asarray(self.em_alphas, dtype=float)
 
@@ -233,12 +230,9 @@ class GroupModel:
     def name(self) -> str:
         return self.group_id.value
 
+    @cached_property
     def eta_con(self) -> np.ndarray:
         """eta^{ab}, the inverse of the frame metric (read-only)."""
-        return self._eta_con
-
-    @cached_property
-    def _eta_con(self) -> np.ndarray:
         return _read_only(np.linalg.inv(self.eta_eff))
 
     @cached_property
@@ -496,8 +490,8 @@ G4_III_MIN_SIN = 0.03125
 
 
 def _build_g4_iii(params: GroupParams):
-    a = params.alpha_angle
-    sa, ca = math.sin(a), math.cos(a)
+    sa, ca = math.sin(params.alpha_angle), math.cos(params.alpha_angle)
+    a = math.atan2(sa, ca)  # the principal angle: phase - a keeps the chart's digits at any |alpha_angle|
     if abs(sa) < G4_III_MIN_SIN:
         raise InvalidParams(f"g4-iii requires |sin(alpha_angle)| >= {G4_III_MIN_SIN}, got {abs(sa):.3g}")
 
@@ -1038,7 +1032,7 @@ def _build_g4_viii(shifted: bool):
 
 
 def _effective_eta(group_id: GroupId, params: GroupParams) -> np.ndarray:
-    eta = params.eta_matrix()
+    eta = np.asarray(params.eta, dtype=float)
     if eta.shape != (4, 4):
         raise InvalidParams("eta must be a 4x4 matrix")
     if not np.allclose(eta, eta.T, atol=1e-12):

@@ -322,15 +322,9 @@ def build_report(config: RunConfig) -> VerificationReport:
             "groups": [g.value for g in config.groups],
             "seed": config.seed,
             "points": config.n_points,
-            "tol_exact": config.tol.tol_exact,
-            "tol_deriv": config.tol.tol_deriv,
-            "c": config.params.c,
-            "alpha_angle": config.params.alpha_angle,
-            "k": config.params.k,
-            "l": config.params.l,
-            "eps01": config.params.eps01,
-            "em_alphas": list(config.params.em_alphas),
-            "eta": [list(row) for row in config.params.eta],
+            # every field of both, so a report gives back its configuration
+            **vars(config.tol),
+            **vars(config.params),
         },
         results=results,
         summary=summary,
@@ -426,8 +420,8 @@ def cmd_simulate(config: RunConfig, u0, p0, T: float, h: float) -> int:
         "domain_exit": traj.domain_exit,
         "t_final": float(traj.t[-1]),
         "csv": config.out,
-        "max_drift_H": stats.H.max_abs,
-        "max_drift_Y": [d.max_abs for d in stats.Y],
+        "max_drift_H": stats.H,
+        "max_drift_Y": list(stats.Y),
     }
     if not summary["alphas_admissible"]:
         print(

@@ -63,7 +63,7 @@ def metric_batch(model: GroupModel, points, tetrad=None, tetrad_det=None) -> tup
         econ_t, decon_t = eval_table_jet(model.e_con_t, points)
         tetrad = np.ascontiguousarray(econ_t.transpose(0, 2, 1)), econ_t, decon_t
     econ, econ_t, decon_t = tetrad
-    eta_con = model.eta_con()
+    eta_con = model.eta_con
     dets = _metric_det(eta_con, _det4(econ) if tetrad_det is None else tetrad_det)
     if np.any(np.abs(dets) < _DET_GUARD):
         raise SingularMetric(f"metric determinant below guard ({np.min(np.abs(dets)):.3e})")

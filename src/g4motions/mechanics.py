@@ -106,14 +106,11 @@ class Trajectory:
 
 
 @dataclass
-class Drift:
-    max_abs: float
-
-
-@dataclass
 class DriftStats:
-    H: Drift
-    Y: tuple
+    """max |value(t) - value(0)| over a trajectory: of H, and of each Y_a."""
+
+    H: float
+    Y: tuple  # four floats
 
 
 _P = ("p1", "p2", "p3", "p4")  # extra kernel arguments: the canonical momenta
@@ -138,7 +135,7 @@ def _compiled_dynamics(model: GroupModel, alphas: np.ndarray):
     factor (a zero tetrad entry, a zero entry of eta^{ab}) folds away, so
     it costs nothing.
     """
-    eta_con, e, Z = model.eta_con(), model.e_con, adiff.ZERO
+    eta_con, e, Z = model.eta_con, model.e_con, adiff.ZERO
     A = [sum((c * row[i] for c, row in zip(alphas, model.holo_basis) if c != 0.0), Z) for i in range(4)]
     p = [adiff.Var(name) for name in _P]
     P = [p[i] + A[i] for i in range(4)]
@@ -265,7 +262,7 @@ def drift_report(traj: Trajectory) -> DriftStats:
         raise ValueError("empty trajectory")
 
     def drift(series):
-        return Drift(max_abs=float(np.max(np.abs(series - series[0]))))
+        return float(np.max(np.abs(series - series[0])))
 
     return DriftStats(
         H=drift(traj.H), Y=tuple(drift(traj.Y[:, a]) for a in range(4))

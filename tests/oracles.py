@@ -217,7 +217,7 @@ def per_basis_frame_defining(cloud) -> list[np.ndarray]:
 def broadcast_metric_gradient(model, econ, decon) -> np.ndarray:
     """d_l g^{ij} (n, l, i, j) from the tetrad jet, one product per point
     and derivative index."""
-    t = model.eta_con() @ econ
+    t = model.eta_con @ econ
     dg = decon.transpose(0, 1, 3, 2) @ t[:, None]
     return dg + dg.transpose(0, 1, 3, 2)
 

@@ -93,6 +93,18 @@ def test_g4_iii_passes_at_its_smallest_sin(tol):
             get_group(GroupId.G4_III, GroupParams(alpha_angle=float(below)))
 
 
+@pytest.mark.parametrize("angle, sine", [(1e12, -0.611), (1e300, -0.818)], ids=["1e12", "1e300"])
+def test_g4_iii_passes_at_a_large_alpha_angle(angle, sine, tol):
+    """An angle far beyond 2 pi gives the entry of its principal angle: the
+    shifted phase u4 sin(a) - a keeps the chart's digits, so every asserted
+    check passes."""
+    assert math.sin(angle) == pytest.approx(sine, abs=5e-4)
+    model = get_group(GroupId.G4_III, GroupParams(alpha_angle=angle))
+    points, momenta = mechanics.sample_phase_points(model, 200, 42)
+    failed = [r.name for r in checks.verify_group(model, points, momenta, tol) if r.asserted and not r.passed]
+    assert failed == []
+
+
 @pytest.mark.parametrize(
     "field, value",
     [

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from g4motions import catalog, cli
+from g4motions import catalog, checks, cli
 from g4motions.cli import main
 from oracles import reference_render_json
 
@@ -231,6 +231,22 @@ def test_report_config_records_every_parameter(capsys):
     assert configs[0] != configs[1]
     assert (configs[0]["c"], configs[1]["c"]) == (2.0, 3.0)
     assert {"alpha_angle", "k", "l", "eps01"} <= set(configs[0])
+
+
+def test_report_config_reruns_to_the_same_report(capsys):
+    """A JSON report's ``config`` determines the run: the ``RunConfig``
+    rebuilt from it gives the same bytes."""
+    argv = ["verify", "--group", "all", "--points", "20", "--seed", "3", "--tol-deriv", "2e-9",
+            "--param", "c=3", "--param", "alpha_angle=0.7", "--param", "eta=diag:2,-1,-1,-0.5"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    cfg = json.loads(out)["config"]
+    tol = checks.ToleranceConfig(**{f.name: cfg.pop(f.name) for f in dataclasses.fields(checks.ToleranceConfig)})
+    config = cli.RunConfig(groups=[catalog.GroupId(g) for g in cfg.pop("groups")], seed=cfg.pop("seed"),
+                           n_points=cfg.pop("points"), tol=tol, params=catalog.GroupParams(**cfg))
+    assert (tol.tol_deriv, config.params.c, config.params.alpha_angle) == (2e-9, 3.0, 0.7)
+    assert config.params.eta[3][3] == -0.5
+    assert cli.render_json(cli.report_document(cli.build_report(config))) + "\n" == out
 
 
 @pytest.mark.parametrize("command", [["list"], ["simulate", "--group", "g4-iii", "--T", "0.01"]], ids=lambda c: c[0])

@@ -69,7 +69,7 @@ def test_contractions_match_einsum(gid, eta_models, samples):
     pts, momenta = samples[gid]
 
     econ, decon = eval_table_jet(model.e_con, pts)
-    eta_con = model.eta_con()
+    eta_con = model.eta_con
     g, dg = geometry.metric_batch(model, pts)
     assert_matches(g, einsum_ref("ab,nai,nbj->nij", eta_con, econ, econ))
     half, half_scale = einsum_ref("ab,nlai,nbj->nlij", eta_con, decon, econ)

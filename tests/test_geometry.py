@@ -105,7 +105,7 @@ def test_guard_determinant_equals_metric_determinant(models, samples):
         cloud = SampleCloud(model, samples[gid][0])
         for c in (cloud, *(cloud.with_model(model.with_eta(eta)) for eta in (ALL_PLUS, DIAG_2))):
             want = np.linalg.det(c.metric[0])
-            got = geometry._metric_det(c.model.eta_con(), c._tetrad_det)
+            got = geometry._metric_det(c.model.eta_con, c._tetrad_det)
             assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12, gid
 
 
