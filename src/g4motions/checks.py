@@ -555,8 +555,11 @@ def verify_group(model: GroupModel, points, momenta, tol: ToleranceConfig) -> li
     chunk; the second pass rebinds the chunk's cloud to the other model,
     which shares its eta-independent evaluations and drops the first metric
     before the second is built.  ``merge_chunks`` gives the results over the
-    whole sample.
+    whole sample.  An empty sample raises ``ValueError``: it would verify
+    nothing.
     """
+    if not len(points):
+        raise ValueError(f"{model.name}: an empty sample has no points to verify")
     chunks = []
     for k in range(0, len(points), CHUNK):
         cloud = SampleCloud(model, points[k : k + CHUNK], momenta[k : k + CHUNK])

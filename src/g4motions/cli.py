@@ -1,11 +1,12 @@
 """Command-line front end: list the catalog, run the verification suite,
 integrate charged-particle trajectories.
 
-Exit codes: 0 all asserted checks pass, 1 a verification failure, 2 usage or
-configuration error, an output path that cannot be written included.
-Reports are deterministic for a fixed configuration (floats serialized with
-a fixed 17-significant-digit format), so two runs with the same seed produce
-byte-identical JSON.
+A verify run builds one report document (``build_report``), which every
+``--format`` writes.  Exit codes: 0 no entry's report ``summary`` counts a
+failed asserted check, 1 one does, 2 usage or configuration error, an output
+path that cannot be written included.  Reports are deterministic for a fixed
+configuration (floats serialized with a fixed 17-significant-digit format),
+so two runs with the same seed produce byte-identical JSON.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ import numpy as np
 from . import __version__, catalog, checks, mechanics
 from .catalog import GroupId, GroupParams, InvalidParams
 
-__all__ = ["main", "build_report", "render_json", "RunConfig", "VerificationReport"]
+__all__ = ["main", "build_report", "render_json", "RunConfig"]
 
 @dataclass
 class RunConfig:
@@ -34,16 +35,6 @@ class RunConfig:
     tol: checks.ToleranceConfig = field(default_factory=checks.ToleranceConfig)
     fmt: str = "json"
     out: str | None = None
-
-
-@dataclass
-class VerificationReport:
-    version: str
-    config: dict
-    results: list
-    summary: dict  # per-group {passed, failed, flagged}
-    inconsistencies: list
-    exit_code: int
 
 
 # --------------------------------------------------------------------------
@@ -271,21 +262,11 @@ def cmd_list(config: RunConfig) -> int:
     return 0
 
 
-def _result_dict(res: checks.CheckResult) -> dict:
-    return {
-        "check": res.name,
-        "group": res.group,
-        "n_points": res.n_points,
-        "max_residual": res.max_residual,
-        "tolerance": res.tolerance,
-        "passed": res.passed,
-        "asserted": res.asserted,
-        "notes": list(res.notes),
-    }
-
-
-def build_report(config: RunConfig) -> VerificationReport:
-    """Run the full battery for the configured groups.
+def build_report(config: RunConfig) -> dict:
+    """Run the full battery for the configured groups and return the report
+    document: the dict that ``render_json`` writes, and that the csv and
+    human writers read.  ``cmd_verify`` takes its exit code from the
+    document's ``summary``.
 
     Each entry's battery runs through ``checks.verify_group``, one table
     evaluation per chunk: the metric-reading checks run under the entry's
@@ -293,7 +274,7 @@ def build_report(config: RunConfig) -> VerificationReport:
     per model (all-plus, or the default mixed one where the entry's is
     all-plus), to confirm the identities are signature-blind.
     """
-    results: list[checks.CheckResult] = []
+    results: list[dict] = []
     inconsistencies: list[str] = []
     summary: dict = {}
 
@@ -301,7 +282,6 @@ def build_report(config: RunConfig) -> VerificationReport:
         model = catalog.get_group(gid, config.params)
         points, momenta = mechanics.sample_phase_points(model, config.n_points, config.seed)
         group_results = checks.verify_group(model, points, momenta, config.tol)
-        results.extend(group_results)
         summary[model.name] = {
             "passed": sum(r.passed and r.asserted for r in group_results),
             "failed": sum((not r.passed) and r.asserted for r in group_results),
@@ -309,16 +289,26 @@ def build_report(config: RunConfig) -> VerificationReport:
         }
         inconsistencies.extend(f"{model.name}: {note}" for note in model.notes)
         for res in group_results:
+            results.append({
+                "check": res.name,
+                "group": res.group,
+                "n_points": res.n_points,
+                "max_residual": res.max_residual,
+                "tolerance": res.tolerance,
+                "passed": res.passed,
+                "asserted": res.asserted,
+                "notes": list(res.notes),
+            })
             if not res.asserted and not res.passed:
                 inconsistencies.append(
                     f"{model.name}: {res.name} residual {res.max_residual:.3e} "
                     f"exceeds {res.tolerance:.1e} (report mode)"
                 )
 
-    failed = any(r.asserted and not r.passed for r in results)
-    return VerificationReport(
-        version=__version__,
-        config={
+    return {
+        "schema": 1,
+        "version": __version__,
+        "config": {
             "groups": [g.value for g in config.groups],
             "seed": config.seed,
             "points": config.n_points,
@@ -326,69 +316,53 @@ def build_report(config: RunConfig) -> VerificationReport:
             **vars(config.tol),
             **vars(config.params),
         },
-        results=results,
-        summary=summary,
-        inconsistencies=inconsistencies,
-        exit_code=1 if failed else 0,
-    )
-
-
-def report_document(report: VerificationReport) -> dict:
-    return {
-        "schema": 1,
-        "version": report.version,
-        "config": report.config,
-        "results": [_result_dict(r) for r in report.results],
-        "summary": report.summary,
-        "inconsistencies": report.inconsistencies,
+        "results": results,
+        "summary": summary,
+        "inconsistencies": inconsistencies,
     }
 
 
-def _render_human(report: VerificationReport) -> str:
-    lines = [f"g4motions {report.version} verification report", ""]
+def _render_human(report: dict) -> str:
+    lines = [f"g4motions {report['version']} verification report", ""]
     current = None
-    for res in report.results:
-        if res.group != current:
-            current = res.group
-            s = report.summary[current]
+    for res in report["results"]:
+        if res["group"] != current:
+            current = res["group"]
+            s = report["summary"][current]
             lines.append(
                 f"== {current}  ({s['passed']} passed, {s['failed']} failed, "
                 f"{s['flagged']} flagged)"
             )
-        status = "PASS" if res.passed else "FAIL"
-        if not res.asserted:
+        status = "PASS" if res["passed"] else "FAIL"
+        if not res["asserted"]:
             status = "FLAG:" + status.lower()
         lines.append(
-            f"  {res.name:40s} max residual {res.max_residual:10.3e}  "
-            f"tol {res.tolerance:8.1e}  {status}"
+            f"  {res['check']:40s} max residual {res['max_residual']:10.3e}  "
+            f"tol {res['tolerance']:8.1e}  {status}"
         )
-    if report.inconsistencies:
+    if report["inconsistencies"]:
         lines.append("")
         lines.append("source-table findings:")
-        lines.extend(f"  - {note}" for note in report.inconsistencies)
+        lines.extend(f"  - {note}" for note in report["inconsistencies"])
     lines.append("")
     return "\n".join(lines)
 
 
-def _render_csv(report: VerificationReport) -> str:
+def _render_csv(report: dict) -> str:
     rows = ["check,group,n_points,max_residual,tolerance,passed,asserted"]
-    for r in report.results:
+    for r in report["results"]:
         rows.append(
-            f"{r.name},{r.group},{r.n_points},{_fmt_float(r.max_residual)},"
-            f"{_fmt_float(r.tolerance)},{r.passed},{r.asserted}"
+            f"{r['check']},{r['group']},{r['n_points']},{_fmt_float(r['max_residual'])},"
+            f"{_fmt_float(r['tolerance'])},{r['passed']},{r['asserted']}"
         )
     return "\n".join(rows) + "\n"
 
 
 def cmd_verify(config: RunConfig) -> int:
     report = build_report(config)
-    if config.fmt == "json":
-        _emit(render_json(report_document(report)), config.out)
-    elif config.fmt == "csv":
-        _emit(_render_csv(report), config.out)
-    else:
-        _emit(_render_human(report), config.out)
-    return report.exit_code
+    render = {"json": render_json, "csv": _render_csv, "human": _render_human}[config.fmt]
+    _emit(render(report), config.out)
+    return 1 if any(s["failed"] for s in report["summary"].values()) else 0
 
 
 def cmd_simulate(config: RunConfig, u0, p0, T: float, h: float) -> int:

@@ -444,6 +444,42 @@ def test_negative_control_transcription_mutants(mutant, models, samples, clean_b
     assert not uncaught, f"{mutant} passes every asserted check on {uncaught}"
 
 
+def test_verify_group_rejects_an_empty_sample(models, samples, tol):
+    points, momenta = samples[GroupId.G4_II]
+    with pytest.raises(ValueError, match="empty sample"):
+        verify_group(models[GroupId.G4_II], points[:0], momenta[:0], tol)
+
+
+#: Slips in one antisymmetric pair C^g_ab = -C^g_ba of the structure constants.
+C_PAIR_SLIPS = {"negated": -1.0, "zeroed": 0.0, "doubled": 2.0}
+
+
+def test_negative_control_structure_constant_mutants(models, tol):
+    """Negating, zeroing or doubling any one nonzero pair C^g_ab / C^g_ba,
+    antisymmetry kept, fails an asserted check on every entry, or raises:
+    171 mutants at 64 points."""
+    survivors, n_mutants = [], 0
+    for gid, model in models.items():
+        sample = mechanics.sample_phase_points(model, 64, 42)
+        assert all(r.passed for r in verify_group(model, *sample, tol) if r.asserted), gid
+        C = model.structure_constants
+        for g, a, b in zip(*np.nonzero(C)):
+            if a > b:
+                continue
+            for slip, factor in C_PAIR_SLIPS.items():
+                mutant = C.copy()
+                mutant[g, a, b], mutant[g, b, a] = factor * C[g, a, b], factor * C[g, b, a]
+                n_mutants += 1
+                try:
+                    results = verify_group(dataclasses.replace(model, structure_constants=mutant), *sample, tol)
+                except (ArithmeticError, ValueError, np.linalg.LinAlgError):
+                    continue
+                if not any(r.asserted and not r.passed for r in results):
+                    survivors.append((gid.value, slip, int(g), int(a), int(b)))
+    assert n_mutants == 171
+    assert not survivors, survivors
+
+
 class _SkewedGradient(FieldExpr):
     """A field with exact values whose partials are off by a factor 1 + 1e-3."""
 

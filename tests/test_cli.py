@@ -246,7 +246,7 @@ def test_report_config_reruns_to_the_same_report(capsys):
                            n_points=cfg.pop("points"), tol=tol, params=catalog.GroupParams(**cfg))
     assert (tol.tol_deriv, config.params.c, config.params.alpha_angle) == (2e-9, 3.0, 0.7)
     assert config.params.eta[3][3] == -0.5
-    assert cli.render_json(cli.report_document(cli.build_report(config))) + "\n" == out
+    assert cli.render_json(cli.build_report(config)) + "\n" == out
 
 
 @pytest.mark.parametrize("command", [["list"], ["simulate", "--group", "g4-iii", "--T", "0.01"]], ids=lambda c: c[0])
@@ -334,6 +334,41 @@ def test_second_signature_differs_from_the_first(group, eta, capsys):
 def test_verify_rejects_zero_points(capsys):
     code, _, err = run_cli(["verify", "--group", "g4-ii", "--points", "0"], capsys)
     assert code == 2
+    assert err == "error: --points must be at least 1\n"
+
+
+def test_report_of_an_empty_sample_raises():
+    """A report with no rows would read as a pass: ``build_report`` raises
+    instead of returning zero counts."""
+    config = cli.RunConfig(groups=[catalog.GroupId.G4_II], n_points=0)
+    with pytest.raises(ValueError, match="g4-ii: an empty sample"):
+        cli.build_report(config)
+
+
+@pytest.mark.parametrize("tol_deriv,exit_code", [("1e-9", 0), ("1e-20", 1)])
+def test_report_formats_agree(tol_deriv, exit_code, capsys):
+    """json, csv and human write the same rows of one report, and exit with
+    the same code: 0 with g4-iii's failing row flagged, 1 once an asserted
+    row fails."""
+    argv = ["verify", "--group", "g4-iii", "--points", "25", "--tol-deriv", tol_deriv, "--format"]
+    outs = {}
+    for fmt in ("json", "csv", "human"):
+        code, outs[fmt], _ = run_cli([*argv, fmt], capsys)
+        assert code == exit_code, fmt
+    rows = json.loads(outs["json"])["results"]
+    assert any(not r["asserted"] and not r["passed"] for r in rows)
+    assert any(r["asserted"] and not r["passed"] for r in rows) == bool(exit_code)
+    csv_rows = outs["csv"].splitlines()[1:]
+    assert len(csv_rows) == len(rows)
+    for line, r in zip(csv_rows, rows):
+        want = (r["check"], r["group"], str(r["n_points"]), format(r["max_residual"], ".17g"),
+                format(r["tolerance"], ".17g"), str(r["passed"]), str(r["asserted"]))
+        assert tuple(line.split(",")) == want
+    human = [line for line in outs["human"].splitlines() if line.startswith("  ") and " max residual " in line]
+    assert len(human) == len(rows)
+    for line, r in zip(human, rows):
+        status = ("PASS" if r["passed"] else "FAIL") if r["asserted"] else ("FLAG:pass" if r["passed"] else "FLAG:fail")
+        assert line.split()[0] == r["check"] and line.split()[-1] == status
 
 
 def test_report_summary_counts_match_results(capsys):
