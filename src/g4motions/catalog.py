@@ -94,10 +94,6 @@ ABELIAN_SUBGROUP_IDS = frozenset(
 #: direction (g^44 = 1, no cross terms): the "X4 = p4 over a G3 orbit" form.
 BLOCK_ETA_IDS = frozenset({GroupId.G4_VII_A, GroupId.G4_VIII_A})
 
-#: Groups whose tetrad tables come straight from the source (as opposed to
-#: the derived left-invariant tetrads of the Abelian-subgroup family).
-PRINTED_TETRAD_IDS = frozenset(set(GroupId) - ABELIAN_SUBGROUP_IDS)
-
 
 @dataclass(frozen=True)
 class GroupParams:
@@ -217,7 +213,7 @@ class GroupModel:
     reference_frame: tuple | None  # source frame-potential table, if linear
     eta_eff: np.ndarray  # 4x4 constant frame metric actually used
     domain: SampleDomain
-    tetrad_printed: bool
+    tetrad_printed: bool  # tabulated in the source; the Abelian-subgroup tetrads are derived
     abelian_block: np.ndarray | None  # the 3x3 C_a^b matrix for the VI family
     notes: tuple = ()
 
@@ -268,6 +264,12 @@ def _table(rows) -> list:
 
 def _zeros(n=4, m=4):
     return [[adiff.ZERO for _ in range(m)] for _ in range(n)]
+
+
+def _flat4(block, row4=(0, 0, 0)) -> list:
+    """The 3x3 ``block`` completed by a flat fourth direction: a zero fourth
+    column, above the fourth row ``row4, 1``."""
+    return _table([*([*row, 0] for row in block), [*row4, 1]])
 
 
 def _ctensor(entries) -> np.ndarray:
@@ -802,19 +804,14 @@ def _build_g4_vi(group_id: GroupId, params: GroupParams):
     M = _abelian_matrix(group_id, params)
     us = (U1, U2, U3)
 
-    xi = _zeros()
-    dual = _zeros()
-    for a in range(3):
-        xi[a][a] = adiff.ONE
-        dual[a][a] = adiff.ONE
+    drift = []
     for q in range(3):
-        drift = adiff.ZERO
+        d = adiff.ZERO
         for p in range(3):
-            drift = drift + M[p, q] * us[p]
-        xi[3][q] = drift
-        dual[3][q] = -drift
-    xi[3][3] = adiff.ONE
-    dual[3][3] = adiff.ONE
+            d = d + M[p, q] * us[p]
+        drift.append(d)
+    xi = _flat4(np.eye(3), drift)
+    dual = _flat4(np.eye(3), [-d for d in drift])
 
     C = np.zeros((4, 4, 4))
     for a in range(3):
@@ -824,14 +821,8 @@ def _build_g4_vi(group_id: GroupId, params: GroupParams):
 
     cov_block = _abelian_flow(group_id, params, U4)  # expm(-u4 C)
     con_block = _abelian_flow(group_id, params, -U4)  # expm(+u4 C)
-    e_cov = _zeros()
-    e_con = _zeros()
-    for i in range(3):
-        for j in range(3):
-            e_cov[i][j] = cov_block[i][j]
-            e_con[i][j] = con_block[i][j]
-    e_cov[3][3] = adiff.ONE
-    e_con[3][3] = adiff.ONE
+    e_cov = _flat4(cov_block)
+    e_con = _flat4(con_block)
 
     # Holonomic potential as tabulated: A_a = frame component, A_4 built from
     # the Abelian drift so that the field strength cancels identically
@@ -847,11 +838,7 @@ def _build_g4_vi(group_id: GroupId, params: GroupParams):
         holo[b][3] = a4
     holo[3][3] = adiff.ONE
 
-    reference_frame = _zeros()
-    for b in range(3):
-        for a in range(3):
-            reference_frame[b][a] = cov_block[a][b]
-    reference_frame[3][3] = adiff.ONE
+    reference_frame = _flat4(zip(*cov_block))
 
     notes = (
         "tetrad derived (not tabulated): left-invariant block expm(u4 C) "
@@ -878,17 +865,10 @@ def _build_g4_vii(shifted: bool):
     )
     d3 = [
         [U2 * U2 * emu3, -2 * U2 * emu3, emu3],
-        [adiff.ONE, adiff.ZERO, adiff.ZERO],
-        [-U2, adiff.ONE, adiff.ZERO],
+        [1, 0, 0],
+        [-U2, 1, 0],
     ]
-    dual = _zeros()
-    for i in range(3):
-        for b in range(3):
-            dual[i][b] = d3[i][b]
-    if shifted:
-        for b in range(3):
-            dual[3][b] = -d3[0][b]
-    dual[3][3] = adiff.ONE
+    dual = _flat4(d3, [-x for x in d3[0]] if shifted else (0, 0, 0))
 
     C = _ctensor({(1, 1, 2): 1.0, (3, 2, 3): 1.0, (2, 1, 3): 2.0})
 
@@ -927,17 +907,13 @@ def _build_g4_vii(shifted: bool):
         )
     else:
         q_coeff = [w * w, -2 * w, adiff.ONE]  # Q = a1 w^2 - 2 a2 w + a3
-        reference_frame = _zeros()
-        for b in range(3):
-            reference_frame[b][0] = q_coeff[b] * emu3
-            reference_frame[b][1] = U2 * q_coeff[b] * emu3
-            reference_frame[b][2] = U2 * U2 * q_coeff[b] * emu3
+        block = [[q * emu3, U2 * q * emu3, U2 * U2 * q * emu3] for q in q_coeff]
         # - (a1 u1 + a2) additions in A_2, A_3 and the a1 exp(u3) tail in A_3
-        reference_frame[0][1] = reference_frame[0][1] - U1
-        reference_frame[1][1] = reference_frame[1][1] - 1
-        reference_frame[0][2] = reference_frame[0][2] - U2 * U1 + epu3
-        reference_frame[1][2] = reference_frame[1][2] - U2
-        reference_frame[3][3] = adiff.ONE
+        block[0][1] = block[0][1] - U1
+        block[1][1] = block[1][1] - 1
+        block[0][2] = block[0][2] - U2 * U1 + epu3
+        block[1][2] = block[1][2] - U2
+        reference_frame = _flat4(block)
         notes = (
             "source frame/dual tables for the 3-space orbit carry swapped "
             "index labels; stored with the assignment fixed by bracket "
@@ -967,18 +943,11 @@ def _build_g4_viii(shifted: bool):
         ]
     )
     d3 = [
-        [adiff.ZERO, c2, -s2],
-        [adiff.ONE, adiff.ZERO, adiff.ZERO],
+        [0, c2, -s2],
+        [1, 0, 0],
         [c1, s2 * s1, c2 * s1],
     ]
-    dual = _zeros()
-    for i in range(3):
-        for b in range(3):
-            dual[i][b] = d3[i][b]
-    if shifted:
-        for b in range(3):
-            dual[3][b] = -d3[2][b]
-    dual[3][3] = adiff.ONE
+    dual = _flat4(d3, [-x for x in d3[2]] if shifted else (0, 0, 0))
 
     C = _ctensor({(3, 1, 2): 1.0, (1, 2, 3): 1.0, (2, 3, 1): 1.0})
 
@@ -1108,7 +1077,7 @@ def _build_group(group_id: GroupId, params: GroupParams) -> GroupModel:
             if group_id in (GroupId.G4_VIII_A, GroupId.G4_VIII_B)
             else DEFAULT_DOMAIN
         ),
-        tetrad_printed=group_id in PRINTED_TETRAD_IDS,
+        tetrad_printed=group_id not in ABELIAN_SUBGROUP_IDS,
         abelian_block=_read_only(
             _abelian_matrix(group_id, params)
             if group_id in ABELIAN_SUBGROUP_IDS

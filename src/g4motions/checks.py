@@ -68,7 +68,6 @@ __all__ = [
     "BATTERY",
     "merge_chunks",
     "verify_group",
-    "ASSERTED_HOLO_ADMISSIBILITY",
     "admissible_alphas",
 ]
 
@@ -82,8 +81,12 @@ class ToleranceConfig:
     tol_deriv: float = 1e-9  # identities involving derivatives
 
     def __post_init__(self):
-        if not all(0 < v < np.inf for v in (self.tol_exact, self.tol_deriv)):
-            raise ValueError("tolerances must be positive and finite")
+        # a scaled residual is below 1 where one side vanishes and below 2
+        # everywhere, so a tolerance of 1 or more passes a zeroed side
+        for name in ("tol_exact", "tol_deriv"):
+            value = getattr(self, name)
+            if not 0 < value < 1:
+                raise ValueError(f"{name} must be finite and in (0, 1), got {value!r}")
 
 
 #: ``check_fd_oracle``'s central-difference step, and its mixed
@@ -243,24 +246,6 @@ def check_frame_killing(cloud: SampleCloud, tol: ToleranceConfig) -> CheckResult
 # Admissibility of the electromagnetic potential
 # --------------------------------------------------------------------------
 
-#: Entries whose tabulated holonomic potentials are asserted admissible.
-#: The third and fourth groups run in flagged (report-only) mode because
-#: their source tables carry known label conflicts, and the Abelian-subgroup
-#: family admits only the pure-gauge alpha4 direction.
-ASSERTED_HOLO_ADMISSIBILITY = frozenset(
-    {
-        GroupId.G4_I_CNE1,
-        GroupId.G4_I_CEQ1,
-        GroupId.G4_II,
-        GroupId.G4_V,
-        GroupId.G4_VII_A,
-        GroupId.G4_VII_B,
-        GroupId.G4_VIII_A,
-        GroupId.G4_VIII_B,
-    }
-)
-
-
 def admissible_alphas(model: GroupModel) -> np.ndarray:
     """The model's potential constants projected onto its verified-admissible
     directions (for the Abelian-subgroup family only alpha4 survives)."""
@@ -271,16 +256,17 @@ def admissible_alphas(model: GroupModel) -> np.ndarray:
 
 
 def _asserted_basis(model: GroupModel, b: int, zero_field: str) -> tuple[bool, tuple]:
-    """Whether the potential of basis vector ``b`` is asserted admissible,
-    and the note of a flagged one; ``zero_field`` ends the Abelian-subgroup
-    note."""
-    abelian = model.group_id in ABELIAN_SUBGROUP_IDS
-    asserted = model.group_id in ASSERTED_HOLO_ADMISSIBILITY or (abelian and b == 3)
-    if abelian and b < 3:
-        return asserted, (f"zero-field construction: {zero_field}",)
+    """Whether the tabulated potential of basis vector ``b`` is asserted
+    admissible, and the note of a flagged one; ``zero_field`` ends the
+    Abelian-subgroup note.  The Abelian-subgroup family admits only the
+    pure-gauge alpha4 direction, and the third and fourth groups run in
+    flagged (report-only) mode because their source tables carry known label
+    conflicts; every other basis is asserted."""
+    if model.group_id in ABELIAN_SUBGROUP_IDS and b < 3:
+        return False, (f"zero-field construction: {zero_field}",)
     if model.group_id in (GroupId.G4_III, GroupId.G4_IV):
-        return asserted, ("report mode: source potential tables carry label conflicts",)
-    return asserted, ()
+        return False, ("report mode: source potential tables carry label conflicts",)
+    return True, ()
 
 
 def _basis_rows(cloud: SampleCloud, tol: ToleranceConfig, name: str, sides, policies) -> list[CheckResult]:

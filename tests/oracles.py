@@ -25,6 +25,8 @@ the planned, hash-consed evaluator is pinned bitwise.
 ``reference_render_json`` is the report writer in its ``isinstance``-chain
 form, escaping each string through ``json.dumps``, against which
 ``cli.render_json`` is pinned byte for byte.
+``ASSERTED_HOLO_IDS`` is the admissibility policy written out by entry, as
+the set the tests expect ``checks._asserted_basis`` to assert in every basis.
 """
 import json
 from array import array
@@ -33,8 +35,25 @@ from operator import gt
 import numpy as np
 
 from g4motions.adiff import CHART_DIM, FieldExpr, as_point
+from g4motions.catalog import GroupId
 from g4motions.geometry import frame_metric_batch
 from g4motions.mechanics import Trajectory, _compiled_dynamics, _finite
+
+#: The entries whose tabulated holonomic potentials are asserted admissible in
+#: all four bases: the catalog minus g4-iii and g4-iv, which run in report
+#: mode, and the five Abelian-subgroup entries, asserted along alpha4 only.
+ASSERTED_HOLO_IDS = frozenset(
+    {
+        GroupId.G4_I_CNE1,
+        GroupId.G4_I_CEQ1,
+        GroupId.G4_II,
+        GroupId.G4_V,
+        GroupId.G4_VII_A,
+        GroupId.G4_VII_B,
+        GroupId.G4_VIII_A,
+        GroupId.G4_VIII_B,
+    }
+)
 
 
 def finite_diff_gradient(f, u, h: float = 1e-5) -> np.ndarray:

@@ -23,7 +23,7 @@ from g4motions.checks import ToleranceConfig
 from g4motions.cli import RunConfig, build_report, render_json
 from g4motions.geometry import SampleCloud
 from g4motions.mechanics import PhasePoint
-from oracles import finite_diff_gradient, hamiltonian
+from oracles import ASSERTED_HOLO_IDS, finite_diff_gradient, hamiltonian
 
 U1, U2, U3, U4 = coords()
 
@@ -95,7 +95,7 @@ def test_criterion_04_admissibility(models, clouds, tol):
         if model.tetrad_printed:  # (a) tetrad-constructed potentials
             for res in checks.check_admissibility(cloud, tol, mode="tetrad"):
                 worst_tetrad = max(worst_tetrad, res.max_residual)
-        if gid in checks.ASSERTED_HOLO_ADMISSIBILITY:  # (b) tabulated tables
+        if gid in ASSERTED_HOLO_IDS:  # (b) tabulated tables
             for res in checks.check_admissibility(cloud, tol):
                 worst_holo = max(worst_holo, res.max_residual)
         if gid in (GroupId.G4_III, GroupId.G4_IV):  # report mode, surfaced

@@ -12,7 +12,6 @@ from g4motions import catalog, checks, mechanics
 from g4motions.adiff import Const, FieldExpr, coords, exp
 from g4motions.catalog import ABELIAN_SUBGROUP_IDS, GroupId, GroupParams, eval_table, get_group
 from g4motions.checks import (
-    ASSERTED_HOLO_ADMISSIBILITY,
     BATTERY,
     ToleranceConfig,
     check_abelian_zero_field,
@@ -30,7 +29,7 @@ from g4motions.checks import (
     verify_group,
 )
 from g4motions.geometry import SampleCloud
-from oracles import fform_admissibility
+from oracles import ASSERTED_HOLO_IDS, fform_admissibility
 
 U1, U2, U3, U4 = coords()
 
@@ -104,7 +103,7 @@ def test_killing_all_entries_both_signatures(clouds, samples, tol):
 
 
 def test_admissibility_asserted_entries(clouds, tol):
-    for gid in ASSERTED_HOLO_ADMISSIBILITY:
+    for gid in ASSERTED_HOLO_IDS:
         for res in check_admissibility(clouds[gid], tol):
             assert res.passed and res.asserted, (gid, res.name, res.max_residual)
 
@@ -135,9 +134,9 @@ def test_admissibility_abelian_entries(clouds, tol):
 
 
 def test_frame_defining_asserted_entries(clouds, tol):
-    for gid in ASSERTED_HOLO_ADMISSIBILITY:
+    for gid in ASSERTED_HOLO_IDS:
         for res in check_frame_defining(clouds[gid], tol):
-            assert res.passed, (gid, res.name, res.max_residual)
+            assert res.passed and res.asserted, (gid, res.name, res.max_residual)
 
 
 def test_potential_consistency_exact(clouds, tol):
@@ -257,8 +256,11 @@ def test_every_exported_name_resolves(module):
 
 
 def test_tolerance_config_validation():
-    with pytest.raises(ValueError):
-        ToleranceConfig(tol_exact=0.0)
+    """A scaled residual is below 2, and below 1 where one side is zero: a
+    tolerance of 1 or more would pass a zeroed table."""
+    for name, value in itertools.product(("tol_exact", "tol_deriv"), (0.0, 1.0, 2.0)):
+        with pytest.raises(ValueError, match=rf"{name} must be finite and in \(0, 1\)"):
+            ToleranceConfig(**{name: value})
 
 
 # --------------------------------------------------------------------------
@@ -342,6 +344,38 @@ def test_negative_control_admissibility_mutants(models, tol):
                 sides = fform_admissibility(cloud, table)
                 want |= {(*key, b) for b, (lhs, rhs) in enumerate(sides) if not scaled_max(lhs, rhs) <= tol.tol_deriv}
     assert want and got == want, sorted(got ^ want)
+
+
+def test_negative_control_frame_and_tetrad_mutants(models, tol):
+    """Negating, zeroing or doubling any one nonzero entry of ``xi``,
+    ``dual``, ``e_con`` or ``e_cov`` fails an asserted row of
+    ``verify_group``, or raises: no single slip in the frame and tetrad
+    tables survives the battery.  A slipped ``xi`` gets its frame potential
+    rebuilt (``catalog._frame_from_holo``), as the catalog builds it."""
+    slips = (lambda e: -e, lambda e: Const(0.0), lambda e: 2.0 * e)
+    counts, survivors = {"caught": 0, "raised": 0}, []
+    for gid, model in models.items():
+        points, momenta = mechanics.sample_phase_points(model, 64, 42)
+        for field in ("xi", "dual", "e_con", "e_cov"):
+            rows = getattr(model, field)
+            for r, c, slip in itertools.product(range(4), range(4), slips):
+                if type(rows[r][c]) is Const and rows[r][c].c == 0.0:
+                    continue
+                mutant = [list(row) for row in rows]
+                mutant[r][c] = slip(rows[r][c])
+                tables = {field: mutant}
+                if field == "xi":
+                    tables["frame_basis"] = catalog._frame_from_holo(mutant, model.holo_basis)
+                try:
+                    results = verify_group(dataclasses.replace(model, **tables), points, momenta, tol)
+                except ArithmeticError:  # SingularMetric, FloatingPointError
+                    counts["raised"] += 1
+                    continue
+                if any(res.asserted and not res.passed for res in results):
+                    counts["caught"] += 1
+                else:
+                    survivors.append((gid.value, field, r, c, slips.index(slip)))
+    assert counts["caught"] and not survivors, (counts, survivors)
 
 
 def test_negative_control_frame_defining(models, samples, tol):

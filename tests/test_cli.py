@@ -3,6 +3,7 @@ import dataclasses
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
 import types
@@ -396,6 +397,8 @@ FAILURE_SURFACE = [
     (["verify", "--group", "g4-i-cne1", "--points", "20", "--param", "c=inf"], 2, "finite"),
     (["verify", "--group", "g4-vi-1", "--points", "20", "--param", "k=1e300"], 2, "overflow"),
     (["verify", "--group", "g4-ii", "--points", "20", "--tol-deriv", "nan"], 2, "finite"),
+    (["verify", "--group", "g4-ii", "--points", "20", "--tol-deriv", "1"], 2,
+     "tol_deriv must be finite and in (0, 1), got 1.0"),
     (["simulate", "--group", "g4-i-ceq1", "--u0", "50,0,0,0"], 2, "outside the sampling box"),
     (["simulate", "--group", "g4-viii-a"], 2, "[0.2, 2.94159]"),
     (["simulate", "--group", "g4-ii", "--u0", "100,100,100,100"], 2, "outside the sampling box"),
@@ -447,6 +450,51 @@ def test_degenerate_input_fails_cleanly(argv, code, reason, tmp_path):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
     assert reason in lines[0]
+
+
+# --------------------------------------------------------------------------
+# Reports across BLAS kernels: byte-identical reports hold on one machine
+# (one numpy build and BLAS kernel); another kernel rounds the products
+# differently, and the report's outcomes must not move.
+# --------------------------------------------------------------------------
+
+
+def _cpu_has_avx512() -> bool:
+    try:
+        return " avx512f" in Path("/proc/cpuinfo").read_text()
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(not _cpu_has_avx512(), reason="OpenBLAS's SkylakeX kernel needs AVX-512")
+def test_report_outcomes_agree_across_blas_kernels(tmp_path):
+    """The same verify run under OpenBLAS's SkylakeX and Nehalem kernels
+    (``OPENBLAS_CORETYPE``) gives the same rows, outcomes, summary and
+    inconsistencies, the same notes once the potential fit residual is
+    masked, and residuals within 1% of their tolerance of one another.  A
+    numpy that does not link OpenBLAS ignores the variable."""
+    reports = []
+    for core in ("SkylakeX", "Nehalem"):
+        env = dict(os.environ, OPENBLAS_CORETYPE=core)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        out = tmp_path / f"{core}.json"
+        subprocess.run(
+            [sys.executable, "-m", "g4motions", "verify", "--group", "all", "--points", "2100", "--seed", "7",
+             "--out", str(out)],
+            env=env, cwd=tmp_path, timeout=300, check=True,
+        )
+        reports.append(json.loads(out.read_text()))
+    a, b = reports
+    assert a["summary"] == b["summary"] and a["inconsistencies"] == b["inconsistencies"]
+    assert len(a["results"]) == len(b["results"])
+
+    def masked(row):
+        notes = [re.sub(r"potential fit residual \S+", "potential fit residual _", n) for n in row["notes"]]
+        return row["check"], row["group"], row["tolerance"], row["passed"], row["asserted"], notes
+
+    for x, y in zip(a["results"], b["results"]):
+        assert masked(x) == masked(y)
+        assert abs(x["max_residual"] - y["max_residual"]) <= 0.01 * x["tolerance"], masked(x)
 
 
 # --------------------------------------------------------------------------
